@@ -171,19 +171,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _slope_payload(rep: slope.SlopeReport) -> Dict:
-    return {
-        "g": rep.g, "r": rep.r, "d": rep.d,
-        "lambda": format_rational(rep.lambda_coeff),
-        "delta0": format_rational(rep.delta0_coeff),
-        "ratio": format_rational(rep.ratio),
-        "bound": format_rational(rep.bound),
-        "gap": format_rational(rep.gap),
-        "violates": rep.violates,
-        "conjectural": rep.conjectural,
-    }
-
-
 def _cmd_invariants(args) -> tuple[Dict, int]:
     g, r, d = args.g, args.r, args.d
     return {
@@ -269,15 +256,15 @@ def _cmd_slope(args) -> tuple[Dict, int]:
     if sum(chosen) != 1:
         raise CliError("give exactly one of --m, --sweep, or the full --g --r --d triple")
     if args.m is not None:
-        return _slope_payload(slope.m_family_report(args.m)), EXIT_OK
+        return slope.m_family_report(args.m).payload(), EXIT_OK
     if args.sweep is not None:
         if args.sweep < 1:
             raise CliError("--sweep must be at least 1")
-        reports = [_slope_payload(slope.m_family_report(m)) for m in range(1, args.sweep + 1)]
+        reports = [slope.m_family_report(m).payload() for m in range(1, args.sweep + 1)]
         identity = slope.m_family_gap_identity(args.sweep) and slope.symbolic_gap_identity()
         return ({"reports": reports, "gap_identity": identity},
                 EXIT_OK if identity else EXIT_VERIFY)
-    return _slope_payload(slope.slope_report(args.g, args.r, args.d)), EXIT_OK
+    return slope.slope_report(args.g, args.r, args.d).payload(), EXIT_OK
 
 
 def _golden_compare(payload: Dict, directory: str) -> tuple[Dict, int]:

@@ -13,37 +13,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import PreconditionError
-
 Scalar = Union[int, Fraction]
 
-# Accept both ASCII operators and their typeset variants.
-_OP_ALIASES = {"+": "+", "-": "-", "−": "-", "*": "*", "×": "*",
-               "/": "/", "÷": "/"}
-
-
-def rat(num: int, den: int = 1) -> Fraction:
-    """Build a rational number in canonical form."""
-    return Fraction(num, den)
-
-
-def rat_arith(a: Scalar, b: Scalar, op: str) -> Fraction:
-    """Apply one of the four field operations to two rationals.
-
-    Division by zero raises ZeroDivisionError.  The result is always in
-    canonical form (Fraction keeps gcd one and the denominator positive).
-    """
-    a, b = Fraction(a), Fraction(b)
-    kind = _OP_ALIASES.get(op)
-    if kind is None:
-        raise PreconditionError(f"unknown operator {op!r}")
-    if kind == "+":
-        return a + b
-    if kind == "-":
-        return a - b
-    if kind == "*":
-        return a * b
-    return a / b
+def as_field(x):
+    """An int as a Fraction, so that / stays exact; Fractions and RatFuncs pass through."""
+    return Fraction(x) if isinstance(x, int) else x
 
 
 def format_rational(x: Scalar) -> str:
@@ -303,11 +277,6 @@ class RatFunc:
         if self.den == Poly((1,)):
             return f"RatFunc({self.num!r})"
         return f"RatFunc({self.num!r} / {self.den!r})"
-
-
-def ratfunc_eval(f: RatFunc, m0: Scalar) -> Fraction:
-    """Evaluate f at a rational point; raises ZeroDivisionError at a pole."""
-    return f.eval(m0)
 
 
 def ratfunc_equal(f: RatFunc, g: RatFunc) -> bool:

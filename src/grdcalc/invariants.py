@@ -14,6 +14,7 @@ from math import factorial
 from typing import List
 
 from .errors import PreconditionError
+from .exact import as_field
 
 
 @dataclass(frozen=True)
@@ -65,12 +66,16 @@ def castelnuovo_count(g: int, r: int, d: int) -> Fraction:
     return Fraction(num, den)
 
 
-def xi(g: int, r: int, d: int) -> Fraction:
-    """The constant 3(g-1) + (r-1)(g+r+1)(3g-2d+r-3) / (g-d+2r+1)."""
-    den = g - d + 2 * r + 1
+def xi(g, r, d):
+    """The constant 3(g-1) + (r-1)(g+r+1)(3g-2d+r-3) / (g-d+2r+1).
+
+    Works over any field: a Fraction for integer inputs, a rational function
+    for symbolic ones.
+    """
+    den = as_field(g - d + 2 * r + 1)
     if den == 0:
         raise PreconditionError("xi undefined: g - d + 2r + 1 = 0")
-    return 3 * (g - 1) + Fraction((r - 1) * (g + r + 1) * (3 * g - 2 * d + r - 3), den)
+    return 3 * (g - 1) + (r - 1) * (g + r + 1) * (3 * g - 2 * d + r - 3) / den
 
 
 def vanishing_sum(h: int, r: int, d: int) -> int:

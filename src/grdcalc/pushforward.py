@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from . import linalg
 from .errors import ConsistencyError, PreconditionError
+from .exact import as_field
 from .families import ClassLabel, push_m21, push_marked
 from .invariants import castelnuovo_count, require_rho_zero, xi
 from .picard import (LAMBDA, PSI, DivisorClass, PicSpace, delta, make_class,
@@ -49,74 +50,103 @@ class PushforwardSolution:
                    c=D.get(PSI))
 
 
-def _require_finite_cover_params(g: int, r: int, d: int) -> None:
+def require_finite_cover_params(g: int, r: int, d: int) -> None:
+    """rho = 0 and g >= 3, where the alpha and gamma prefactors have no pole."""
     require_rho_zero(g, r, d)
     if g <= 2:
         raise PreconditionError("push-forward prefactor has a pole for g <= 2")
 
 
-def alpha(g: int, r: int, d: int) -> DivisorClass:
-    """Push-forward of the squared line-bundle class, on mg1(g).
+@dataclass(frozen=True)
+class PerCoverDegree:
+    """Coefficients of a push-forward divided by the cover degree N.
 
-    dN/(6(g-1)(g-2)) times
+    The entries lie in whatever field (g, r, d) lie in: Fractions for
+    integer inputs, rational functions for symbolic ones.  ``delta_i(i)``
+    gives the coefficient of delta_i for 1 <= i < g.
+    """
+
+    lam: object
+    delta0: object
+    psi: object
+    delta_i: Callable[[int], object]
+
+
+def alpha_per_n(g, r, d) -> PerCoverDegree:
+    """Push-forward of the squared line-bundle class, per cover degree.
+
+    d/(6(g-1)(g-2)) times
     [ 6(gd - 2g^2 + 8d - 8g + 4) lambda + (2g^2 - gd + 3g - 4d - 2) delta_0
       + 6 sum_i (g-i)(gd + 2ig - 2id - 2d) delta_i - 6d(g-2) psi ].
     """
-    _require_finite_cover_params(g, r, d)
-    n = castelnuovo_count(g, r, d)
-    pref = Fraction(d, 6 * (g - 1) * (g - 2)) * n
-    items: Dict[str, Fraction] = {
-        LAMBDA: pref * 6 * (g * d - 2 * g * g + 8 * d - 8 * g + 4),
-        delta(0): pref * (2 * g * g - g * d + 3 * g - 4 * d - 2),
-        PSI: pref * (-6 * d * (g - 2)),
-    }
-    for i in range(1, g):
-        items[delta(i)] = pref * 6 * (g - i) * (g * d + 2 * i * g - 2 * i * d - 2 * d)
-    return make_class(PicSpace.mg1(g), items)
+    pref = as_field(d) / (6 * (g - 1) * (g - 2))
+    return PerCoverDegree(
+        lam=pref * 6 * (g * d - 2 * g * g + 8 * d - 8 * g + 4),
+        delta0=pref * (2 * g * g - g * d + 3 * g - 4 * d - 2),
+        psi=pref * (-6 * d * (g - 2)),
+        delta_i=lambda i: pref * 6 * (g - i) * (g * d + 2 * i * g - 2 * i * d - 2 * d))
 
 
-def beta(g: int, r: int, d: int) -> DivisorClass:
-    """Push-forward of (line bundle class).(dualizing class), on mg1(g).
+def beta_per_n(g, r, d) -> PerCoverDegree:
+    """Push-forward of (line bundle class).(dualizing class), per cover degree.
 
-    dN/(2(g-1)) times
+    d/(2(g-1)) times
     [ 12 lambda - delta_0 + 4 sum_i (g-i)(g-i-1) delta_i - 2(g-1) psi ].
     """
-    require_rho_zero(g, r, d)
-    if g <= 1:
-        raise PreconditionError("push-forward prefactor has a pole for g <= 1")
-    n = castelnuovo_count(g, r, d)
-    pref = Fraction(d, 2 * (g - 1)) * n
-    items: Dict[str, Fraction] = {
-        LAMBDA: pref * 12,
-        delta(0): -pref,
-        PSI: pref * (-2 * (g - 1)),
-    }
-    for i in range(1, g):
-        items[delta(i)] = pref * 4 * (g - i) * (g - i - 1)
-    return make_class(PicSpace.mg1(g), items)
+    pref = as_field(d) / (2 * (g - 1))
+    return PerCoverDegree(
+        lam=pref * 12,
+        delta0=-pref,
+        psi=pref * (-2 * (g - 1)),
+        delta_i=lambda i: pref * 4 * (g - i) * (g - i - 1))
 
 
-def gamma(g: int, r: int, d: int) -> DivisorClass:
-    """Push-forward of the section-bundle class, on mg1(g).
+def gamma_per_n(g, r, d) -> PerCoverDegree:
+    """Push-forward of the section-bundle class, per cover degree.
 
-    N/(2(g-1)(g-2)) times
+    1/(2(g-1)(g-2)) times
     [ (-(g+3) xi + 5r(r+2)) lambda - d(r+1)(g-2) psi
       + (1/6)((g+1) xi - 3r(r+2)) delta_0
       + sum_i (g-i)(i xi + (g-i-2) r(r+2)) delta_i ].
     """
-    _require_finite_cover_params(g, r, d)
-    n = castelnuovo_count(g, r, d)
     x = xi(g, r, d)
-    pref = Fraction(1, 2 * (g - 1) * (g - 2)) * n
+    pref = 1 / as_field(2 * (g - 1) * (g - 2))
     rr = r * (r + 2)
-    items: Dict[str, Fraction] = {
-        LAMBDA: pref * (-(g + 3) * x + 5 * rr),
-        PSI: pref * (-d * (r + 1) * (g - 2)),
-        delta(0): pref * Fraction(1, 6) * ((g + 1) * x - 3 * rr),
-    }
+    return PerCoverDegree(
+        lam=pref * (-(g + 3) * x + 5 * rr),
+        delta0=pref * Fraction(1, 6) * ((g + 1) * x - 3 * rr),
+        psi=pref * (-d * (r + 1) * (g - 2)),
+        delta_i=lambda i: pref * (g - i) * (i * x + (g - i - 2) * rr))
+
+
+def _times_cover_degree(g: int, r: int, d: int, per_n: PerCoverDegree) -> DivisorClass:
+    """The class on mg1(g) whose coefficients are N times those of per_n."""
+    n = castelnuovo_count(g, r, d)
+    items: Dict[str, Fraction] = {LAMBDA: per_n.lam * n, delta(0): per_n.delta0 * n,
+                                  PSI: per_n.psi * n}
     for i in range(1, g):
-        items[delta(i)] = pref * (g - i) * (i * x + (g - i - 2) * rr)
+        items[delta(i)] = per_n.delta_i(i) * n
     return make_class(PicSpace.mg1(g), items)
+
+
+def alpha(g: int, r: int, d: int) -> DivisorClass:
+    """Push-forward of the squared line-bundle class on mg1(g): N times ``alpha_per_n``."""
+    require_finite_cover_params(g, r, d)
+    return _times_cover_degree(g, r, d, alpha_per_n(g, r, d))
+
+
+def beta(g: int, r: int, d: int) -> DivisorClass:
+    """Push-forward of (line bundle class).(dualizing class) on mg1(g): N times ``beta_per_n``."""
+    require_rho_zero(g, r, d)
+    if g <= 1:
+        raise PreconditionError("push-forward prefactor has a pole for g <= 1")
+    return _times_cover_degree(g, r, d, beta_per_n(g, r, d))
+
+
+def gamma(g: int, r: int, d: int) -> DivisorClass:
+    """Push-forward of the section-bundle class on mg1(g): N times ``gamma_per_n``."""
+    require_finite_cover_params(g, r, d)
+    return _times_cover_degree(g, r, d, gamma_per_n(g, r, d))
 
 
 _CLOSED_FORMS = {ClassLabel.ALPHA: alpha, ClassLabel.BETA: beta, ClassLabel.GAMMA: gamma}

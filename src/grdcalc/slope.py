@@ -19,10 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .invariants import castelnuovo_count, require_rho_zero
-from .picard import LAMBDA, DivisorClass, PicSpace, delta
-from .pushforward import combination
-from .exact import Poly, RatFunc, ratfunc_equal
+from .invariants import require_rho_zero
+from .picard import LAMBDA, DivisorClass, PicSpace
+from .pushforward import (alpha_per_n, beta_per_n, combination, gamma_per_n,
+                          require_finite_cover_params)
+from .exact import Poly, RatFunc, format_rational, ratfunc_equal
 
 # Divisoriality of the quadric locus is established only for the genus-21
 # member of the family; every other report is flagged conjectural.
@@ -53,6 +54,19 @@ class SlopeReport:
     gap: Fraction
     violates: bool
     conjectural: bool
+
+    def payload(self) -> dict:
+        """The report as a JSON-ready dict; rationals become ``p/q`` strings."""
+        return {
+            "g": self.g, "r": self.r, "d": self.d,
+            "lambda": format_rational(self.lambda_coeff),
+            "delta0": format_rational(self.delta0_coeff),
+            "ratio": format_rational(self.ratio),
+            "bound": format_rational(self.bound),
+            "gap": format_rational(self.gap),
+            "violates": self.violates,
+            "conjectural": self.conjectural,
+        }
 
 
 def quadric_degeneracy_class(r: int) -> QuadricCombo:
@@ -87,10 +101,10 @@ def slope_report(g: int, r: int, d: int) -> SlopeReport:
     ``quadric_divisor``).  ``violates`` additionally requires the delta_0
     coefficient to sit on the effective side (positive b_0).
     """
-    divisor = quadric_divisor(g, r, d)
-    n = castelnuovo_count(g, r, d)
-    lam = divisor.get(LAMBDA) / n
-    d0 = divisor.get(delta(0)) / n
+    require_rho_zero(g, r, d)
+    quadric_degeneracy_class(r)  # rejects r < 1
+    require_finite_cover_params(g, r, d)
+    lam, d0 = quadric_lambda_delta0(g, r, d)
     if d0 == 0:
         raise PreconditionError(f"slope undefined: delta_0 coefficient vanishes for ({g},{r},{d})")
     ratio = lam / (-d0)
@@ -129,32 +143,18 @@ def family_gap_function() -> RatFunc:
     return RatFunc(num, den)
 
 
-def _xi_generic(g, r, d):
-    return 3 * (g - 1) + (r - 1) * (g + r + 1) * (3 * g - 2 * d + r - 3) / (g - d + 2 * r + 1)
-
-
 def quadric_lambda_delta0(g, r, d):
     """(lambda, delta_0) coefficients of the quadric divisor per cover degree.
 
-    Works over any field containing the rationals: with integer inputs it
-    reproduces ``quadric_divisor`` up to the factor N, and with rational
-    functions of m it yields the symbolic coefficients of the m-family.
+    The lambda and delta_0 entries of 2*alpha - beta - (r+2)*gamma + lambda,
+    taken from the same per-N push-forwards that ``quadric_divisor`` scales
+    by N.  Works over any field containing the rationals: integer inputs give
+    Fractions, rational functions of m give the m-family symbolically.
+    Unlike ``slope_report`` it checks no preconditions.
     """
-    if isinstance(g, int):
-        g = Fraction(g)
-    if isinstance(r, int):
-        r = Fraction(r)
-    if isinstance(d, int):
-        d = Fraction(d)
-    x = _xi_generic(g, r, d)
-    a_lam = d * (g * d - 2 * g * g + 8 * d - 8 * g + 4) / ((g - 1) * (g - 2))
-    a_d0 = d * (2 * g * g - g * d + 3 * g - 4 * d - 2) / (6 * (g - 1) * (g - 2))
-    b_lam = 6 * d / (g - 1)
-    b_d0 = -d / (2 * (g - 1))
-    c_lam = (-(g + 3) * x + 5 * r * (r + 2)) / (2 * (g - 1) * (g - 2))
-    c_d0 = ((g + 1) * x - 3 * r * (r + 2)) / (12 * (g - 1) * (g - 2))
-    lam = 2 * a_lam - b_lam - (r + 2) * c_lam + 1
-    d0 = 2 * a_d0 - b_d0 - (r + 2) * c_d0
+    a, b, c = alpha_per_n(g, r, d), beta_per_n(g, r, d), gamma_per_n(g, r, d)
+    lam = 2 * a.lam - b.lam - (r + 2) * c.lam + 1
+    d0 = 2 * a.delta0 - b.delta0 - (r + 2) * c.delta0
     return lam, d0
 
 

@@ -291,15 +291,5 @@ def golden_payload(g_max: int = 12, m_max: int = 15) -> Dict:
             entry[label.value] = {s: format_rational(c) for s, c in D.sorted_items()}
         payload["pushforwards"][key] = entry
     for m in range(1, m_max + 1):
-        rep = slope.m_family_report(m)
-        payload["slopes"][str(m)] = {
-            "g": rep.g, "r": rep.r, "d": rep.d,
-            "lambda": format_rational(rep.lambda_coeff),
-            "delta0": format_rational(rep.delta0_coeff),
-            "ratio": format_rational(rep.ratio),
-            "bound": format_rational(rep.bound),
-            "gap": format_rational(rep.gap),
-            "violates": rep.violates,
-            "conjectural": rep.conjectural,
-        }
+        payload["slopes"][str(m)] = slope.m_family_report(m).payload()
     return payload

@@ -1,11 +1,14 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from grdcalc.errors import PreconditionError
 from grdcalc.exact import RatFunc, ratfunc_equal
+from grdcalc.families import ClassLabel
 from grdcalc.invariants import castelnuovo_count, rho_zero_triples
 from grdcalc.picard import LAMBDA, delta
+from grdcalc.pushforward import solve_from_families
 from grdcalc.slope import (family_gap_function, family_gap_symbolic,
                            m_family_gap_identity, m_family_report,
                            m_family_triple, quadric_degeneracy_class,
@@ -75,6 +78,16 @@ def test_slope_report_requires_rho_zero():
         slope_report(5, 1, 3)
 
 
+def test_slope_report_guard_messages():
+    # Each guard names its own cause; the per-N arithmetic alone would raise
+    # ZeroDivisionError for (2,1,2) and "slope undefined" for (3,0,0).
+    cases = [((2, 1, 2), "pole"), ((3, 0, 0), "need r >= 1"),
+             ((5, 1, 3), "rho(g=5, r=1, d=3) = -1, need 0")]
+    for triple, cause in cases:
+        with pytest.raises(PreconditionError, match=re.escape(cause)):
+            slope_report(*triple)
+
+
 def test_m_family_triples():
     assert m_family_triple(1) == (3, 2, 4)
     assert m_family_triple(2) == (10, 4, 12)
@@ -122,6 +135,19 @@ def test_generic_coefficients_match_full_pushforward():
         D = quadric_divisor(t.g, t.r, t.d)
         assert D.get(LAMBDA) == lam * n
         assert D.get(delta(0)) == d0 * n
+    # Both sides above read the same closed forms; the family assembly shares
+    # none of them.  Its solutions are a*lambda - sum b_i delta_i + c*psi.
+    checked = 0
+    for t in rho_zero_triples(12):
+        if t.g < 5 or t.d - t.r < 3:
+            continue
+        a, b, c = (solve_from_families(t.g, t.r, t.d, label) for label in ClassLabel)
+        n = castelnuovo_count(t.g, t.r, t.d)
+        lam = 2 * a.a - b.a - (t.r + 2) * c.a
+        d0 = -(2 * a.b[0] - b.b[0] - (t.r + 2) * c.b[0])
+        assert (lam / n + 1, d0 / n) == quadric_lambda_delta0(t.g, t.r, t.d)
+        checked += 1
+    assert checked == 19
 
 
 def test_generic_coefficients_work_symbolically():
