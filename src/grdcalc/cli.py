@@ -22,7 +22,7 @@ from . import invariants, picard, pushforward, schubert, slope, verify
 from .errors import ConsistencyError, PreconditionError
 from .exact import format_rational
 from .families import ClassLabel, push_m21, push_marked, push_mogb
-from .picard import DivisorClass, PicSpace, parse_class
+from .picard import PicSpace, parse_class
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,10 +41,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise CliError(message)
-
-
-def _class_map(D: DivisorClass) -> Dict[str, str]:
-    return {sym: format_rational(c) for sym, c in D.sorted_items()}
 
 
 def _emit(payload, fmt: str) -> None:
@@ -208,11 +204,9 @@ def _cmd_picard(args) -> tuple[Dict, int]:
     source = PicSpace.mg1(g)
     D = parse_class(source, args.class_text)
     if args.map == "i":
-        out = picard.pullback_i(g, D)
-        return _class_map(out), EXIT_OK
+        return picard.pullback_i(g, D).payload(), EXIT_OK
     if args.map == "j":
-        out = picard.pullback_j(g, D)
-        return _class_map(out), EXIT_OK
+        return picard.pullback_j(g, D).payload(), EXIT_OK
     if args.h is None:
         raise CliError("pullback k needs --h")
     return {"degree": format_rational(picard.pullback_k(g, args.h, D))}, EXIT_OK
@@ -221,9 +215,9 @@ def _cmd_picard(args) -> tuple[Dict, int]:
 def _cmd_families(args) -> tuple[Dict, int]:
     g, r, d = args.g, args.r, args.d
     if args.family == "mogb":
-        return {label.value: _class_map(push_mogb(g, label)) for label in ClassLabel}, EXIT_OK
+        return {label.value: push_mogb(g, label).payload() for label in ClassLabel}, EXIT_OK
     if args.family == "m21":
-        return {label.value: _class_map(push_m21(g, r, d, label))
+        return {label.value: push_m21(g, r, d, label).payload()
                 for label in ClassLabel}, EXIT_OK
     if args.h is None:
         raise CliError("the marked family needs --h")
@@ -237,11 +231,11 @@ def _cmd_pushforward(args) -> tuple[Dict, int]:
     payload: Dict = {"g": g, "r": r, "d": d, "class": label.value, "method": args.method}
     code = EXIT_OK
     if args.method in ("closed", "both"):
-        payload["coefficients"] = _class_map(pushforward.closed_form(g, r, d, label))
+        payload["coefficients"] = pushforward.closed_form(g, r, d, label).payload()
     if args.method in ("assembled", "both"):
         assembled = pushforward.solve_from_families(g, r, d, label).as_divisor_class(g)
         key = "coefficients_assembled" if args.method == "both" else "coefficients"
-        payload[key] = _class_map(assembled)
+        payload[key] = assembled.payload()
     if args.method == "both":
         agree = payload["coefficients"] == payload["coefficients_assembled"]
         payload["methods_agree"] = agree
@@ -317,7 +311,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 args.format = config["format"]
             for key in ("g_max", "m_max"):
                 if hasattr(args, key) and getattr(args, key) is None and key in config:
-                    setattr(args, key, int(config[key]))
+                    try:
+                        setattr(args, key, int(config[key]))
+                    except ValueError:
+                        raise CliError(f"config {key} {config[key]!r} is not an integer")
         fmt = getattr(args, "format", None) or "json"
 
         if args.command == "verify":

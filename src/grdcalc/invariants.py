@@ -47,16 +47,17 @@ def require_rho_zero(g: int, r: int, d: int) -> None:
 def castelnuovo_count(g: int, r: int, d: int) -> Fraction:
     """Number of series of degree d and dimension r on a general genus-g curve.
 
-    Defined when rho = 0; the count is the classical factorial quotient
+    Defined when g >= 1, r >= 0 and rho = 0; the count is the classical
+    factorial quotient
 
         1! 2! ... r! g!  /  ( (g-d+r)! (g-d+r+1)! ... (g-d+2r)! ).
 
     Returned as a Fraction (always integral) so that one scalar type flows
     through every module.
     """
+    if g < 1 or r < 0:
+        raise PreconditionError(f"need g >= 1 and r >= 0, got g={g}, r={r}")
     require_rho_zero(g, r, d)
-    if g - d + r < 0:
-        raise PreconditionError(f"negative factorial argument g-d+r = {g - d + r}")
     num = factorial(g)
     for i in range(1, r + 1):
         num *= factorial(i)

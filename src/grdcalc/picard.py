@@ -28,6 +28,7 @@ from typing import Dict, Iterable, List, Mapping, Tuple
 
 from . import linalg
 from .errors import PreconditionError
+from .exact import format_rational
 
 LAMBDA = "lambda"
 PSI = "psi"
@@ -143,6 +144,10 @@ class DivisorClass:
     def sorted_items(self) -> List[Tuple[str, Fraction]]:
         order = {sym: i for i, sym in enumerate(self.space.basis())}
         return sorted(self.coeffs.items(), key=lambda kv: order[kv[0]])
+
+    def payload(self) -> Dict[str, str]:
+        """The coefficients as a JSON-ready dict; rationals become ``p/q`` strings."""
+        return {sym: format_rational(c) for sym, c in self.sorted_items()}
 
     def __repr__(self) -> str:
         body = " + ".join(f"{c}*{s}" for s, c in self.sorted_items())
@@ -293,5 +298,10 @@ def parse_class(space: PicSpace, text: str) -> DivisorClass:
                 raise PreconditionError(f"bad class term {chunk!r}, expected symbol:coeff")
             sym, val = chunk.split(":", 1)
             sym = sym.strip()
-            items[sym] = items.get(sym, Fraction(0)) + Fraction(val.strip())
+            try:
+                c = Fraction(val.strip())
+            except (ValueError, ZeroDivisionError):
+                raise PreconditionError(
+                    f"bad coefficient in class term {chunk!r}, expected a rational")
+            items[sym] = items.get(sym, Fraction(0)) + c
     return DivisorClass(space, items)

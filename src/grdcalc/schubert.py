@@ -66,10 +66,6 @@ def check_partition(shape: GrassShape, b: Sequence[int]) -> Index:
     return b
 
 
-def zero_index(shape: GrassShape) -> Index:
-    return (0,) * shape.rows
-
-
 def point_index(shape: GrassShape) -> Index:
     return (shape.width,) * shape.rows
 
@@ -83,8 +79,7 @@ class SchubertCombo:
     """Finite formal rational combination of Schubert cycles on one shape.
 
     Terms map increasing box indices to nonzero coefficients.  Coefficients
-    arising from Pieri multiplication stay plain integers; scalar action by a
-    Fraction promotes them.
+    arising from Pieri multiplication stay plain integers.
     """
 
     __slots__ = ("shape", "terms")
@@ -104,25 +99,6 @@ class SchubertCombo:
 
     def coefficient(self, b: Sequence[int]) -> Fraction:
         return Fraction(self.terms.get(tuple(b), 0))
-
-    def scale(self, c) -> "SchubertCombo":
-        out = SchubertCombo(self.shape)
-        if c != 0:
-            out.terms = {b: c * v for b, v in self.terms.items()}
-        return out
-
-    def __add__(self, other: "SchubertCombo") -> "SchubertCombo":
-        if self.shape != other.shape:
-            raise PreconditionError("cannot add combinations on different shapes")
-        out = SchubertCombo(self.shape)
-        out.terms = dict(self.terms)
-        for b, c in other.terms.items():
-            v = out.terms.get(b, 0) + c
-            if v == 0:
-                out.terms.pop(b, None)
-            else:
-                out.terms[b] = v
-        return out
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SchubertCombo)
@@ -151,6 +127,8 @@ def special_power_integral(shape: GrassShape, k: int, b: Sequence[int]) -> Fract
     b = check_partition(shape, b)
     if k < 0:
         raise PreconditionError("power must be non-negative")
+    if shape.r == 0:
+        k = 0  # zeta is the unit class: the value does not depend on k
     if shape.r * k + sum(b) != shape.dim:
         return Fraction(0)
     a = [bi + i for i, bi in enumerate(b)]
@@ -224,29 +202,23 @@ def integral(combo: SchubertCombo) -> Fraction:
     return combo.coefficient(point_index(combo.shape))
 
 
-# Highest zeta-power expansion reached so far, per (shape, starting index).
-# Extending an entry reuses the stored combination; only the last level is
-# kept, so memory stays at one combination per distinct query.  Under
-# concurrent use the worst case is recomputation, never a wrong value.
-_zeta_progress: Dict[Tuple[GrassShape, Index], Tuple[int, SchubertCombo]] = {}
-
-
 def zeta_power_integral_pieri(shape: GrassShape, k: int, b: Sequence[int]) -> Fraction:
-    """Integral of zeta^k . sigma_b by k iterated Pieri multiplications.
+    """Integral of zeta^k . sigma_b by iterated Pieri multiplications.
 
     Fully independent of the closed form: expands the product in the Chow
-    ring and reads off the point-class coefficient.
+    ring and reads off the point-class coefficient.  For r = 0 zeta is the
+    unit class and no product is taken; otherwise each product adds r boxes,
+    so the loop stops once the combination leaves the box and is empty,
+    after at most (dim - |b|) // r + 1 products.
     """
     b = check_partition(shape, b)
     if k < 0:
         raise PreconditionError("power must be non-negative")
-    key = (shape, b)
-    done, combo = _zeta_progress.get(key, (0, SchubertCombo.single(shape, b)))
-    if done > k:
-        done, combo = 0, SchubertCombo.single(shape, b)
-    for _ in range(k - done):
+    combo = SchubertCombo.single(shape, b)
+    for _ in range(k if shape.r else 0):
+        if not combo:
+            break
         combo = pieri_multiply(combo, shape.r)
-    _zeta_progress[key] = (k, combo)
     return integral(combo)
 
 

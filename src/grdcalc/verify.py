@@ -284,12 +284,9 @@ def golden_payload(g_max: int = 12, m_max: int = 15) -> Dict:
     for t in _sweep_triples(g_max):
         if t.g < 3:
             continue
-        key = f"{t.g},{t.r},{t.d}"
-        entry = {}
-        for label in ClassLabel:
-            D = pushforward.closed_form(t.g, t.r, t.d, label)
-            entry[label.value] = {s: format_rational(c) for s, c in D.sorted_items()}
-        payload["pushforwards"][key] = entry
+        payload["pushforwards"][f"{t.g},{t.r},{t.d}"] = {
+            label.value: pushforward.closed_form(t.g, t.r, t.d, label).payload()
+            for label in ClassLabel}
     for m in range(1, m_max + 1):
         payload["slopes"][str(m)] = slope.m_family_report(m).payload()
     return payload

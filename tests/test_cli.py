@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from grdcalc.cli import main
 
 
@@ -166,3 +168,27 @@ def test_verify_quick_run_and_golden_round_trip(tmp_path, capsys):
 def test_missing_subcommand_is_usage_error(capsys):
     code, _, _ = run_cli(capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("argv, config, code, expected", [
+    (["picard", "pullback", "j", "--g", "8", "--class", "psi:abc"], None, 1, "psi:abc"),
+    (["verify"], "g_max=abc\n", 1, "g_max"),
+    (["verify"], "m_max=1.5\n", 1, "m_max"),
+    (["invariants", "--g", "0", "--r", "1", "--d", "1"], None, 1, "g=0"),
+    (["schubert", "--r", "0", "--d", "3", "--k", "1000000000", "--b", "3"], None, 0, "1"),
+    (["schubert", "--r", "1", "--d", "3", "--k", "100000000", "--b", "0,0",
+      "--method", "pieri"], None, 0, "0"),
+], ids=["class-coeff", "config-g-max", "config-m-max", "genus-zero", "unit-class-k",
+        "pieri-unbounded"])
+def test_malformed_or_huge_input_ends_cleanly(tmp_path, capsys, argv, config, code, expected):
+    if config is not None:
+        path = tmp_path / "grdcalc.conf"
+        path.write_text(config)
+        argv = argv + ["--config", str(path)]
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code, err
+    assert "Traceback" not in err
+    if code == 0:
+        assert json.loads(out)["value"] == expected
+    else:
+        assert expected in err and not out

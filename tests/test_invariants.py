@@ -26,6 +26,15 @@ def test_castelnuovo_requires_rho_zero():
         castelnuovo_count(3, 1, 2)
 
 
+def test_castelnuovo_requires_positive_genus():
+    # rho(0, n, n) = 0, so only the genus check can refuse these.
+    for n in range(1, 4):
+        with pytest.raises(PreconditionError, match=r"\bg\b"):
+            castelnuovo_count(0, n, n)
+    for g in range(1, 6):
+        assert castelnuovo_count(g, 0, 0) == 1
+
+
 def test_xi_values():
     assert xi(21, 6, 24) == 312
     assert xi(4, 1, 3) == 9

@@ -182,6 +182,10 @@ def test_parse_class():
         parse_class(space, "nonsense:1")
     with pytest.raises(PreconditionError):
         parse_class(space, "lambda")
+    with pytest.raises(PreconditionError, match="psi:abc"):
+        parse_class(space, "lambda:1,psi:abc")
+    with pytest.raises(PreconditionError, match="psi:1/0"):
+        parse_class(space, "psi:1/0")
 
 
 def test_determinant_helper_matches_small_cases():

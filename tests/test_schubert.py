@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from grdcalc import schubert
 from grdcalc.errors import PreconditionError
 from grdcalc.invariants import castelnuovo_count, rho_zero_triples
 from grdcalc.schubert import (GrassShape, SchubertCombo, check_partition,
@@ -148,3 +149,29 @@ def test_count_equals_top_zeta_power_for_small_triples():
         zeros = (0,) * (t.r + 1)
         assert special_power_integral(shape, t.g, zeros) == n
         assert zeta_power_integral_pieri(shape, t.g, zeros) == n
+
+
+def test_pieri_route_stops_once_the_combination_is_empty(monkeypatch):
+    calls = []
+
+    def counting(combo, p):
+        calls.append(p)
+        return pieri_multiply(combo, p)
+
+    monkeypatch.setattr(schubert, "pieri_multiply", counting)
+    shape = GrassShape(1, 3)
+    assert zeta_power_integral_pieri(shape, 10 ** 4, (0, 0)) == 0
+    assert len(calls) <= shape.dim // shape.r + 1
+    calls.clear()
+    assert zeta_power_integral_pieri(shape, 4, (0, 0)) == 2
+    assert len(calls) == 4
+
+
+def test_unit_class_routes_ignore_a_huge_power(monkeypatch):
+    # For r = 0 zeta is the unit class: no product, no factorial of k.
+    monkeypatch.setattr(schubert, "pieri_multiply", None)
+    shape = GrassShape(0, 3)
+    for b in iter_box_indices(shape):
+        expected = 1 if b == point_index(shape) else 0
+        assert special_power_integral(shape, 10 ** 9, b) == expected
+        assert zeta_power_integral_pieri(shape, 10 ** 9, b) == expected
