@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, PreconditionError
-from .invariants import castelnuovo_count, require_rho_zero, vanishing_sum, xi
+from .invariants import (COVER_DEGREE, GENUS2_TAIL, WEIERSTRASS, castelnuovo_count,
+                         vanishing_sum, xi)
 from .picard import (LAMBDA, PSI, DivisorClass, PicSpace, delta, make_class,
                      reduce_m21)
 from .schubert import GrassShape, special_power_integral
@@ -132,20 +133,11 @@ def sheet_counts(g: int, r: int, d: int) -> tuple[Fraction, Fraction]:
     (2g-2-d)N/(2(g-1)) and dN/(2(g-1)) sheets respectively; they always add
     up to N.  Counts carry multiplicity, hence the Fraction type.
     """
-    require_rho_zero(g, r, d)
+    GENUS2_TAIL.check(g, r, d)
     n = castelnuovo_count(g, r, d)
     a1 = Fraction(2 * g - 2 - d, 2 * (g - 1)) * n
     a2 = Fraction(d, 2 * (g - 1)) * n
     return a1, a2
-
-
-def _weierstrass_guard(g: int, r: int, d: int) -> GrassShape:
-    require_rho_zero(g, r, d)
-    if g < 3:
-        raise PreconditionError("Weierstrass fiber computation needs g >= 3")
-    if d - r < 3:
-        raise PreconditionError(f"box width d-r = {d - r} < 3 cannot hold the sharpest index")
-    return GrassShape(r, d)
 
 
 def weierstrass_alpha(g: int, r: int, d: int) -> Fraction:
@@ -155,7 +147,8 @@ def weierstrass_alpha(g: int, r: int, d: int) -> Fraction:
     -2(g-2) * integral(sigma_{(1,2,3,...,3)} . zeta^{g-3}) and compared.  A
     mismatch is an implementation bug, not bad input.
     """
-    shape = _weierstrass_guard(g, r, d)
+    WEIERSTRASS.check(g, r, d)
+    shape = GrassShape(r, d)
     n = castelnuovo_count(g, r, d)
     closed = Fraction(-2 * d * (2 * g - 2 - d), 3 * (g - 1)) * n
     index = (1, 2) + (3,) * (r - 1)
@@ -174,7 +167,8 @@ def weierstrass_gamma(g: int, r: int, d: int) -> Fraction:
     index degenerates away (its three-term Pieri expansion is exactly
     zeta^2), leaving -integral(zeta^g) alone.
     """
-    shape = _weierstrass_guard(g, r, d)
+    WEIERSTRASS.check(g, r, d)
+    shape = GrassShape(r, d)
     n = castelnuovo_count(g, r, d)
     closed = -Fraction(xi(g, r, d), 3 * (g - 1)) * n
     total = special_power_integral(shape, g, (0,) * (r + 1))
@@ -210,7 +204,7 @@ def push_m21(g: int, r: int, d: int, label: ClassLabel) -> DivisorClass:
     T = lambda + delta_1 - 4*psi (per-sheet contribution of the
     degree-d-ramification sheets, reduced modulo the genus-2 relation).
     """
-    require_rho_zero(g, r, d)
+    GENUS2_TAIL.check(g, r, d)
     n = castelnuovo_count(g, r, d)
     w = weierstrass_class()
     t = make_class(_M21, {LAMBDA: 1, delta(1): 1, PSI: -4})
@@ -231,7 +225,7 @@ def push_marked(g: int, r: int, d: int, h: int, label: ClassLabel) -> Fraction:
     with N sheets and the per-sheet degrees sum to
     alpha: -d^2 N,  beta: -(2(g-h)-1) d N,  gamma: -(rh + r(r+1)/2) N.
     """
-    require_rho_zero(g, r, d)
+    COVER_DEGREE.check(g, r, d)
     if not 1 <= h <= g - 1:
         raise PreconditionError(f"need 1 <= h <= g-1, got h={h}")
     n = castelnuovo_count(g, r, d)

@@ -4,6 +4,10 @@ Everything here is elementary arithmetic in (g, r, d): the Brill-Noether
 number rho, the Castelnuovo count of series on a general curve when rho
 vanishes, the coefficient xi entering the push-forward of the bundle class,
 and the total vanishing-order identity at a point of a nodal curve.
+
+``GrdParams`` is the one validated rho = 0 triple; the ``Domain`` constants
+beside it declare each operation's extra bounds once, for its guard and for
+the verification sweeps alike.
 """
 
 from __future__ import annotations
@@ -17,31 +21,67 @@ from .errors import PreconditionError
 from .exact import as_field
 
 
+def rho(g: int, r: int, d: int) -> int:
+    """Brill-Noether number g - (r+1)(g-d+r)."""
+    return g - (r + 1) * (g - d + r)
+
+
 @dataclass(frozen=True)
 class GrdParams:
-    """A parameter triple: genus g, series dimension r, degree d."""
+    """A triple (g, r, d) with g >= 1, r >= 0 and rho = 0: the domain of ``castelnuovo_count``."""
 
     g: int
     r: int
     d: int
 
     def __post_init__(self):
-        if self.g < 1 or self.r < 0 or self.d < 1:
-            raise PreconditionError(f"need g >= 1, r >= 0, d >= 1, got {self}")
+        if self.g < 1 or self.r < 0:
+            raise PreconditionError(f"need g >= 1 and r >= 0, got g={self.g}, r={self.r}")
+        value = rho(self.g, self.r, self.d)
+        if value != 0:
+            raise PreconditionError(f"rho(g={self.g}, r={self.r}, d={self.d}) = {value}, need 0")
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.g, self.r, self.d)
 
 
-def rho(g: int, r: int, d: int) -> int:
-    """Brill-Noether number g - (r+1)(g-d+r)."""
-    return g - (r + 1) * (g - d + r)
+@dataclass(frozen=True)
+class Domain:
+    """The GrdParams one operation accepts; ``check`` refuses the first of r, g, d - r too low."""
+
+    name: str
+    min_g: int = 1
+    min_r: int = 0
+    min_width: int = 0
+    why: str = ""
+
+    def _refusal(self, t: GrdParams) -> str | None:
+        if t.r < self.min_r:
+            return f"{self.name}: need r >= {self.min_r}, got r={t.r}"
+        if t.g < self.min_g:
+            return f"{self.name}: need g >= {self.min_g}, got g={t.g}; {self.why}"
+        if t.d - t.r < self.min_width:
+            return f"{self.name}: need box width d-r >= {self.min_width}, got {t.d - t.r}"
+        return None
+
+    def admits(self, t: GrdParams) -> bool:
+        return self._refusal(t) is None
+
+    def check(self, g: int, r: int, d: int) -> GrdParams:
+        t = GrdParams(g, r, d)
+        if refusal := self._refusal(t):
+            raise PreconditionError(refusal)
+        return t
 
 
-def require_rho_zero(g: int, r: int, d: int) -> None:
-    value = rho(g, r, d)
-    if value != 0:
-        raise PreconditionError(f"rho(g={g}, r={r}, d={d}) = {value}, need 0")
+COVER_DEGREE = Domain("cover degree")
+GENUS2_TAIL = Domain("genus-2-tail family", min_g=2, why="its sheet counts divide by 2(g-1)")
+BETA_PUSH = Domain("beta push-forward", min_g=2, why="the prefactor 1/(g-1) has a pole")
+ALPHA_GAMMA_PUSH = Domain("alpha/gamma push-forward", min_g=3,
+                          why="the prefactor 1/((g-1)(g-2)) has a pole")
+WEIERSTRASS = Domain("Weierstrass fibers", min_g=3, min_width=3, why="alpha integrates zeta^(g-3)")
+TEST_FAMILIES = Domain("family assembly", min_g=5, why="the test-curve pull-backs need it")
+SLOPE = Domain("quadric slope", min_g=3, min_r=1, why="the alpha/gamma prefactor has a pole")
 
 
 def castelnuovo_count(g: int, r: int, d: int) -> Fraction:
@@ -55,9 +95,7 @@ def castelnuovo_count(g: int, r: int, d: int) -> Fraction:
     Returned as a Fraction (always integral) so that one scalar type flows
     through every module.
     """
-    if g < 1 or r < 0:
-        raise PreconditionError(f"need g >= 1 and r >= 0, got g={g}, r={r}")
-    require_rho_zero(g, r, d)
+    COVER_DEGREE.check(g, r, d)
     num = factorial(g)
     for i in range(1, r + 1):
         num *= factorial(i)
@@ -90,24 +128,12 @@ def vanishing_sum(h: int, r: int, d: int) -> int:
 
 
 def rho_zero_triples(g_max: int) -> List[GrdParams]:
-    """All triples with 1 <= g <= g_max, r >= 1, rho = 0 and d <= g + r.
+    """All triples with 1 <= g <= g_max, r >= 1 and rho = 0.
 
-    rho = 0 forces (r+1) | g; writing s = g/(r+1) the degree is d = g + r - s.
-    The xi denominator s + r + 1 is then automatically positive.
+    rho = 0 forces (r+1) | g; with s = g/(r+1) the degree d = g + r - s lies
+    in [1, g + r - 1], and the xi denominator s + r + 1 is positive.
     """
     if g_max < 1:
         raise PreconditionError("g_max must be at least 1")
-    out: List[GrdParams] = []
-    for g in range(1, g_max + 1):
-        for r in range(1, g):
-            if g % (r + 1) != 0:
-                continue
-            s = g // (r + 1)
-            d = g + r - s
-            if d < 1 or d > g + r:
-                continue
-            if g - d + 2 * r + 1 == 0:
-                continue
-            assert rho(g, r, d) == 0
-            out.append(GrdParams(g, r, d))
-    return out
+    return [GrdParams(g, r, g + r - g // (r + 1))
+            for g in range(1, g_max + 1) for r in range(1, g) if g % (r + 1) == 0]

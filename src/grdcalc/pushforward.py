@@ -19,7 +19,8 @@ from . import linalg
 from .errors import ConsistencyError, PreconditionError
 from .exact import as_field
 from .families import ClassLabel, push_m21, push_marked
-from .invariants import castelnuovo_count, require_rho_zero, xi
+from .invariants import (ALPHA_GAMMA_PUSH, BETA_PUSH, COVER_DEGREE, TEST_FAMILIES,
+                         castelnuovo_count, xi)
 from .picard import (LAMBDA, PSI, DivisorClass, PicSpace, delta, make_class,
                      pullback_i, pullback_j, pullback_k, reduce_m21)
 
@@ -48,13 +49,6 @@ class PushforwardSolution:
         return cls(a=D.get(LAMBDA),
                    b=tuple(-D.get(delta(i)) for i in range(g)),
                    c=D.get(PSI))
-
-
-def require_finite_cover_params(g: int, r: int, d: int) -> None:
-    """rho = 0 and g >= 3, where the alpha and gamma prefactors have no pole."""
-    require_rho_zero(g, r, d)
-    if g <= 2:
-        raise PreconditionError("push-forward prefactor has a pole for g <= 2")
 
 
 @dataclass(frozen=True)
@@ -131,21 +125,19 @@ def _times_cover_degree(g: int, r: int, d: int, per_n: PerCoverDegree) -> Diviso
 
 def alpha(g: int, r: int, d: int) -> DivisorClass:
     """Push-forward of the squared line-bundle class on mg1(g): N times ``alpha_per_n``."""
-    require_finite_cover_params(g, r, d)
+    ALPHA_GAMMA_PUSH.check(g, r, d)
     return _times_cover_degree(g, r, d, alpha_per_n(g, r, d))
 
 
 def beta(g: int, r: int, d: int) -> DivisorClass:
     """Push-forward of (line bundle class).(dualizing class) on mg1(g): N times ``beta_per_n``."""
-    require_rho_zero(g, r, d)
-    if g <= 1:
-        raise PreconditionError("push-forward prefactor has a pole for g <= 1")
+    BETA_PUSH.check(g, r, d)
     return _times_cover_degree(g, r, d, beta_per_n(g, r, d))
 
 
 def gamma(g: int, r: int, d: int) -> DivisorClass:
     """Push-forward of the section-bundle class on mg1(g): N times ``gamma_per_n``."""
-    require_finite_cover_params(g, r, d)
+    ALPHA_GAMMA_PUSH.check(g, r, d)
     return _times_cover_degree(g, r, d, gamma_per_n(g, r, d))
 
 
@@ -163,7 +155,7 @@ def combination(g: int, r: int, d: int, c_alpha, c_beta, c_gamma,
     The cover has degree N, so the push-forward of a pulled-back divisor is
     N times that divisor (projection formula).
     """
-    require_rho_zero(g, r, d)
+    COVER_DEGREE.check(g, r, d)
     space = PicSpace.mg1(g)
     out = DivisorClass.zero(space)
     for coeff, fn in ((c_alpha, alpha), (c_beta, beta), (c_gamma, gamma)):
@@ -196,9 +188,7 @@ def solve_from_families(g: int, r: int, d: int, label: ClassLabel) -> Pushforwar
     The system has about twice as many equations as unknowns; it is solved
     by exact elimination and every redundant equation is required to hold.
     """
-    require_rho_zero(g, r, d)
-    if g < 5:
-        raise PreconditionError("family assembly needs g >= 5")
+    TEST_FAMILIES.check(g, r, d)
     nvars = g + 2  # a, b_0..b_{g-1}, c
     col_a, col_c = 0, g + 1
 

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .invariants import require_rho_zero
+from .invariants import SLOPE
 from .picard import LAMBDA, DivisorClass, PicSpace
-from .pushforward import (alpha_per_n, beta_per_n, combination, gamma_per_n,
-                          require_finite_cover_params)
+from .pushforward import alpha_per_n, beta_per_n, combination, gamma_per_n
 from .exact import Poly, RatFunc, format_rational, ratfunc_equal
 
 # Divisoriality of the quadric locus is established only for the genus-21
@@ -85,7 +84,7 @@ def quadric_degeneracy_class(r: int) -> QuadricCombo:
 
 def quadric_divisor(g: int, r: int, d: int) -> DivisorClass:
     """Pushed-forward quadric-degeneracy class on mg1(g), proportional to N."""
-    require_rho_zero(g, r, d)
+    SLOPE.check(g, r, d)
     combo = quadric_degeneracy_class(r)
     hodge = DivisorClass.basis_vector(PicSpace.mg1(g), LAMBDA, combo.hodge_pullback)
     return combination(g, r, d, combo.alpha, combo.beta, combo.gamma, hodge)
@@ -101,9 +100,7 @@ def slope_report(g: int, r: int, d: int) -> SlopeReport:
     ``quadric_divisor``).  ``violates`` additionally requires the delta_0
     coefficient to sit on the effective side (positive b_0).
     """
-    require_rho_zero(g, r, d)
-    quadric_degeneracy_class(r)  # rejects r < 1
-    require_finite_cover_params(g, r, d)
+    SLOPE.check(g, r, d)
     lam, d0 = quadric_lambda_delta0(g, r, d)
     if d0 == 0:
         raise PreconditionError(f"slope undefined: delta_0 coefficient vanishes for ({g},{r},{d})")

@@ -178,8 +178,10 @@ def test_missing_subcommand_is_usage_error(capsys):
     (["schubert", "--r", "0", "--d", "3", "--k", "1000000000", "--b", "3"], None, 0, "1"),
     (["schubert", "--r", "1", "--d", "3", "--k", "100000000", "--b", "0,0",
       "--method", "pieri"], None, 0, "0"),
+    (["families", "m21", "--g", "1", "--r", "0", "--d", "0"], None, 1, "genus-2-tail"),
+    (["verify", "--g-max", "4"], None, 1, "g_max"),
 ], ids=["class-coeff", "config-g-max", "config-m-max", "genus-zero", "unit-class-k",
-        "pieri-unbounded"])
+        "pieri-unbounded", "genus-one-m21", "verify-g-max"])
 def test_malformed_or_huge_input_ends_cleanly(tmp_path, capsys, argv, config, code, expected):
     if config is not None:
         path = tmp_path / "grdcalc.conf"

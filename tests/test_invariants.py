@@ -103,4 +103,4 @@ def test_grd_params_validation():
     with pytest.raises(PreconditionError):
         GrdParams(1, -1, 1)
     with pytest.raises(PreconditionError):
-        GrdParams(1, 0, 0)
+        GrdParams(1, 0, 1)  # rho = -1
