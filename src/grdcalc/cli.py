@@ -7,7 +7,8 @@ an aligned pretty format), deterministic, and never contains a float:
 rationals are serialized as ``p`` or ``p/q`` strings in lowest terms.
 
 Exit codes: 0 success, 1 usage or precondition violation, 2 verification
-failure (a dual-route check or golden comparison that did not agree).
+failure (a dual-route check or golden comparison that did not agree) or an
+internal arithmetic fault (a division by zero inside the program).
 """
 
 from __future__ import annotations
@@ -88,13 +89,6 @@ def _load_config(path: str) -> Dict[str, str]:
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out
-
-
-def _label(name: str) -> ClassLabel:
-    try:
-        return ClassLabel(name)
-    except ValueError:
-        raise CliError(f"unknown class {name!r}, expected alpha|beta|gamma")
 
 
 def _build_parser() -> _Parser:
@@ -227,7 +221,7 @@ def _cmd_families(args) -> tuple[Dict, int]:
 
 def _cmd_pushforward(args) -> tuple[Dict, int]:
     g, r, d = args.g, args.r, args.d
-    label = _label(args.class_name)
+    label = ClassLabel(args.class_name)
     payload: Dict = {"g": g, "r": r, "d": d, "class": label.value, "method": args.method}
     code = EXIT_OK
     if args.method in ("closed", "both"):
@@ -329,11 +323,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"grdcalc: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PreconditionError, ZeroDivisionError) as exc:
+    except PreconditionError as exc:
         print(f"grdcalc: precondition violated: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConsistencyError as exc:
         print(f"grdcalc: consistency failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
+    except ZeroDivisionError as exc:
+        print(f"grdcalc: internal error: ZeroDivisionError: {exc}", file=sys.stderr)
         return EXIT_VERIFY
 
 

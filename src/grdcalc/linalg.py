@@ -34,12 +34,11 @@ class InconsistentSystemError(LinearSystemError):
 class RankDeficientError(LinearSystemError):
     """The coefficient matrix does not determine every unknown.
 
-    ``null_directions`` is a basis of the kernel, one vector per free column.
+    ``free_columns`` lists the columns that no pivot fixes.
     """
 
-    def __init__(self, free_columns: Sequence[int], null_directions: Sequence[Row]):
+    def __init__(self, free_columns: Sequence[int]):
         self.free_columns = list(free_columns)
-        self.null_directions = [list(v) for v in null_directions]
         super().__init__(f"free columns {self.free_columns}")
 
 
@@ -78,24 +77,6 @@ def _rref(matrix: List[Row]) -> tuple[List[Row], List[int], List[int]]:
     return m, pivots, origin
 
 
-def nullspace(rows: Sequence[Sequence]) -> List[Row]:
-    """Basis of the kernel of the coefficient matrix (one vector per free column)."""
-    matrix = _as_matrix(rows)
-    if not matrix:
-        return []
-    n = len(matrix[0])
-    reduced, pivots, _ = _rref(matrix)
-    free = [c for c in range(n) if c not in pivots]
-    basis: List[Row] = []
-    for f in free:
-        vec = [Fraction(0)] * n
-        vec[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            vec[p] = -reduced[i][f]
-        basis.append(vec)
-    return basis
-
-
 def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> Row:
     """Solve A x = b, requiring a unique solution satisfying every equation.
 
@@ -118,7 +99,7 @@ def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> Row:
     coeff_pivots = [p for p in pivots if p < n]
     if len(coeff_pivots) < n:
         free = [c for c in range(n) if c not in coeff_pivots]
-        raise RankDeficientError(free, nullspace(matrix))
+        raise RankDeficientError(free)
     x = [Fraction(0)] * n
     for i, p in enumerate(coeff_pivots):
         x[p] = reduced[i][n]

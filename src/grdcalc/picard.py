@@ -165,36 +165,64 @@ def _require_space(D: DivisorClass, space: PicSpace, what: str) -> None:
         raise PreconditionError(f"{what} expects a class on {space}, got {D.space}")
 
 
+# Each test family's restriction is written once below, as sparse rows:
+# target coordinate -> {source basis symbol of mg1(g): weight}.  The
+# pull-backs evaluate these rows on a class; the push-forward assembly
+# reads the same rows as the coefficients of its unknowns.
+Row = Dict[str, Fraction]
+
+
+def evaluate(row: Row, D: DivisorClass) -> Fraction:
+    """Value of one restriction row on a class."""
+    return sum((w * D.get(sym) for sym, w in row.items()), Fraction(0))
+
+
+def restrict(rows: Mapping[str, Row], D: DivisorClass) -> Dict[str, Fraction]:
+    """Evaluate restriction rows on a class: target coordinate -> value."""
+    return {target: evaluate(row, D) for target, row in rows.items()}
+
+
+def elliptic_tail_rows(g: int) -> Dict[str, Row]:
+    """Restriction of mg1(g) to the elliptic-tail family, for g >= 5.
+
+    epsilon_i, for 2 <= i <= g-2, reads delta_i minus the weights
+    (g-i)(g-i-1)/((g-1)(g-2)) of delta_1 and (g-i)(i-1)/(g-2) of delta_{g-1}.
+    """
+    return {epsilon(i): {delta(i): Fraction(1),
+                         delta(1): Fraction(-(g - i) * (g - i - 1), (g - 1) * (g - 2)),
+                         delta(g - 1): Fraction(-(g - i) * (i - 1), g - 2)}
+            for i in range(2, g - 1)}
+
+
+def genus2_tail_rows(g: int) -> Dict[str, Row]:
+    """Restriction of mg1(g) to the genus-2-tail family, onto the m21 basis."""
+    return {LAMBDA: {LAMBDA: Fraction(1)}, delta(0): {delta(0): Fraction(1)},
+            PSI: {delta(g - 2): Fraction(-1)}, delta(1): {delta(g - 1): Fraction(1)}}
+
+
+def marked_point_row(g: int, h: int) -> Row:
+    """Degree on the moving-marked-point family with a genus-h component.
+
+    psi has degree 2h - 1, delta_h degree -1 and delta_{g-h} degree +1; for
+    2h = g the two delta weights land on the same symbol and cancel.
+    """
+    if 2 * h == g:
+        return {PSI: Fraction(2 * h - 1)}
+    return {PSI: Fraction(2 * h - 1), delta(h): Fraction(-1), delta(g - h): Fraction(1)}
+
+
 def pullback_i(g: int, D: DivisorClass) -> DivisorClass:
     """Restrict a class on mg1(g) to the family of elliptic-tail curves.
 
     The family attaches g fixed elliptic tails to a varying stable g-pointed
     rational curve.  lambda, psi and delta_0 die; delta_i restricts to
     epsilon_i in the middle range, while delta_1 and delta_{g-1} restrict to
-    explicit negative combinations of the epsilon_i.
+    explicit negative combinations of the epsilon_i (``elliptic_tail_rows``).
     """
     if g < 5:
         raise PreconditionError("pullback_i needs g >= 5")
     _require_space(D, PicSpace.mg1(g), "pullback_i")
-    target = PicSpace.m0g(g)
-    out: Dict[str, Fraction] = {}
-
-    def bump(sym: str, c: Fraction) -> None:
-        v = out.get(sym, Fraction(0)) + c
-        if v == 0:
-            out.pop(sym, None)
-        else:
-            out[sym] = v
-
-    c1 = D.get(delta(1))
-    ctop = D.get(delta(g - 1))
-    for i in range(2, g - 1):
-        bump(epsilon(i), D.get(delta(i)))
-        if c1:
-            bump(epsilon(i), -c1 * Fraction((g - i) * (g - i - 1), (g - 1) * (g - 2)))
-        if ctop:
-            bump(epsilon(i), -ctop * Fraction((g - i) * (i - 1), g - 2))
-    return DivisorClass(target, out)
+    return DivisorClass(PicSpace.m0g(g), restrict(elliptic_tail_rows(g), D))
 
 
 def pullback_j(g: int, D: DivisorClass) -> DivisorClass:
@@ -207,28 +235,19 @@ def pullback_j(g: int, D: DivisorClass) -> DivisorClass:
     if g < 5:
         raise PreconditionError("pullback_j needs g >= 5")
     _require_space(D, PicSpace.mg1(g), "pullback_j")
-    target = PicSpace.m21()
-    return make_class(target, {
-        LAMBDA: D.get(LAMBDA),
-        delta(0): D.get(delta(0)),
-        PSI: -D.get(delta(g - 2)),
-        delta(1): D.get(delta(g - 1)),
-    })
+    return DivisorClass(PicSpace.m21(), restrict(genus2_tail_rows(g), D))
 
 
 def pullback_k(g: int, h: int, D: DivisorClass) -> Fraction:
     """Degree of a class on mg1(g) on the moving-marked-point family.
 
     The marked point moves along the genus-h component of a fixed
-    two-component curve of total genus g: psi has degree 2h - 1, delta_h
-    degree -1, delta_{g-h} degree +1, all other basis classes degree 0.
-    For 2h = g the two delta contributions land on the same symbol and
-    cancel.
+    two-component curve of total genus g (``marked_point_row``).
     """
     if not 1 <= h <= g - 1:
         raise PreconditionError(f"need 1 <= h <= g-1, got h={h}")
     _require_space(D, PicSpace.mg1(g), "pullback_k")
-    return (2 * h - 1) * D.get(PSI) - D.get(delta(h)) + D.get(delta(g - h))
+    return evaluate(marked_point_row(g, h), D)
 
 
 def epsilon_intersection_matrix(g: int) -> List[List[Fraction]]:
@@ -261,14 +280,34 @@ def epsilon_matrix_determinant(g: int) -> Fraction:
 
 
 # Rank-3 reduction on m21: the classical genus-2 relation among the
-# generators, 10*lambda = delta_0 + 2*delta_1 (Mumford).  Encoded once so
-# that every consumer eliminates delta_0 the same way; the over-determined
-# push-forward assembly cross-checks it.
+# generators, 10*lambda = delta_0 + 2*delta_1 (Mumford).  The elimination
+# of delta_0 below is derived from it, and every consumer reduces through
+# ``reduce_m21``; the over-determined push-forward assembly cross-checks it.
 GENUS2_RELATION: Dict[str, Fraction] = {
     LAMBDA: Fraction(10),
     delta(0): Fraction(-1),
     delta(1): Fraction(-2),
 }
+
+# Rows of the reduced basis (lambda, delta_1, psi) over the m21 basis: the
+# weight of delta_0 on each symbol is read off the relation solved for delta_0.
+GENUS2_REDUCTION: Dict[str, Row] = {
+    sym: {sym: Fraction(1),
+          delta(0): -GENUS2_RELATION.get(sym, Fraction(0)) / GENUS2_RELATION[delta(0)]}
+    for sym in (LAMBDA, delta(1), PSI)
+}
+
+
+def compose(outer: Mapping[str, Row], inner: Mapping[str, Row]) -> Dict[str, Row]:
+    """Rows of restricting by ``inner`` and then by ``outer``."""
+    out: Dict[str, Row] = {}
+    for target, row in outer.items():
+        acc: Row = {}
+        for mid, w in row.items():
+            for sym, v in inner[mid].items():
+                acc[sym] = acc.get(sym, Fraction(0)) + w * v
+        out[target] = acc
+    return out
 
 
 def reduce_m21(D: DivisorClass) -> DivisorClass:
@@ -278,14 +317,7 @@ def reduce_m21(D: DivisorClass) -> DivisorClass:
     and constant on orbits of the relation.
     """
     _require_space(D, PicSpace.m21(), "reduce_m21")
-    c0 = D.get(delta(0))
-    if c0 == 0:
-        return D
-    out = dict(D.coeffs)
-    out.pop(delta(0))
-    out[LAMBDA] = D.get(LAMBDA) + 10 * c0
-    out[delta(1)] = D.get(delta(1)) - 2 * c0
-    return DivisorClass(PicSpace.m21(), out)
+    return DivisorClass(PicSpace.m21(), restrict(GENUS2_REDUCTION, D))
 
 
 def parse_class(space: PicSpace, text: str) -> DivisorClass:

@@ -21,7 +21,8 @@ from .exact import as_field
 from .families import ClassLabel, push_m21, push_marked
 from .invariants import (ALPHA_GAMMA_PUSH, BETA_PUSH, COVER_DEGREE, TEST_FAMILIES,
                          castelnuovo_count, xi)
-from .picard import (LAMBDA, PSI, DivisorClass, PicSpace, delta, make_class,
+from .picard import (GENUS2_REDUCTION, LAMBDA, PSI, DivisorClass, PicSpace, compose, delta,
+                     elliptic_tail_rows, genus2_tail_rows, make_class, marked_point_row,
                      pullback_i, pullback_j, pullback_k, reduce_m21)
 
 
@@ -41,14 +42,6 @@ class PushforwardSolution:
             items[delta(i)] = -bi
         return make_class(PicSpace.mg1(g), items)
 
-    @classmethod
-    def from_divisor_class(cls, D: DivisorClass) -> "PushforwardSolution":
-        if D.space.kind != "mg1":
-            raise PreconditionError("expected a class on mg1(g)")
-        g = D.space.g
-        return cls(a=D.get(LAMBDA),
-                   b=tuple(-D.get(delta(i)) for i in range(g)),
-                   c=D.get(PSI))
 
 
 @dataclass(frozen=True)
@@ -189,47 +182,27 @@ def solve_from_families(g: int, r: int, d: int, label: ClassLabel) -> Pushforwar
     by exact elimination and every redundant equation is required to hold.
     """
     TEST_FAMILIES.check(g, r, d)
-    nvars = g + 2  # a, b_0..b_{g-1}, c
-    col_a, col_c = 0, g + 1
+    # Unknown columns a, b_0..b_{g-1}, c read lambda, -delta_i and psi; a row
+    # names each symbol once, so each entry is set once.
+    column = {LAMBDA: (0, False), PSI: (g + 1, False)}
+    column.update((delta(i), (1 + i, True)) for i in range(g))
 
-    def col_b(i: int) -> int:
-        return 1 + i
+    def unknowns(row: Dict[str, Fraction]) -> List[Fraction]:
+        out = [Fraction(0)] * (g + 2)
+        for sym, w in row.items():
+            col, negate = column[sym]
+            out[col] = -w if negate else w
+        return out
 
-    rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
-
-    def new_row() -> List[Fraction]:
-        return [Fraction(0)] * nvars
-
-    for h in range(1, g):
-        row = new_row()
-        row[col_b(h)] += 1
-        row[col_b(g - h)] -= 1
-        row[col_c] += 2 * h - 1
-        rows.append(row)
-        rhs.append(push_marked(g, r, d, h, label))
-
-    for i in range(2, g - 1):
-        row = new_row()
-        row[col_b(1)] += Fraction((g - i) * (g - i - 1), (g - 1) * (g - 2))
-        row[col_b(g - 1)] += Fraction((g - i) * (i - 1), g - 2)
-        row[col_b(i)] -= 1
-        rows.append(row)
+    rows = [unknowns(marked_point_row(g, h)) for h in range(1, g)]
+    rhs = [push_marked(g, r, d, h, label) for h in range(1, g)]
+    for row in elliptic_tail_rows(g).values():
+        rows.append(unknowns(row))
         rhs.append(Fraction(0))
-
     target = reduce_m21(push_m21(g, r, d, label))
-    row = new_row()
-    row[col_a], row[col_b(0)] = Fraction(1), Fraction(-10)
-    rows.append(row)
-    rhs.append(target.get(LAMBDA))
-    row = new_row()
-    row[col_b(0)], row[col_b(g - 1)] = Fraction(2), Fraction(-1)
-    rows.append(row)
-    rhs.append(target.get(delta(1)))
-    row = new_row()
-    row[col_b(g - 2)] = Fraction(1)
-    rows.append(row)
-    rhs.append(target.get(PSI))
+    for sym, row in compose(GENUS2_REDUCTION, genus2_tail_rows(g)).items():
+        rows.append(unknowns(row))
+        rhs.append(target.get(sym))
 
     names = ["a"] + [f"b_{i}" for i in range(g)] + ["c"]
     try:
@@ -241,13 +214,7 @@ def solve_from_families(g: int, r: int, d: int, label: ClassLabel) -> Pushforwar
         free = ", ".join(names[i] for i in exc.free_columns)
         raise ConsistencyError(
             f"family system for ({g},{r},{d}) {label.value} leaves {free} undetermined") from exc
-    return PushforwardSolution(a=x[col_a], b=tuple(x[col_b(i)] for i in range(g)), c=x[col_c])
-
-
-def assembly_matches_closed_form(g: int, r: int, d: int, label: ClassLabel) -> bool:
-    """True iff the assembled solution equals the closed form, coefficient for coefficient."""
-    assembled = solve_from_families(g, r, d, label).as_divisor_class(g)
-    return assembled == closed_form(g, r, d, label)
+    return PushforwardSolution(a=x[0], b=tuple(x[1:g + 1]), c=x[g + 1])
 
 
 def annihilated_by_elliptic_tails(g: int, r: int, d: int, label: ClassLabel) -> bool:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from grdcalc import invariants
 from grdcalc.cli import main
 
 
@@ -194,3 +195,14 @@ def test_malformed_or_huge_input_ends_cleanly(tmp_path, capsys, argv, config, co
         assert json.loads(out)["value"] == expected
     else:
         assert expected in err and not out
+
+
+def test_division_fault_is_an_internal_error(monkeypatch, capsys):
+    def broken(g, r, d):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(invariants, "xi", broken)
+    code, out, err = run_cli(capsys, "invariants", "--g", "4", "--r", "1", "--d", "3")
+    assert code == 2
+    assert err == "grdcalc: internal error: ZeroDivisionError: injected\n"
+    assert "Traceback" not in err and not out

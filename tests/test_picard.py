@@ -4,12 +4,12 @@ import pytest
 
 from grdcalc.errors import PreconditionError
 from grdcalc.linalg import determinant
-from grdcalc.picard import (GENUS2_RELATION, LAMBDA, PSI, DivisorClass,
-                            PicSpace, delta, epsilon,
+from grdcalc.picard import (GENUS2_REDUCTION, GENUS2_RELATION, LAMBDA, PSI,
+                            DivisorClass, PicSpace, compose, delta, epsilon,
                             epsilon_intersection_matrix,
-                            epsilon_matrix_determinant, make_class,
-                            parse_class, pullback_i, pullback_j, pullback_k,
-                            reduce_m21)
+                            epsilon_matrix_determinant, genus2_tail_rows,
+                            make_class, parse_class, pullback_i, pullback_j,
+                            pullback_k, reduce_m21, restrict)
 from conftest import rand_class, rand_fraction
 
 
@@ -156,6 +156,16 @@ def test_reduce_m21_idempotent_and_relation_invariant(rng):
         assert reduce_m21(reduced) == reduced
         t = rand_fraction(rng)
         assert reduce_m21(D + relation.scale(t)) == reduced
+
+
+def test_reduced_genus2_rows_compose_pullback_and_reduction(rng):
+    # The assembly reads these composed rows; they must be reduce_m21 after pullback_j.
+    for g in (5, 6, 9):
+        rows = compose(GENUS2_REDUCTION, genus2_tail_rows(g))
+        assert list(rows) == [LAMBDA, delta(1), PSI]
+        for _ in range(20):
+            D = rand_class(rng, PicSpace.mg1(g))
+            assert DivisorClass(PicSpace.m21(), restrict(rows, D)) == reduce_m21(pullback_j(g, D))
 
 
 def test_wrong_space_rejected():

@@ -2,15 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from grdcalc.errors import PreconditionError
+from grdcalc import linalg, pushforward
+from grdcalc.errors import ConsistencyError, PreconditionError
 from grdcalc.families import ClassLabel
 from grdcalc.invariants import castelnuovo_count, rho_zero_triples
 from grdcalc.picard import (LAMBDA, PSI, DivisorClass, PicSpace, delta,
                             make_class)
-from grdcalc.pushforward import (PushforwardSolution, alpha,
-                                 annihilated_by_elliptic_tails,
-                                 assembly_matches_closed_form, beta,
-                                 combination, gamma,
+from grdcalc.pushforward import (alpha, annihilated_by_elliptic_tails, beta,
+                                 closed_form, combination, gamma,
                                  genus2_restriction_matches,
                                  marked_degrees_match, solve_from_families)
 
@@ -73,18 +72,36 @@ def test_combination_pure_projection_formula():
     assert D == hodge.scale(n)
 
 
-def test_solution_round_trip():
+def test_assembled_solution_sign_convention():
+    # a*lambda - sum b_i delta_i + c*psi: the stored delta_i is -b_i.
     D = beta(8, 3, 9)
-    sol = PushforwardSolution.from_divisor_class(D)
+    sol = solve_from_families(8, 3, 9, ClassLabel.BETA)
     assert sol.as_divisor_class(8) == D
+    assert sol.a == D.get(LAMBDA)
     assert sol.c == D.get(PSI)
     assert sol.b[0] == -D.get(delta(0))
 
 
 def test_assembly_matches_closed_form_spec_cases():
-    assert assembly_matches_closed_form(8, 3, 9, ClassLabel.GAMMA)
-    assert assembly_matches_closed_form(6, 2, 6, ClassLabel.ALPHA)
-    assert assembly_matches_closed_form(5, 4, 8, ClassLabel.BETA)
+    for g, r, d, label in [(8, 3, 9, ClassLabel.GAMMA), (6, 2, 6, ClassLabel.ALPHA),
+                           (5, 4, 8, ClassLabel.BETA)]:
+        assert solve_from_families(g, r, d, label).as_divisor_class(g) \
+            == closed_form(g, r, d, label)
+
+
+def test_corrupted_family_datum_names_the_contradiction(monkeypatch):
+    push_marked = pushforward.push_marked
+
+    def corrupted(g, r, d, h, label):
+        return push_marked(g, r, d, h, label) + (1 if h == 3 else 0)
+
+    monkeypatch.setattr(pushforward, "push_marked", corrupted)
+    with pytest.raises(ConsistencyError) as info:
+        solve_from_families(8, 3, 9, ClassLabel.GAMMA)
+    # Equation 2 is the marked-point equation for h = 3.
+    assert str(info.value) == "family data contradicts for (8,3,9) gamma: equation 2 reduces to 0 = 1"
+    assert isinstance(info.value.__cause__, linalg.InconsistentSystemError)
+    assert info.value.__cause__.witness == 2
 
 
 def test_assembled_beta_psi_coefficient():
