@@ -157,7 +157,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--golden", default=None,
                    help="directory for golden-file regression (writes if absent, else compares)")
     p.add_argument("--skip-genus21", action="store_true",
-                   help="skip the expensive genus-21 Pieri sweep")
+                   help="skip the expensive Pieri count of the m-family (genus 21, 36, 55)")
     return parser
 
 

@@ -9,7 +9,7 @@ needed because the arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 Row = List[Fraction]
 
@@ -42,73 +42,76 @@ class RankDeficientError(LinearSystemError):
         super().__init__(f"free columns {self.free_columns}")
 
 
-def _as_matrix(rows: Sequence[Sequence]) -> List[Row]:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def _rref(matrix: List[Row]) -> tuple[List[Row], List[int], List[int]]:
-    """Reduced row echelon form.
-
-    Returns the reduced matrix, the pivot column of each pivot row, and a map
-    from pivot-row index to the original row index that produced it (used to
-    attribute inconsistencies to input equations).
-    """
-    m = [row[:] for row in matrix]
-    origin = list(range(len(m)))
-    ncols = len(m[0]) if m else 0
-    pivots: List[int] = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(row, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        origin[row], origin[pivot] = origin[pivot], origin[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for i in range(len(m)):
-            if i != row and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(m):
-            break
-    return m, pivots, origin
-
-
 def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> Row:
     """Solve A x = b, requiring a unique solution satisfying every equation.
 
     Raises InconsistentSystemError if the (over-determined) system has no
     solution and RankDeficientError if it has more than one.
+
+    The elimination is sparse: each augmented row is a dict holding only its
+    nonzero entries, a pivot clears its column in the rows below it, and a
+    row update visits only the nonzero columns of the pivot row; back
+    substitution then gives the solution.  Column by column, the pivot is
+    the first row at or below the current one with a nonzero entry there,
+    so the row swaps, the witness equation of a contradiction (with the
+    value it reduces to) and the free columns are those of dense
+    Gauss-Jordan elimination.
     """
-    matrix = _as_matrix(rows)
-    b = [Fraction(x) for x in rhs]
-    if len(matrix) != len(b):
+    if len(rows) != len(rhs):
         raise ValueError("row/rhs length mismatch")
-    if not matrix:
+    if not rows:
         raise ValueError("empty system")
-    n = len(matrix[0])
-    aug = [row + [bv] for row, bv in zip(matrix, b)]
-    reduced, pivots, origin = _rref(aug)
-    # A pivot in the last (rhs) column marks a row 0 = 1.
-    if pivots and pivots[-1] == n:
-        bad = len(pivots) - 1
-        raise InconsistentSystemError(origin[bad], reduced[bad][n])
-    coeff_pivots = [p for p in pivots if p < n]
-    if len(coeff_pivots) < n:
-        free = [c for c in range(n) if c not in coeff_pivots]
-        raise RankDeficientError(free)
+    n = len(rows[0])
+    m: List[Dict[int, Fraction]] = []
+    for row, bv in zip(rows, rhs):
+        entries = {j: Fraction(x) for j, x in enumerate(row) if x}
+        if bv:
+            entries[n] = Fraction(bv)
+        m.append(entries)
+    origin = list(range(len(m)))
+    pivots: List[int] = []
+    r = 0
+    for col in range(n + 1):
+        pivot = next((i for i in range(r, len(m)) if col in m[i]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        origin[r], origin[pivot] = origin[pivot], origin[r]
+        lead = m[r][col]
+        # A pivot in the rhs column is an equation reduced to 0 = lead.
+        if col == n:
+            raise InconsistentSystemError(origin[r], lead)
+        if lead != 1:
+            m[r] = {j: v / lead for j, v in m[r].items()}
+        prow = m[r].items()
+        for i in range(r + 1, len(m)):
+            target = m[i]
+            if col not in target:
+                continue
+            factor = target[col]
+            for j, v in prow:
+                w = target.get(j, 0) - factor * v
+                if w:
+                    target[j] = w
+                else:
+                    del target[j]
+        pivots.append(col)
+        r += 1
+        if r == len(m):
+            break
+    if len(pivots) < n:
+        raise RankDeficientError([c for c in range(n) if c not in pivots])
+    # Every column has a pivot, so row i is normalized with its pivot in
+    # column i and nothing to the left of it: substitute back.
     x = [Fraction(0)] * n
-    for i, p in enumerate(coeff_pivots):
-        x[p] = reduced[i][n]
+    for i in reversed(range(n)):
+        x[i] = m[i].get(n, Fraction(0)) - sum(v * x[j] for j, v in m[i].items() if i < j < n)
     return x
 
 
 def determinant(rows: Sequence[Sequence]) -> Fraction:
     """Exact determinant of a square matrix by fraction elimination."""
-    m = _as_matrix(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix is not square")

@@ -207,18 +207,23 @@ def zeta_power_integral_pieri(shape: GrassShape, k: int, b: Sequence[int]) -> Fr
 
     Fully independent of the closed form: expands the product in the Chow
     ring and reads off the point-class coefficient.  For r = 0 zeta is the
-    unit class and no product is taken; otherwise each product adds r boxes,
-    so the loop stops once the combination leaves the box and is empty,
-    after at most (dim - |b|) // r + 1 products.
+    unit class and no product is taken.  Otherwise a strip adds at most one
+    box per row, so after each product a term whose first row is more boxes
+    short of the width than there are products left cannot reach the point
+    class and is dropped.  The rule reads only the box.  Each product adds
+    r boxes, so the loop stops once the combination is empty, after at most
+    (dim - |b|) // r + 1 products.
     """
     b = check_partition(shape, b)
     if k < 0:
         raise PreconditionError("power must be non-negative")
     combo = SchubertCombo.single(shape, b)
-    for _ in range(k if shape.r else 0):
+    width = shape.width
+    for left in reversed(range(k if shape.r else 0)):
         if not combo:
             break
         combo = pieri_multiply(combo, shape.r)
+        combo.terms = {key: c for key, c in combo.terms.items() if width - key[0] <= left}
     return integral(combo)
 
 

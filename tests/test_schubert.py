@@ -142,6 +142,22 @@ def test_closed_form_matches_pieri_on_small_family():
     assert cases > 150
 
 
+def test_pruned_pieri_route_matches_closed_form_for_every_power():
+    # Every index of every shape with r <= 5 and width <= 6, and every power
+    # up to two past the one that fills the box: the row-gap pruning must
+    # not drop a term that reaches the point class, on or off the dimension.
+    cases = 0
+    for r in range(6):
+        for width in range(7):
+            shape = GrassShape(r, r + width)
+            for b in iter_box_indices(shape):
+                for k in range(shape.dim // max(r, 1) + 3):
+                    assert special_power_integral(shape, k, b) \
+                        == zeta_power_integral_pieri(shape, k, b), (shape, k, b)
+                    cases += 1
+    assert cases == 31560
+
+
 def test_count_equals_top_zeta_power_for_small_triples():
     for t in rho_zero_triples(8):
         shape = GrassShape(t.r, t.d)

@@ -137,17 +137,19 @@ def test_generic_coefficients_match_full_pushforward():
         assert D.get(delta(0)) == d0 * n
     # Both sides above read the same closed forms; the family assembly shares
     # none of them.  Its solutions are a*lambda - sum b_i delta_i + c*psi.
-    checked = 0
-    for t in rho_zero_triples(12):
-        if t.g < 5 or t.d - t.r < 3:
-            continue
-        a, b, c = (solve_from_families(t.g, t.r, t.d, label) for label in ClassLabel)
-        n = castelnuovo_count(t.g, t.r, t.d)
-        lam = 2 * a.a - b.a - (t.r + 2) * c.a
-        d0 = -(2 * a.b[0] - b.b[0] - (t.r + 2) * c.b[0])
-        assert (lam / n + 1, d0 / n) == quadric_lambda_delta0(t.g, t.r, t.d)
-        checked += 1
-    assert checked == 19
+    triples = [(t.g, t.r, t.d) for t in rho_zero_triples(12) if t.g >= 5 and t.d - t.r >= 3]
+    triples += [m_family_triple(3), m_family_triple(4)]
+    slopes = {}
+    for g, r, d in triples:
+        a, b, c = (solve_from_families(g, r, d, label) for label in ClassLabel)
+        n = castelnuovo_count(g, r, d)
+        lam = 2 * a.a - b.a - (r + 2) * c.a
+        d0 = -(2 * a.b[0] - b.b[0] - (r + 2) * c.b[0])
+        assert (lam / n + 1, d0 / n) == quadric_lambda_delta0(g, r, d)
+        slopes[g, r, d] = (lam / n + 1) / -(d0 / n)
+    assert len(slopes) == 21
+    # The paper's headline slope, from test-family data alone.
+    assert slopes[21, 6, 24] == Fraction(2459, 377)
 
 
 def test_generic_coefficients_work_symbolically():
