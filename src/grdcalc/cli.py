@@ -209,6 +209,7 @@ def _cmd_picard(args) -> tuple[Dict, int]:
 def _cmd_families(args) -> tuple[Dict, int]:
     g, r, d = args.g, args.r, args.d
     if args.family == "mogb":
+        invariants.COVER_DEGREE.check(g, r, d)
         return {label.value: push_mogb(g, label).payload() for label in ClassLabel}, EXIT_OK
     if args.family == "m21":
         return {label.value: push_m21(g, r, d, label).payload()
@@ -239,9 +240,11 @@ def _cmd_pushforward(args) -> tuple[Dict, int]:
 
 
 def _cmd_slope(args) -> tuple[Dict, int]:
+    triple = (args.g, args.r, args.d)
+    # Any part of a triple counts as a choice, so a stray --g beside --m is refused.
     chosen = [args.m is not None, args.sweep is not None,
-              all(v is not None for v in (args.g, args.r, args.d))]
-    if sum(chosen) != 1:
+              any(v is not None for v in triple)]
+    if sum(chosen) != 1 or (chosen[2] and None in triple):
         raise CliError("give exactly one of --m, --sweep, or the full --g --r --d triple")
     if args.m is not None:
         return slope.m_family_report(args.m).payload(), EXIT_OK

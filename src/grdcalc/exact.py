@@ -28,11 +28,6 @@ def format_rational(x: Scalar) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse ``p`` or ``p/q`` back into a Fraction."""
-    return Fraction(text.strip())
-
-
 class Poly:
     """Dense univariate polynomial over the rationals.
 
@@ -47,10 +42,6 @@ class Poly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def const(cls, c: Scalar) -> "Poly":
-        return cls((c,))
 
     @classmethod
     def variable(cls) -> "Poly":
@@ -160,7 +151,7 @@ def _as_poly(x) -> Poly:
     if isinstance(x, Poly):
         return x
     if isinstance(x, (int, Fraction)):
-        return Poly.const(x)
+        return Poly((x,))
     raise TypeError(f"cannot coerce {type(x).__name__} to Poly")
 
 
@@ -192,15 +183,6 @@ class RatFunc:
     def variable(cls) -> "RatFunc":
         return cls(Poly.variable())
 
-    @classmethod
-    def const(cls, c: Scalar) -> "RatFunc":
-        return cls(Poly.const(c))
-
-    @classmethod
-    def from_coeffs(cls, num: Iterable[Scalar], den: Iterable[Scalar] = (1,)) -> "RatFunc":
-        """Build from ascending coefficient lists for numerator and denominator."""
-        return cls(Poly(num), Poly(den))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -216,7 +198,7 @@ class RatFunc:
         if isinstance(other, RatFunc):
             return other
         if isinstance(other, (int, Fraction)):
-            return RatFunc.const(other)
+            return RatFunc(other)
         return None
 
     def __add__(self, other):

@@ -41,9 +41,6 @@ class GrdParams:
         if value != 0:
             raise PreconditionError(f"rho(g={self.g}, r={self.r}, d={self.d}) = {value}, need 0")
 
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.g, self.r, self.d)
-
 
 @dataclass(frozen=True)
 class Domain:

@@ -70,11 +70,6 @@ def point_index(shape: GrassShape) -> Index:
     return (shape.width,) * shape.rows
 
 
-def zeta_index(shape: GrassShape) -> Index:
-    """Index of the special cycle of codimension r: r ones and one zero."""
-    return (0,) + (1,) * shape.r
-
-
 class SchubertCombo:
     """Finite formal rational combination of Schubert cycles on one shape.
 

@@ -20,23 +20,12 @@ from fractions import Fraction
 
 from .errors import PreconditionError
 from .invariants import SLOPE
-from .picard import LAMBDA, DivisorClass, PicSpace
-from .pushforward import alpha_per_n, beta_per_n, combination, gamma_per_n
+from .pushforward import alpha_per_n, beta_per_n, gamma_per_n
 from .exact import Poly, RatFunc, format_rational, ratfunc_equal
 
 # Divisoriality of the quadric locus is established only for the genus-21
 # member of the family; every other report is flagged conjectural.
 PROVEN_DIVISOR_TRIPLES = {(21, 6, 24)}
-
-
-@dataclass(frozen=True)
-class QuadricCombo:
-    """Formal coefficients of the quadric-degeneracy class before push-forward."""
-
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-    hodge_pullback: Fraction
 
 
 @dataclass(frozen=True)
@@ -68,37 +57,15 @@ class SlopeReport:
         }
 
 
-def quadric_degeneracy_class(r: int) -> QuadricCombo:
-    """Class of the quadric degeneracy locus on the series space.
-
-    Riemann-Roch on the universal curve gives 2*alpha - beta + lambda for
-    the first Chern class of the push-forward of the squared bundle, and the
-    symmetric square of the rank-(r+1) section bundle contributes
-    (r+2)*gamma; the alpha, beta, lambda part does not depend on r.
-    """
-    if r < 1:
-        raise PreconditionError("need r >= 1")
-    return QuadricCombo(alpha=Fraction(2), beta=Fraction(-1),
-                        gamma=Fraction(-(r + 2)), hodge_pullback=Fraction(1))
-
-
-def quadric_divisor(g: int, r: int, d: int) -> DivisorClass:
-    """Pushed-forward quadric-degeneracy class on mg1(g), proportional to N."""
-    SLOPE.check(g, r, d)
-    combo = quadric_degeneracy_class(r)
-    hodge = DivisorClass.basis_vector(PicSpace.mg1(g), LAMBDA, combo.hodge_pullback)
-    return combination(g, r, d, combo.alpha, combo.beta, combo.gamma, hodge)
-
-
 def slope_report(g: int, r: int, d: int) -> SlopeReport:
     """Slope of the quadric divisor against the conjectured bound 6 + 12/(g+1).
 
     The slope is taken as the ratio of the lambda coefficient to the negated
     delta_0 coefficient; classes on the interior plus the irreducible-nodal
     locus are governed by this pair alone, so coefficients of psi and of
-    delta_i for i >= 1 play no role here (the full class is available from
-    ``quadric_divisor``).  ``violates`` additionally requires the delta_0
-    coefficient to sit on the effective side (positive b_0).
+    delta_i for i >= 1 play no role here.  ``violates`` additionally
+    requires the delta_0 coefficient to sit on the effective side (positive
+    b_0).
     """
     SLOPE.check(g, r, d)
     lam, d0 = quadric_lambda_delta0(g, r, d)
@@ -143,11 +110,12 @@ def family_gap_function() -> RatFunc:
 def quadric_lambda_delta0(g, r, d):
     """(lambda, delta_0) coefficients of the quadric divisor per cover degree.
 
-    The lambda and delta_0 entries of 2*alpha - beta - (r+2)*gamma + lambda,
-    taken from the same per-N push-forwards that ``quadric_divisor`` scales
-    by N.  Works over any field containing the rationals: integer inputs give
-    Fractions, rational functions of m give the m-family symbolically.
-    Unlike ``slope_report`` it checks no preconditions.
+    The lambda and delta_0 entries of 2*alpha - beta - (r+2)*gamma + lambda
+    (Riemann-Roch for the squared bundle, the symmetric square of the section
+    bundle), from the per-N closed push-forwards.  Works over any field
+    containing the rationals: integer inputs give Fractions, rational
+    functions of m give the m-family symbolically.  Unlike ``slope_report``
+    it checks no preconditions.
     """
     a, b, c = alpha_per_n(g, r, d), beta_per_n(g, r, d), gamma_per_n(g, r, d)
     lam = 2 * a.lam - b.lam - (r + 2) * c.lam + 1

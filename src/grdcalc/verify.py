@@ -249,6 +249,39 @@ def check_genus10_slope():
     return rep.ratio == 7 and rep.violates, f"ratio {format_rational(rep.ratio)}"
 
 
+def quadric_from_families(g: int, r: int, d: int):
+    """``slope.quadric_lambda_delta0`` from the family assembly alone.
+
+    The lambda and delta_0 parts of 2*alpha - beta - (r+2)*gamma + lambda per
+    cover degree N; solutions read a*lambda - sum b_i delta_i + c*psi.
+    """
+    a, b, c = (pushforward.solve_from_families(g, r, d, label) for label in ClassLabel)
+    n = invariants.castelnuovo_count(g, r, d)
+    lam = (2 * a.a - b.a - (r + 2) * c.a) / n + 1
+    d0 = -(2 * a.b[0] - b.b[0] - (r + 2) * c.b[0]) / n
+    return lam, d0
+
+
+@_check("slope-vs-assembly")
+def check_slope_vs_assembly(g_max: int):
+    """Quadric slope coefficients, assembled vs. closed, for the m-family
+    members m = 2..5 and the pencils (r = 1) of the sweep."""
+    members = [slope.m_family_triple(m) for m in range(2, 6)]
+    pencils = [(t.g, t.r, t.d) for t in _sweep_triples(g_max, invariants.TEST_FAMILIES)
+               if t.r == 1]
+    ratios = []
+    for g, r, d in members + pencils:
+        lam, d0 = quadric_from_families(g, r, d)
+        closed_lam, closed_d0 = slope.quadric_lambda_delta0(g, r, d)
+        if (lam, d0) != (closed_lam, closed_d0):
+            return False, (f"({g},{r},{d}): (lambda, delta_0) assembled ({lam}, {d0}), "
+                           f"closed ({closed_lam}, {closed_d0})")
+        if (g, r, d) in members:
+            ratios.append(f"({g},{r},{d}) {lam / -d0}")
+    return True, (f"m-family slopes from family data: {', '.join(ratios)}; "
+                  f"{len(pencils)} pencils agree")
+
+
 def run_checks(g_max: int = 12, m_max: int = 15, include_genus21_sweep: bool = True) -> List[CheckResult]:
     """Run the whole cross-check battery.
 
@@ -276,6 +309,7 @@ def run_checks(g_max: int = 12, m_max: int = 15, include_genus21_sweep: bool = T
         check_m_family(m_max),
         check_genus21_slope(),
         check_genus10_slope(),
+        check_slope_vs_assembly(g_max),
     ]
     if include_genus21_sweep:
         results.append(check_count_m_family())

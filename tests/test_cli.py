@@ -181,8 +181,10 @@ def test_missing_subcommand_is_usage_error(capsys):
       "--method", "pieri"], None, 0, "0"),
     (["families", "m21", "--g", "1", "--r", "0", "--d", "0"], None, 1, "genus-2-tail"),
     (["verify", "--g-max", "4"], None, 1, "g_max"),
+    (["slope", "--m", "3", "--g", "5"], None, 1, "give exactly one of"),
+    (["families", "mogb", "--g", "7", "--r", "1", "--d", "3"], None, 1, "rho(g=7"),
 ], ids=["class-coeff", "config-g-max", "config-m-max", "genus-zero", "unit-class-k",
-        "pieri-unbounded", "genus-one-m21", "verify-g-max"])
+        "pieri-unbounded", "genus-one-m21", "verify-g-max", "slope-stray-g", "mogb-rho"])
 def test_malformed_or_huge_input_ends_cleanly(tmp_path, capsys, argv, config, code, expected):
     if config is not None:
         path = tmp_path / "grdcalc.conf"

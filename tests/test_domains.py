@@ -13,7 +13,7 @@ from grdcalc.families import (ClassLabel, push_m21, push_marked, reconstruct_pus
                               sheet_counts, weierstrass_alpha, weierstrass_gamma)
 from grdcalc.invariants import castelnuovo_count
 from grdcalc.pushforward import alpha, beta, combination, gamma, solve_from_families
-from grdcalc.slope import quadric_divisor, slope_report
+from grdcalc.slope import slope_report
 
 GRID = [(g, r, d) for g in range(-2, 9) for r in range(-1, 5) for d in range(-1, 12)]
 
@@ -33,7 +33,6 @@ ENTRY_POINTS = {
     "beta": (beta, FROM_GENUS_2),
     "gamma": (gamma, FROM_GENUS_3),
     "combination": (lambda g, r, d: combination(g, r, d, 0, 0, 0), FROM_GENUS_2),
-    "quadric_divisor": (quadric_divisor, SLOPED),
     "slope_report": (slope_report, SLOPED),
     "sheet_counts": (sheet_counts, FROM_GENUS_2),
     "push_m21": (lambda g, r, d: push_m21(g, r, d, ClassLabel.GAMMA), FROM_GENUS_2),

@@ -130,7 +130,7 @@ def test_closed_forms_scale_linearly_in_count():
     for t in rho_zero_triples(9):
         if t.g < 3:
             continue
-        g, r, d = t.as_tuple()
+        g, r, d = t.g, t.r, t.d
         n = castelnuovo_count(g, r, d)
         assert alpha(g, r, d).get(LAMBDA) / n == \
             Fraction(d * (g * d - 2 * g * g + 8 * d - 8 * g + 4), (g - 1) * (g - 2))

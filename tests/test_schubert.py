@@ -7,7 +7,7 @@ from grdcalc.errors import PreconditionError
 from grdcalc.invariants import castelnuovo_count, rho_zero_triples
 from grdcalc.schubert import (GrassShape, SchubertCombo, check_partition,
                               integral, iter_box_indices, pieri_multiply,
-                              point_index, special_power_integral, zeta_index,
+                              point_index, special_power_integral,
                               zeta_power_integral_pieri)
 
 
@@ -83,10 +83,6 @@ def test_integral_of_wrong_degree_class_is_zero():
     shape = GrassShape(2, 6)
     assert integral(SchubertCombo.single(shape, (0, 0, 0))) == 0
     assert integral(SchubertCombo.single(shape, point_index(shape), Fraction(5))) == 5
-
-
-def test_zeta_index_shape():
-    assert zeta_index(GrassShape(3, 7)) == (0, 1, 1, 1)
 
 
 def test_pieri_output_stays_in_box_with_positive_integer_coefficients(rng):

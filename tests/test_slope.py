@@ -5,40 +5,20 @@ import pytest
 
 from grdcalc.errors import PreconditionError
 from grdcalc.exact import RatFunc, ratfunc_equal
-from grdcalc.families import ClassLabel
-from grdcalc.invariants import castelnuovo_count, rho_zero_triples
-from grdcalc.picard import LAMBDA, delta
-from grdcalc.pushforward import solve_from_families
 from grdcalc.slope import (family_gap_function, family_gap_symbolic,
                            m_family_gap_identity, m_family_report,
-                           m_family_triple, quadric_degeneracy_class,
-                           quadric_divisor, quadric_lambda_delta0,
+                           m_family_triple, quadric_lambda_delta0,
                            slope_report, symbolic_gap_identity)
+from grdcalc.verify import check_slope_vs_assembly, quadric_from_families
 
 
-def test_quadric_class_coefficients():
-    combo = quadric_degeneracy_class(6)
-    assert (combo.alpha, combo.beta, combo.gamma, combo.hodge_pullback) == (2, -1, -8, 1)
-    assert quadric_degeneracy_class(4).gamma == -6
-    # The alpha, beta, hodge part is independent of r.
-    for r in range(1, 9):
-        c = quadric_degeneracy_class(r)
-        assert (c.alpha, c.beta, c.hodge_pullback) == (2, -1, 1)
+def test_family_route_genus21_coefficients():
+    # The paper's headline coefficients from test-family data alone.
+    assert quadric_from_families(21, 6, 24) == (Fraction(2459, 95), Fraction(-377, 95))
 
 
-def test_quadric_divisor_genus21_ratio():
-    n = castelnuovo_count(21, 6, 24)
-    D = quadric_divisor(21, 6, 24)
-    assert D.get(LAMBDA) == Fraction(2459, 95) * n
-    assert D.get(delta(0)) == Fraction(-377, 95) * n
-    assert D.get(LAMBDA) / D.get(delta(0)) == Fraction(-2459, 377)
-
-
-def test_quadric_divisor_genus10_ratio():
-    n = castelnuovo_count(10, 4, 12)
-    D = quadric_divisor(10, 4, 12)
-    assert D.get(LAMBDA) == 7 * n
-    assert D.get(delta(0)) == -n
+def test_family_route_genus10_coefficients():
+    assert quadric_from_families(10, 4, 12) == (7, -1)
 
 
 def test_slope_report_genus21():
@@ -125,31 +105,12 @@ def test_symbolic_gap_equals_printed_function():
 
 
 def test_generic_coefficients_match_full_pushforward():
-    # The scalar-generic helper and the full divisor computation must agree
-    # per cover degree; this is also the ratio's N-independence.
-    for t in rho_zero_triples(10):
-        if t.g < 3:
-            continue
-        lam, d0 = quadric_lambda_delta0(t.g, t.r, t.d)
-        n = castelnuovo_count(t.g, t.r, t.d)
-        D = quadric_divisor(t.g, t.r, t.d)
-        assert D.get(LAMBDA) == lam * n
-        assert D.get(delta(0)) == d0 * n
-    # Both sides above read the same closed forms; the family assembly shares
-    # none of them.  Its solutions are a*lambda - sum b_i delta_i + c*psi.
-    triples = [(t.g, t.r, t.d) for t in rho_zero_triples(12) if t.g >= 5 and t.d - t.r >= 3]
-    triples += [m_family_triple(3), m_family_triple(4)]
-    slopes = {}
-    for g, r, d in triples:
-        a, b, c = (solve_from_families(g, r, d, label) for label in ClassLabel)
-        n = castelnuovo_count(g, r, d)
-        lam = 2 * a.a - b.a - (r + 2) * c.a
-        d0 = -(2 * a.b[0] - b.b[0] - (r + 2) * c.b[0])
-        assert (lam / n + 1, d0 / n) == quadric_lambda_delta0(g, r, d)
-        slopes[g, r, d] = (lam / n + 1) / -(d0 / n)
-    assert len(slopes) == 21
-    # The paper's headline slope, from test-family data alone.
-    assert slopes[21, 6, 24] == Fraction(2459, 377)
+    # The family assembly shares none of the closed forms that
+    # quadric_lambda_delta0 reads; the verify row compares the two routes.
+    result = check_slope_vs_assembly(12)
+    assert result.passed, result.detail
+    assert "(21,6,24) 2459/377" in result.detail
+    assert result.detail.endswith("4 pencils agree")
 
 
 def test_generic_coefficients_work_symbolically():
