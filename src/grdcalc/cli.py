@@ -14,6 +14,7 @@ internal arithmetic fault (a division by zero inside the program).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -194,6 +195,8 @@ def _cmd_schubert(args) -> tuple[Dict, int]:
 
 
 def _cmd_picard(args) -> tuple[Dict, int]:
+    if args.map != "k" and args.h is not None:
+        raise CliError(f"pullback {args.map} takes no --h (component genus of map k only)")
     g = args.g
     source = PicSpace.mg1(g)
     D = parse_class(source, args.class_text)
@@ -208,6 +211,9 @@ def _cmd_picard(args) -> tuple[Dict, int]:
 
 def _cmd_families(args) -> tuple[Dict, int]:
     g, r, d = args.g, args.r, args.d
+    if args.family != "marked" and args.h is not None:
+        raise CliError(f"the {args.family} family takes no --h "
+                       "(component genus of the marked family only)")
     if args.family == "mogb":
         invariants.COVER_DEGREE.check(g, r, d)
         return {label.value: push_mogb(g, label).payload() for label in ClassLabel}, EXIT_OK
@@ -275,19 +281,23 @@ def _cmd_verify(args) -> int:
     m_max = args.m_max if args.m_max is not None else 15
     results = verify.run_checks(g_max, m_max,
                                 include_genus21_sweep=not args.skip_genus21)
-    width = max(len(rs.name) for rs in results)
-    failures = 0
-    for rs in results:
-        mark = "PASS" if rs.passed else "FAIL"
-        print(f"{mark}  {rs.name.ljust(width)}  {rs.detail}")
-        if not rs.passed:
-            failures += 1
-    code = EXIT_OK if failures == 0 else EXIT_VERIFY
+    failures = sum(not rs.passed for rs in results)
+    golden: Dict = {}
+    golden_code = EXIT_OK
     if args.golden is not None:
-        payload, golden_code = _golden_compare(verify.golden_payload(g_max, m_max), args.golden)
+        golden, golden_code = _golden_compare(verify.golden_payload(g_max, m_max), args.golden)
+    code = max(EXIT_OK if failures == 0 else EXIT_VERIFY, golden_code)
+    if args.format is not None:
+        _emit({"checks": [dataclasses.asdict(rs) for rs in results],
+               "passed": len(results) - failures, "total": len(results), **golden},
+              args.format)
+        return code
+    width = max(len(rs.name) for rs in results)
+    for rs in results:
+        print(f"{'PASS' if rs.passed else 'FAIL'}  {rs.name.ljust(width)}  {rs.detail}")
+    if golden:
         print(f"{'PASS' if golden_code == EXIT_OK else 'FAIL'}  golden{' ' * (width - 6)}  "
-              f"{payload['golden_status']}: {payload['golden']}")
-        code = max(code, golden_code)
+              f"{golden['golden_status']}: {golden['golden']}")
     print(f"{len(results) - failures}/{len(results)} checks passed")
     return code
 

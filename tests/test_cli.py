@@ -166,6 +166,27 @@ def test_verify_quick_run_and_golden_round_trip(tmp_path, capsys):
     assert "mismatch" in out
 
 
+def test_verify_honours_format(tmp_path, capsys):
+    golden = tmp_path / "golden"
+    argv = ["verify", "--g-max", "5", "--m-max", "3", "--skip-genus21"]
+    code, table, _ = run_cli(capsys, *argv)
+    assert code == 0 and table.endswith("14/14 checks passed\n")
+    payload = run_json(capsys, *argv, "--format", "json", "--golden", str(golden))
+    assert (payload["passed"], payload["total"]) == (14, 14)
+    assert payload["golden_status"] == "written"
+    assert [c["name"] for c in payload["checks"]] == [
+        line.split()[1] for line in table.splitlines()[:-1]]
+    assert all(set(c) == {"name", "passed", "detail"} and c["passed"]
+               for c in payload["checks"])
+    config = tmp_path / "grdcalc.conf"
+    config.write_text("format=tsv\n")
+    code, out, _ = run_cli(capsys, *argv, "--config", str(config), "--golden", str(golden))
+    assert code == 0
+    lines = out.splitlines()
+    assert "checks.13.name\tslope-vs-assembly" in lines
+    assert {"passed\t14", "total\t14", "golden_status\tmatch"} <= set(lines)
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     code, _, _ = run_cli(capsys)
     assert code == 1
@@ -183,8 +204,12 @@ def test_missing_subcommand_is_usage_error(capsys):
     (["verify", "--g-max", "4"], None, 1, "g_max"),
     (["slope", "--m", "3", "--g", "5"], None, 1, "give exactly one of"),
     (["families", "mogb", "--g", "7", "--r", "1", "--d", "3"], None, 1, "rho(g=7"),
+    (["families", "m21", "--g", "6", "--r", "2", "--d", "6", "--h", "2"], None, 1, "--h"),
+    (["families", "mogb", "--g", "6", "--r", "2", "--d", "6", "--h", "2"], None, 1, "--h"),
+    (["picard", "pullback", "i", "--g", "6", "--h", "3", "--class", "psi:1"], None, 1, "--h"),
 ], ids=["class-coeff", "config-g-max", "config-m-max", "genus-zero", "unit-class-k",
-        "pieri-unbounded", "genus-one-m21", "verify-g-max", "slope-stray-g", "mogb-rho"])
+        "pieri-unbounded", "genus-one-m21", "verify-g-max", "slope-stray-g", "mogb-rho",
+        "m21-stray-h", "mogb-stray-h", "pullback-i-stray-h"])
 def test_malformed_or_huge_input_ends_cleanly(tmp_path, capsys, argv, config, code, expected):
     if config is not None:
         path = tmp_path / "grdcalc.conf"

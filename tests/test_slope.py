@@ -101,7 +101,10 @@ def test_gap_sign_matches_numerator_sign():
 
 def test_symbolic_gap_equals_printed_function():
     assert symbolic_gap_identity()
-    assert ratfunc_equal(family_gap_symbolic(), family_gap_function())
+    symbolic, printed = family_gap_symbolic(), family_gap_function()
+    assert ratfunc_equal(symbolic, printed)
+    # Both are stored reduced with a monic denominator, hence coefficient-equal.
+    assert (symbolic.num, symbolic.den) == (printed.num, printed.den)
 
 
 def test_generic_coefficients_match_full_pushforward():
