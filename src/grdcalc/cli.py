@@ -78,8 +78,8 @@ def _load_config(path: str) -> Dict[str, str]:
     """key=value lines; blank lines and # comments ignored."""
     out: Dict[str, str] = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()

@@ -218,24 +218,30 @@ def push_m21(g: int, r: int, d: int, label: ClassLabel) -> DivisorClass:
     raise PreconditionError("label must be a ClassLabel")
 
 
+def marked_per_n(g: int, r: int, d: int, h: int, label: ClassLabel) -> int:
+    """Degree of the push-forward over the moving-marked-point family, per cover degree.
+
+    alpha: -d^2,  beta: -(2(g-h)-1) d,  gamma: -(rh + r(r+1)/2).
+    """
+    if label is ClassLabel.ALPHA:
+        return -d * d
+    if label is ClassLabel.BETA:
+        return -(2 * (g - h) - 1) * d
+    if label is ClassLabel.GAMMA:
+        return -(r * h + r * (r + 1) // 2)
+    raise PreconditionError("label must be a ClassLabel")
+
+
 def push_marked(g: int, r: int, d: int, h: int, label: ClassLabel) -> Fraction:
     """Degree of the push-forward over the moving-marked-point family.
 
     The marked point moves along the genus-h component; the cover is trivial
-    with N sheets and the per-sheet degrees sum to
-    alpha: -d^2 N,  beta: -(2(g-h)-1) d N,  gamma: -(rh + r(r+1)/2) N.
+    with N sheets, so the degree is N times ``marked_per_n``.
     """
     COVER_DEGREE.check(g, r, d)
     if not 1 <= h <= g - 1:
         raise PreconditionError(f"need 1 <= h <= g-1, got h={h}")
-    n = castelnuovo_count(g, r, d)
-    if label is ClassLabel.ALPHA:
-        return -d * d * n
-    if label is ClassLabel.BETA:
-        return -(2 * (g - h) - 1) * d * n
-    if label is ClassLabel.GAMMA:
-        return -(r * h + r * (r + 1) // 2) * n
-    raise PreconditionError("label must be a ClassLabel")
+    return marked_per_n(g, r, d, h, label) * castelnuovo_count(g, r, d)
 
 
 def reconstruct_push_m21(g: int, r: int, d: int, label: ClassLabel) -> DivisorClass:

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 from . import linalg
 from .errors import ConsistencyError, PreconditionError
 from .exact import as_field
-from .families import ClassLabel, push_m21, push_marked
+from .families import ClassLabel, marked_per_n, push_m21, push_marked
 from .invariants import (ALPHA_GAMMA_PUSH, BETA_PUSH, COVER_DEGREE, TEST_FAMILIES,
                          castelnuovo_count, xi)
 from .picard import (GENUS2_REDUCTION, LAMBDA, PSI, DivisorClass, PicSpace, compose, delta,
@@ -187,18 +187,20 @@ def solve_from_families(g: int, r: int, d: int, label: ClassLabel) -> Pushforwar
     column = {LAMBDA: (0, False), PSI: (g + 1, False)}
     column.update((delta(i), (1 + i, True)) for i in range(g))
 
-    def unknowns(row: Dict[str, Fraction]) -> List[Fraction]:
-        out = [Fraction(0)] * (g + 2)
+    def unknowns(row: Dict[str, Fraction]) -> list:
+        # Zeros stay plain ints, which solve_unique skips cheaply.
+        out = [0] * (g + 2)
         for sym, w in row.items():
             col, negate = column[sym]
             out[col] = -w if negate else w
         return out
 
+    n = castelnuovo_count(g, r, d)
     rows = [unknowns(marked_point_row(g, h)) for h in range(1, g)]
-    rhs = [push_marked(g, r, d, h, label) for h in range(1, g)]
+    rhs = [marked_per_n(g, r, d, h, label) * n for h in range(1, g)]
     for row in elliptic_tail_rows(g).values():
         rows.append(unknowns(row))
-        rhs.append(Fraction(0))
+        rhs.append(0)
     target = reduce_m21(push_m21(g, r, d, label))
     for sym, row in compose(GENUS2_REDUCTION, genus2_tail_rows(g)).items():
         rows.append(unknowns(row))

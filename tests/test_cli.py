@@ -233,3 +233,76 @@ def test_division_fault_is_an_internal_error(monkeypatch, capsys):
     assert code == 2
     assert err == "grdcalc: internal error: ZeroDivisionError: injected\n"
     assert "Traceback" not in err and not out
+
+
+SMALL = [str(v) for v in range(-2, 13)]
+MALFORMED = ["", "abc", "1.5", "1e3", "0x10", "--", " 3", "-0", "+4", "1_0"]
+CLASSES = ["psi:1", "lambda:2,delta_1:-1", "delta_0:1/2", "psi:abc", "foo:1", "", "psi",
+           "psi:1,psi:2", "delta_9:1", "delta_-1:1", "lambda:1/0", ":", "psi:1,"]
+INDICES = ["0,0", "0,1", "1,1", "1,0", "0", "0,0,0", "a,b", "", ",", "-1,0", "0,,1"]
+CONFIGS = [b"format=tsv\n", b"g_max=abc\n", b"garbage\n", b"format=xml\n", b"format=\xff\xfe\n"]
+
+
+def random_argv(rng, config_paths):
+    """One argv: a subcommand (or none, or an unknown one), each of its flags
+    with probability 3/4, mostly small values and some malformed ones, and
+    now and then --format, --config or a stray token."""
+    def value(pool):
+        return rng.choice(pool) if rng.random() < 0.8 else rng.choice(MALFORMED)
+
+    command = rng.choice(["invariants", "schubert", "picard", "families", "pushforward",
+                          "slope", "verify", "bogus", ""])
+    argv = [command] if command else []
+    flags = {"--g": SMALL, "--r": SMALL, "--d": SMALL}
+    if command == "schubert":
+        flags = {"--r": SMALL[:8], "--d": SMALL[:10], "--k": SMALL, "--b": INDICES,
+                 "--method": ["closed", "pieri", "both", "fast"]}
+    elif command == "picard":
+        argv += rng.choice([["pullback", rng.choice("ijkx")], ["pullback"], ["push"], []])
+        flags = {"--g": SMALL, "--h": SMALL, "--class": CLASSES}
+    elif command == "families":
+        argv.append(rng.choice(["m21", "marked", "mogb", "other"]))
+        flags["--h"] = SMALL
+    elif command == "pushforward":
+        flags["--class"] = ["alpha", "beta", "gamma", "delta"]
+        flags["--method"] = ["closed", "assembled", "both", "fast"]
+    elif command == "slope":
+        flags.update({"--m": SMALL, "--sweep": SMALL})
+    elif command == "verify":
+        # A full battery takes most of a second, so every --g-max is below
+        # the sweep's minimum of 5 or malformed.
+        argv += ["--g-max", rng.choice(["-1", "0", "4", "abc", ""])]
+        flags = {"--m-max": SMALL, "--golden": ["golden"], "--skip-genus21": None}
+    for flag, pool in flags.items():
+        if rng.random() < 0.75:
+            argv += [flag] if pool is None else [flag, value(pool)]
+    if rng.random() < 0.2:
+        argv += ["--format", rng.choice(["json", "tsv", "pretty", "xml"])]
+    if rng.random() < 0.15:
+        argv += ["--config", rng.choice(config_paths)]
+    if rng.random() < 0.1:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(["--h", "--zzz", "-x", "--g", "7"]))
+    return argv
+
+
+def test_random_argv_ends_in_a_known_exit_code(rng, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    config_paths = [str(tmp_path / "missing.conf"), str(tmp_path)]
+    for i, content in enumerate(CONFIGS):
+        path = tmp_path / f"c{i}.conf"
+        path.write_bytes(content)
+        config_paths.append(str(path))
+    codes = set()
+    for _ in range(400):
+        argv = random_argv(rng, config_paths)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help and -h
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        if code == 1:
+            assert err.startswith("grdcalc: "), argv
+        codes.add(code)
+    assert codes == {0, 1}

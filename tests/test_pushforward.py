@@ -90,12 +90,14 @@ def test_assembly_matches_closed_form_spec_cases():
 
 
 def test_corrupted_family_datum_names_the_contradiction(monkeypatch):
-    push_marked = pushforward.push_marked
+    marked_per_n = pushforward.marked_per_n
+    n = castelnuovo_count(8, 3, 9)
 
     def corrupted(g, r, d, h, label):
-        return push_marked(g, r, d, h, label) + (1 if h == 3 else 0)
+        # Off by one in the degree itself, which is N times this value.
+        return marked_per_n(g, r, d, h, label) + (1 / n if h == 3 else 0)
 
-    monkeypatch.setattr(pushforward, "push_marked", corrupted)
+    monkeypatch.setattr(pushforward, "marked_per_n", corrupted)
     with pytest.raises(ConsistencyError) as info:
         solve_from_families(8, 3, 9, ClassLabel.GAMMA)
     # Equation 2 is the marked-point equation for h = 3.
