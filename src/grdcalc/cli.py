@@ -157,8 +157,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--m-max", type=int, default=None)
     p.add_argument("--golden", default=None,
                    help="directory for golden-file regression (writes if absent, else compares)")
-    p.add_argument("--skip-genus21", action="store_true",
-                   help="skip the expensive Pieri count of the m-family (genus 21, 36, 55)")
     return parser
 
 
@@ -257,9 +255,11 @@ def _cmd_slope(args) -> tuple[Dict, int]:
     if args.sweep is not None:
         if args.sweep < 1:
             raise CliError("--sweep must be at least 1")
-        reports = [slope.m_family_report(m).payload() for m in range(1, args.sweep + 1)]
-        identity = slope.m_family_gap_identity(args.sweep) and slope.symbolic_gap_identity()
-        return ({"reports": reports, "gap_identity": identity},
+        if args.sweep > verify.M_FAMILY_LIMIT:
+            raise CliError(f"--sweep must be at most {verify.M_FAMILY_LIMIT}")
+        reports = slope.m_family_reports(args.sweep)
+        identity = slope.m_family_gap_identity(reports) and slope.symbolic_gap_identity()
+        return ({"reports": [rep.payload() for rep in reports], "gap_identity": identity},
                 EXIT_OK if identity else EXIT_VERIFY)
     return slope.slope_report(args.g, args.r, args.d).payload(), EXIT_OK
 
@@ -277,10 +277,9 @@ def _golden_compare(payload: Dict, directory: str) -> tuple[Dict, int]:
 
 
 def _cmd_verify(args) -> int:
-    g_max = args.g_max if args.g_max is not None else 12
-    m_max = args.m_max if args.m_max is not None else 15
-    results = verify.run_checks(g_max, m_max,
-                                include_genus21_sweep=not args.skip_genus21)
+    g_max = verify.DEFAULT_G_MAX if args.g_max is None else args.g_max
+    m_max = verify.DEFAULT_M_MAX if args.m_max is None else args.m_max
+    results = verify.run_checks(g_max, m_max)
     failures = sum(not rs.passed for rs in results)
     golden: Dict = {}
     golden_code = EXIT_OK

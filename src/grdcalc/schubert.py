@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from math import factorial
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 from .errors import PreconditionError
 
@@ -56,12 +57,9 @@ def check_partition(shape: GrassShape, b: Sequence[int]) -> Index:
     if len(b) != shape.rows:
         raise PreconditionError(
             f"index needs {shape.rows} entries for {shape}, got {len(b)}")
-    prev = 0
-    for x in b:
-        if x < prev:
-            raise PreconditionError(f"index {b} is not weakly increasing")
-        prev = x
-    if b and (b[0] < 0 or b[-1] > shape.width):
+    if any(x > y for x, y in zip(b, b[1:])):
+        raise PreconditionError(f"index {b} is not weakly increasing")
+    if b[0] < 0 or b[-1] > shape.width:
         raise PreconditionError(f"index {b} leaves the box of width {shape.width}")
     return b
 
@@ -140,39 +138,14 @@ def special_power_integral(shape: GrassShape, k: int, b: Sequence[int]) -> Fract
     return Fraction(num, den)
 
 
-def _vertical_strips(lam: Index, p: int, max_part: int) -> List[Index]:
-    """All partitions obtained from a decreasing tuple by a vertical p-strip.
-
-    At most one box per row, result decreasing and capped at max_part.
-    """
-    n = len(lam)
-    out: List[Index] = []
-    acc: List[int] = [0] * n
-
-    def rec(i: int, prev: int, used: int) -> None:
-        if p - used > n - i:
-            return
-        if i == n:
-            if used == p:
-                out.append(tuple(acc))
-            return
-        acc[i] = lam[i]
-        rec(i + 1, lam[i], used)
-        grown = lam[i] + 1
-        if used < p and grown <= prev and grown <= max_part:
-            acc[i] = grown
-            rec(i + 1, grown, used + 1)
-
-    rec(0, max_part, 0)
-    return out
-
-
 def pieri_multiply(combo: SchubertCombo, p: int) -> SchubertCombo:
     """Multiply a combination by the vertical-strip class sigma_{1^p}.
 
-    Dual Pieri rule: each term, read as a decreasing partition, gains a
-    vertical strip of p boxes (at most one per row); anything leaving the box
-    is discarded.  p = 0 is the identity, p may not exceed the row count.
+    Dual Pieri rule: each term gains one box in each of p distinct rows
+    (every row but the rows - p that stay), and a result is kept only if it
+    is still weakly increasing and stays in the box.  Coefficients that
+    cancel are dropped.  p = 0 is the identity, p may not exceed the row
+    count.
     """
     shape = combo.shape
     if not 0 <= p <= shape.rows:
@@ -181,9 +154,14 @@ def pieri_multiply(combo: SchubertCombo, p: int) -> SchubertCombo:
     terms = out.terms
     width = shape.width
     for b, c in combo.terms.items():
-        lam = b[::-1]
-        for mu in _vertical_strips(lam, p, width):
-            key = mu[::-1]
+        grown = [x + 1 for x in b]
+        for stay in combinations(range(shape.rows), shape.rows - p):
+            mu = grown.copy()
+            for i in stay:
+                mu[i] -= 1
+            if mu[-1] > width or mu != sorted(mu):
+                continue
+            key = tuple(mu)
             v = terms.get(key, 0) + c
             if v == 0:
                 terms.pop(key, None)
@@ -223,19 +201,9 @@ def zeta_power_integral_pieri(shape: GrassShape, k: int, b: Sequence[int]) -> Fr
 
 
 def iter_box_indices(shape: GrassShape, max_weight: int | None = None) -> Iterator[Index]:
-    """All weakly increasing indices in the box, optionally capped in weight."""
-
-    def rec(prefix: List[int], remaining_rows: int, weight: int) -> Iterator[Index]:
-        if remaining_rows == 0:
-            yield tuple(prefix)
-            return
-        lo = prefix[-1] if prefix else 0
-        for v in range(lo, shape.width + 1):
-            w = weight + v
-            if max_weight is not None and w > max_weight:
-                break
-            prefix.append(v)
-            yield from rec(prefix, remaining_rows - 1, w)
-            prefix.pop()
-
-    return rec([], shape.rows, 0)
+    """All weakly increasing indices in the box, in lexicographic order,
+    optionally capped in weight."""
+    indices = combinations_with_replacement(range(shape.width + 1), shape.rows)
+    if max_weight is None:
+        return indices
+    return (b for b in indices if sum(b) <= max_weight)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import PreconditionError
 from .invariants import SLOPE
@@ -96,6 +97,13 @@ def m_family_report(m: int) -> SlopeReport:
     return slope_report(*m_family_triple(m))
 
 
+def m_family_reports(m_max: int) -> list[SlopeReport]:
+    """The reports of the members m = 1 .. m_max, in order."""
+    if m_max < 1:
+        raise PreconditionError("need m_max >= 1")
+    return [m_family_report(m) for m in range(1, m_max + 1)]
+
+
 def family_gap_function() -> RatFunc:
     """Closed-form gap bound - ratio for the m-family, as a rational function.
 
@@ -140,21 +148,16 @@ def family_gap_symbolic() -> RatFunc:
     return bound - ratio
 
 
-def m_family_gap_identity(m_max: int) -> bool:
-    """Check bound - ratio against the closed-form gap at m = 1 .. m_max.
+def m_family_gap_identity(reports: Sequence[SlopeReport]) -> bool:
+    """Check each m-family report's gap against the closed-form gap at its m.
 
-    Both sides are rational functions of m, so agreement at enough points
-    (15 exceeds both degrees) certifies the identity; the symbolic route
-    ``family_gap_symbolic`` provides the same certificate in one shot.
+    The member m is read from the report (r = 2m).  Both sides are rational
+    functions of m, so agreement at enough points (15 exceeds both degrees)
+    certifies the identity; the symbolic route ``family_gap_symbolic``
+    provides the same certificate in one shot.
     """
-    if m_max < 1:
-        raise PreconditionError("need m_max >= 1")
     printed = family_gap_function()
-    for m in range(1, m_max + 1):
-        report = m_family_report(m)
-        if report.bound - report.ratio != printed.eval(m):
-            return False
-    return True
+    return all(report.gap == printed.eval(report.r // 2) for report in reports)
 
 
 def symbolic_gap_identity() -> bool:

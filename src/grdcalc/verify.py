@@ -23,6 +23,15 @@ from .families import (ClassLabel, genus2_dualizing_class,
 from .picard import LAMBDA, DivisorClass, PicSpace, delta, epsilon, make_class
 
 
+# The sizes of the verify sweeps: their defaults, and the largest accepted.
+# At g_max 60 the battery takes about 8 s; the 1000 m-family reports (also
+# the largest `slope --sweep`) take about 0.2 s.
+DEFAULT_G_MAX = 12
+DEFAULT_M_MAX = 15
+G_MAX_LIMIT = 60
+M_FAMILY_LIMIT = 1000
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -224,13 +233,13 @@ def check_marked_gamma_identity(g_max: int):
 @_check("m-family-gap")
 def check_m_family(m_max: int):
     """Pointwise and symbolic slope-gap identity for the quadratic family."""
-    if not slope.m_family_gap_identity(m_max):
+    reports = slope.m_family_reports(m_max)
+    if not slope.m_family_gap_identity(reports):
         return False, f"pointwise mismatch within m <= {m_max}"
     if not slope.symbolic_gap_identity():
         return False, "symbolic rational-function identity fails"
-    gap1 = slope.m_family_report(1)
-    if gap1.gap != 0:
-        return False, f"m=1 gap {format_rational(gap1.gap)} != 0"
+    if reports[0].gap != 0:
+        return False, f"m=1 gap {format_rational(reports[0].gap)} != 0"
     return True, f"m=1..{m_max} pointwise + symbolic identity, gap(1)=0"
 
 
@@ -282,20 +291,21 @@ def check_slope_vs_assembly(g_max: int):
                   f"{len(pencils)} pencils agree")
 
 
-def run_checks(g_max: int = 12, m_max: int = 15, include_genus21_sweep: bool = True) -> List[CheckResult]:
+def run_checks(g_max: int = DEFAULT_G_MAX, m_max: int = DEFAULT_M_MAX) -> List[CheckResult]:
     """Run the whole cross-check battery.
 
-    g_max bounds the triple sweeps (the acceptance run uses 12) and m_max the
-    family sweep.  The Pieri count of the m-family members of genus 21, 36
-    and 55 is the single expensive item and can be excluded for quick runs.
-    Every check runs in isolation: one that raises reports FAIL and the
-    others still run.
+    g_max bounds the triple sweeps (5 to G_MAX_LIMIT) and m_max the family
+    sweep (1 to M_FAMILY_LIMIT).  Every check runs in isolation: one that
+    raises reports FAIL and the others still run.
     """
-    if g_max < 5:
-        raise PreconditionError(f"verification sweep needs g_max >= 5 (--g-max), got {g_max}")
-    if m_max < 1:
-        raise PreconditionError(f"verification sweep needs m_max >= 1 (--m-max), got {m_max}")
-    results = [
+    for name, value, low, high in (("g_max", g_max, 5, G_MAX_LIMIT),
+                                   ("m_max", m_max, 1, M_FAMILY_LIMIT)):
+        if not low <= value <= high:
+            bound = f">= {low}" if value < low else f"<= {high}"
+            flag = "--" + name.replace("_", "-")
+            raise PreconditionError(
+                f"verification sweep needs {name} {bound} ({flag}), got {value}")
+    return [
         check_schubert_oracle(),
         check_count_matches_degree(g_max),
         check_weierstrass_dual(g_max),
@@ -310,13 +320,11 @@ def run_checks(g_max: int = 12, m_max: int = 15, include_genus21_sweep: bool = T
         check_genus21_slope(),
         check_genus10_slope(),
         check_slope_vs_assembly(g_max),
+        check_count_m_family(),
     ]
-    if include_genus21_sweep:
-        results.append(check_count_m_family())
-    return results
 
 
-def golden_payload(g_max: int = 12, m_max: int = 15) -> Dict:
+def golden_payload(g_max: int = DEFAULT_G_MAX, m_max: int = DEFAULT_M_MAX) -> Dict:
     """Deterministic value dump for golden-file regression comparisons.
 
     Holds the exact push-forward coefficient maps for every swept triple and

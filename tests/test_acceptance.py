@@ -78,7 +78,7 @@ def test_criterion_2_genus10_cross_check(capsys):
 
 def test_criterion_3_family_gap_identity():
     with _Budget("criterion-3 family gap identity", 10.0):
-        assert slope.m_family_gap_identity(15)
+        assert slope.m_family_gap_identity(slope.m_family_reports(15))
         assert slope.m_family_report(1).gap == 0
         assert slope.symbolic_gap_identity()
 

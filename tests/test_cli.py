@@ -147,13 +147,13 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
 def test_verify_quick_run_and_golden_round_trip(tmp_path, capsys):
     golden = tmp_path / "golden"
     code, out, _ = run_cli(capsys, "verify", "--g-max", "5", "--m-max", "3",
-                           "--skip-genus21", "--golden", str(golden))
+                           "--golden", str(golden))
     assert code == 0
     assert "golden" in out
     assert (golden / "verify_golden.json").exists()
     # Second run compares clean.
     code, out, _ = run_cli(capsys, "verify", "--g-max", "5", "--m-max", "3",
-                           "--skip-genus21", "--golden", str(golden))
+                           "--golden", str(golden))
     assert code == 0
     assert "match" in out
     # Tampering must be detected with the verification exit code.
@@ -161,18 +161,18 @@ def test_verify_quick_run_and_golden_round_trip(tmp_path, capsys):
     assert "2459/377" in path.read_text()
     path.write_text(path.read_text().replace("2459/377", "2459/378"))
     code, out, _ = run_cli(capsys, "verify", "--g-max", "5", "--m-max", "3",
-                           "--skip-genus21", "--golden", str(golden))
+                           "--golden", str(golden))
     assert code == 2
     assert "mismatch" in out
 
 
 def test_verify_honours_format(tmp_path, capsys):
     golden = tmp_path / "golden"
-    argv = ["verify", "--g-max", "5", "--m-max", "3", "--skip-genus21"]
+    argv = ["verify", "--g-max", "5", "--m-max", "3"]
     code, table, _ = run_cli(capsys, *argv)
-    assert code == 0 and table.endswith("14/14 checks passed\n")
+    assert code == 0 and table.endswith("15/15 checks passed\n")
     payload = run_json(capsys, *argv, "--format", "json", "--golden", str(golden))
-    assert (payload["passed"], payload["total"]) == (14, 14)
+    assert (payload["passed"], payload["total"]) == (15, 15)
     assert payload["golden_status"] == "written"
     assert [c["name"] for c in payload["checks"]] == [
         line.split()[1] for line in table.splitlines()[:-1]]
@@ -184,7 +184,7 @@ def test_verify_honours_format(tmp_path, capsys):
     assert code == 0
     lines = out.splitlines()
     assert "checks.13.name\tslope-vs-assembly" in lines
-    assert {"passed\t14", "total\t14", "golden_status\tmatch"} <= set(lines)
+    assert {"passed\t15", "total\t15", "golden_status\tmatch"} <= set(lines)
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -207,9 +207,16 @@ def test_missing_subcommand_is_usage_error(capsys):
     (["families", "m21", "--g", "6", "--r", "2", "--d", "6", "--h", "2"], None, 1, "--h"),
     (["families", "mogb", "--g", "6", "--r", "2", "--d", "6", "--h", "2"], None, 1, "--h"),
     (["picard", "pullback", "i", "--g", "6", "--h", "3", "--class", "psi:1"], None, 1, "--h"),
+    (["schubert", "--r", "1", "--d", "3", "--k", "4", "--b=-1,-1"], None, 1, "leaves the box"),
+    (["slope", "--sweep", "1001"], None, 1, "--sweep must be at most 1000"),
+    (["verify", "--m-max", "1001"], None, 1, "m_max <= 1000 (--m-max)"),
+    (["verify", "--g-max", "61"], None, 1, "g_max <= 60 (--g-max)"),
+    (["verify"], "g_max=61\n", 1, "g_max <= 60 (--g-max)"),
+    (["verify"], "m_max=1001\n", 1, "m_max <= 1000 (--m-max)"),
 ], ids=["class-coeff", "config-g-max", "config-m-max", "genus-zero", "unit-class-k",
         "pieri-unbounded", "genus-one-m21", "verify-g-max", "slope-stray-g", "mogb-rho",
-        "m21-stray-h", "mogb-stray-h", "pullback-i-stray-h"])
+        "m21-stray-h", "mogb-stray-h", "pullback-i-stray-h", "negative-index", "sweep-bound",
+        "m-max-bound", "g-max-bound", "config-g-max-bound", "config-m-max-bound"])
 def test_malformed_or_huge_input_ends_cleanly(tmp_path, capsys, argv, config, code, expected):
     if config is not None:
         path = tmp_path / "grdcalc.conf"

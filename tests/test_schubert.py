@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -31,6 +32,9 @@ def test_invalid_partitions_rejected():
         check_partition(shape, (2, 1))  # not increasing
     with pytest.raises(PreconditionError):
         check_partition(shape, (0, 3))  # leaves the box
+    for below in [(-1, -1), (-1, 0)]:  # weakly increasing, but below the box
+        with pytest.raises(PreconditionError, match="leaves the box"):
+            check_partition(shape, below)
     with pytest.raises(PreconditionError):
         special_power_integral(shape, 0, (0, 0, 0))  # wrong length
     with pytest.raises(PreconditionError):
@@ -111,6 +115,36 @@ def test_pieri_strip_sizes_commute(rng):
         one = pieri_multiply(pieri_multiply(start, p), q)
         other = pieri_multiply(pieri_multiply(start, q), p)
         assert one == other
+
+
+def test_strip_products_and_box_indices_match_brute_force():
+    # Every index of every box with r <= 4 and width <= 4, against filters
+    # over all tuples of the box: iter_box_indices keeps the lexicographic
+    # order, and a strip of p boxes adds 0 or 1 to each entry, p in all.
+    cases = 0
+    for r in range(5):
+        for width in range(5):
+            shape = GrassShape(r, r + width)
+            box = [b for b in product(range(width + 1), repeat=shape.rows)
+                   if list(b) == sorted(b)]
+            assert list(iter_box_indices(shape)) == box
+            for max_weight in range(shape.dim + 2):
+                assert list(iter_box_indices(shape, max_weight)) \
+                    == [b for b in box if sum(b) <= max_weight]
+            for b in box:
+                for p in range(shape.rows + 1):
+                    expected = {mu: 1 for mu in box
+                                if all(m - x in (0, 1) for m, x in zip(mu, b))
+                                and sum(mu) - sum(b) == p}
+                    got = pieri_multiply(SchubertCombo.single(shape, b), p).terms
+                    assert got == expected, (shape, b, p)
+                    assert all(type(c) is int for c in got.values())
+                    cases += 1
+    assert cases == 2305
+    # Coefficients of opposite sign that meet on one index cancel.
+    shape = GrassShape(1, 3)
+    mixed = SchubertCombo(shape, {(0, 2): 1, (1, 1): -1})
+    assert pieri_multiply(mixed, 1).terms == {}
 
 
 def _oracle_cases(max_dim, max_weight):

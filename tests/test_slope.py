@@ -6,7 +6,7 @@ import pytest
 from grdcalc.errors import PreconditionError
 from grdcalc.exact import RatFunc, ratfunc_equal
 from grdcalc.slope import (family_gap_function, family_gap_symbolic,
-                           m_family_gap_identity, m_family_report,
+                           m_family_gap_identity, m_family_report, m_family_reports,
                            m_family_triple, quadric_lambda_delta0,
                            slope_report, symbolic_gap_identity)
 from grdcalc.verify import check_slope_vs_assembly, quadric_from_families
@@ -87,7 +87,7 @@ def test_m_family_reports():
 
 
 def test_gap_identity_pointwise():
-    assert m_family_gap_identity(15)
+    assert m_family_gap_identity(m_family_reports(15))
 
 
 def test_gap_sign_matches_numerator_sign():

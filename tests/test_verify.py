@@ -10,8 +10,8 @@ def test_a_raising_check_fails_alone(monkeypatch):
         raise ConsistencyError(f"injected at ({g},{r},{d})")
 
     monkeypatch.setattr(families, "weierstrass_alpha", broken)
-    results = verify.run_checks(5, 3, include_genus21_sweep=False)
-    assert len(results) == 14
+    results = verify.run_checks(5, 3)
+    assert len(results) == 15
     failed = {rs.name: rs.detail for rs in results if not rs.passed}
     # The genus-2 reconstruction reads the Weierstrass totals too.
     assert set(failed) == {"weierstrass-dual", "genus2-reconstruction"}
@@ -28,7 +28,7 @@ def test_slope_vs_assembly_catches_a_closed_form_slip(monkeypatch):
         return dataclasses.replace(c, delta0=c.delta0 + Fraction(1, 10 ** 6))
 
     monkeypatch.setattr(slope, "gamma_per_n", off)
-    results = {rs.name: rs for rs in verify.run_checks(5, 3, include_genus21_sweep=False)}
+    results = {rs.name: rs for rs in verify.run_checks(5, 3)}
     assert not results["slope-vs-assembly"].passed
     assert results["slope-vs-assembly"].detail.startswith("(10,4,12): (lambda, delta_0) assembled")
     assert results["assembly-vs-closed-form"].passed
