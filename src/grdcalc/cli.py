@@ -9,22 +9,25 @@ rationals are serialized as ``p`` or ``p/q`` strings in lowest terms.
 Exit codes: 0 success, 1 usage or precondition violation, 2 verification
 failure (a dual-route check or golden comparison that did not agree) or an
 internal arithmetic fault (a division by zero inside the program).
+
+Imports: each subcommand imports the library modules it uses inside its
+handler, so ``import grdcalc.cli`` loads only ``errors`` and ``exact``.  A
+process answers one query, and where no bytecode cache is written every
+module it imports is compiled from source at each start; an ``invariants``
+query or a usage error then does not pay for ``verify`` or the family
+assembly.  ``--help`` shows this docstring up to this paragraph.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 from typing import Dict, List, Sequence
 
-from . import invariants, picard, pushforward, schubert, slope, verify
 from .errors import ConsistencyError, PreconditionError
 from .exact import format_rational
-from .families import ClassLabel, push_m21, push_marked, push_mogb
-from .picard import PicSpace, parse_class
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -99,7 +102,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--config", default=None,
                         help="optional key=value config file supplying defaults")
 
-    parser = _Parser(prog="grdcalc", description=__doc__,
+    parser = _Parser(prog="grdcalc", description=__doc__.partition("\nImports:")[0],
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -161,6 +164,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_invariants(args) -> tuple[Dict, int]:
+    from . import invariants
     g, r, d = args.g, args.r, args.d
     return {
         "rho": format_rational(invariants.rho(g, r, d)),
@@ -170,6 +174,7 @@ def _cmd_invariants(args) -> tuple[Dict, int]:
 
 
 def _cmd_schubert(args) -> tuple[Dict, int]:
+    from . import schubert
     shape = schubert.GrassShape(args.r, args.d)
     try:
         b = tuple(int(x) for x in args.b.split(","))
@@ -193,11 +198,12 @@ def _cmd_schubert(args) -> tuple[Dict, int]:
 
 
 def _cmd_picard(args) -> tuple[Dict, int]:
+    from . import picard
     if args.map != "k" and args.h is not None:
         raise CliError(f"pullback {args.map} takes no --h (component genus of map k only)")
     g = args.g
-    source = PicSpace.mg1(g)
-    D = parse_class(source, args.class_text)
+    source = picard.PicSpace.mg1(g)
+    D = picard.parse_class(source, args.class_text)
     if args.map == "i":
         return picard.pullback_i(g, D).payload(), EXIT_OK
     if args.map == "j":
@@ -208,6 +214,8 @@ def _cmd_picard(args) -> tuple[Dict, int]:
 
 
 def _cmd_families(args) -> tuple[Dict, int]:
+    from . import invariants
+    from .families import ClassLabel, push_m21, push_marked, push_mogb
     g, r, d = args.g, args.r, args.d
     if args.family != "marked" and args.h is not None:
         raise CliError(f"the {args.family} family takes no --h "
@@ -225,6 +233,8 @@ def _cmd_families(args) -> tuple[Dict, int]:
 
 
 def _cmd_pushforward(args) -> tuple[Dict, int]:
+    from . import pushforward
+    from .families import ClassLabel
     g, r, d = args.g, args.r, args.d
     label = ClassLabel(args.class_name)
     payload: Dict = {"g": g, "r": r, "d": d, "class": label.value, "method": args.method}
@@ -244,6 +254,7 @@ def _cmd_pushforward(args) -> tuple[Dict, int]:
 
 
 def _cmd_slope(args) -> tuple[Dict, int]:
+    from . import slope
     triple = (args.g, args.r, args.d)
     # Any part of a triple counts as a choice, so a stray --g beside --m is refused.
     chosen = [args.m is not None, args.sweep is not None,
@@ -255,8 +266,8 @@ def _cmd_slope(args) -> tuple[Dict, int]:
     if args.sweep is not None:
         if args.sweep < 1:
             raise CliError("--sweep must be at least 1")
-        if args.sweep > verify.M_FAMILY_LIMIT:
-            raise CliError(f"--sweep must be at most {verify.M_FAMILY_LIMIT}")
+        if args.sweep > slope.M_FAMILY_LIMIT:
+            raise CliError(f"--sweep must be at most {slope.M_FAMILY_LIMIT}")
         reports = slope.m_family_reports(args.sweep)
         identity = slope.m_family_gap_identity(reports) and slope.symbolic_gap_identity()
         return ({"reports": [rep.payload() for rep in reports], "gap_identity": identity},
@@ -277,6 +288,7 @@ def _golden_compare(payload: Dict, directory: str) -> tuple[Dict, int]:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
     g_max = verify.DEFAULT_G_MAX if args.g_max is None else args.g_max
     m_max = verify.DEFAULT_M_MAX if args.m_max is None else args.m_max
     results = verify.run_checks(g_max, m_max)
@@ -287,7 +299,7 @@ def _cmd_verify(args) -> int:
         golden, golden_code = _golden_compare(verify.golden_payload(g_max, m_max), args.golden)
     code = max(EXIT_OK if failures == 0 else EXIT_VERIFY, golden_code)
     if args.format is not None:
-        _emit({"checks": [dataclasses.asdict(rs) for rs in results],
+        _emit({"checks": [rs.payload() for rs in results],
                "passed": len(results) - failures, "total": len(results), **golden},
               args.format)
         return code

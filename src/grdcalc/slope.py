@@ -97,6 +97,11 @@ def m_family_report(m: int) -> SlopeReport:
     return slope_report(*m_family_triple(m))
 
 
+# The largest m-family sweep accepted, by `slope --sweep` and `verify --m-max`;
+# its 1000 reports take about 0.2 s.
+M_FAMILY_LIMIT = 1000
+
+
 def m_family_reports(m_max: int) -> list[SlopeReport]:
     """The reports of the members m = 1 .. m_max, in order."""
     if m_max < 1:

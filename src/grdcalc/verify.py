@@ -21,15 +21,15 @@ from .families import (ClassLabel, genus2_dualizing_class,
                        marked_gamma_vanishing_identity, push_m21,
                        reconstruct_push_m21)
 from .picard import LAMBDA, DivisorClass, PicSpace, delta, epsilon, make_class
+from .slope import M_FAMILY_LIMIT
 
 
-# The sizes of the verify sweeps: their defaults, and the largest accepted.
-# At g_max 60 the battery takes about 8 s; the 1000 m-family reports (also
-# the largest `slope --sweep`) take about 0.2 s.
+# The sizes of the verify sweeps: their defaults, and the largest accepted;
+# m_max shares its bound, slope.M_FAMILY_LIMIT, with `slope --sweep`.  At
+# g_max 60 the battery takes about 8 s.
 DEFAULT_G_MAX = 12
 DEFAULT_M_MAX = 15
 G_MAX_LIMIT = 60
-M_FAMILY_LIMIT = 1000
 
 
 @dataclass
@@ -37,6 +37,10 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+
+    def payload(self) -> dict:
+        """The row as a JSON-ready dict, as ``verify --format`` emits it."""
+        return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
 def _check(name: str):

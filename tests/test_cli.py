@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import grdcalc
 from grdcalc import invariants
 from grdcalc.cli import main
 
@@ -313,3 +318,54 @@ def test_random_argv_ends_in_a_known_exit_code(rng, tmp_path, monkeypatch, capsy
             assert err.startswith("grdcalc: "), argv
         codes.add(code)
     assert codes == {0, 1}
+
+
+# The child prints the grdcalc modules it loaded to stderr as it exits, after
+# whatever main() wrote.
+CHILD_CODE = ("import atexit, json, sys; atexit.register(lambda: print(json.dumps(sorted("
+              "m for m in sys.modules if m.startswith('grdcalc'))), file=sys.stderr)); {}")
+RUN_MAIN = "from grdcalc.cli import main; sys.exit(main())"
+CLI_ONLY = {"grdcalc", "grdcalc.cli", "grdcalc.errors", "grdcalc.exact"}
+PICARD = {"grdcalc.picard", "grdcalc.linalg"}
+FAMILIES = PICARD | {"grdcalc.families", "grdcalc.invariants", "grdcalc.schubert"}
+PUSHFORWARD = FAMILIES | {"grdcalc.pushforward"}
+SLOPE = PUSHFORWARD | {"grdcalc.slope"}
+
+
+def run_python(*args):
+    """A fresh interpreter that imports grdcalc from the same tree as this test."""
+    src = str(Path(grdcalc.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (None, set()),
+    (["frobnicate"], set()),
+    (["invariants", "--g", "21", "--r", "6", "--d", "24"], {"grdcalc.invariants"}),
+    (["schubert", "--r", "1", "--d", "3", "--k", "4", "--b", "0,0"], {"grdcalc.schubert"}),
+    (["picard", "pullback", "j", "--g", "8", "--class", "delta_6:1"], PICARD),
+    (["families", "marked", "--g", "4", "--r", "1", "--d", "3", "--h", "1"], FAMILIES),
+    (["pushforward", "--g", "6", "--r", "2", "--d", "6", "--class", "beta"], PUSHFORWARD),
+    (["slope", "--g", "21", "--r", "6", "--d", "24"], SLOPE),
+    (["slope", "--sweep", "2"], SLOPE),
+    (["verify", "--g-max", "5", "--m-max", "2", "--format", "tsv"], SLOPE | {"grdcalc.verify"}),
+], ids=["import-only", "usage-error", "invariants", "schubert", "picard", "families",
+        "pushforward", "slope", "slope-sweep", "verify"])
+def test_a_process_imports_only_what_its_subcommand_runs(capsys, argv, loaded):
+    child = CHILD_CODE.format("import grdcalc.cli" if argv is None else RUN_MAIN)
+    proc = run_python("-c", child, *(argv or []))
+    *err_lines, modules = proc.stderr.splitlines()
+    assert set(json.loads(modules)) == CLI_ONLY | loaded
+    if argv is not None:
+        code, out, err = run_cli(capsys, *argv)
+        assert (proc.returncode, proc.stdout) == (code, out)
+        assert err_lines == err.splitlines()
+
+
+def test_python_m_grdcalc_runs_the_cli(capsys):
+    argv = ["slope", "--m", "2", "--format", "tsv"]
+    proc = run_python("-m", "grdcalc", *argv)
+    code, out, _ = run_cli(capsys, *argv)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
