@@ -278,13 +278,17 @@ def _cmd_slope(args) -> tuple[Dict, int]:
 def _golden_compare(payload: Dict, directory: str) -> tuple[Dict, int]:
     path = Path(directory) / GOLDEN_NAME
     rendered = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if not path.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(rendered)
-        return {"golden": str(path), "golden_status": "written"}, EXIT_OK
-    if path.read_text() == rendered:
-        return {"golden": str(path), "golden_status": "match"}, EXIT_OK
-    return {"golden": str(path), "golden_status": "mismatch"}, EXIT_VERIFY
+    try:
+        if not path.exists():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(rendered)
+            status = "written"
+        else:
+            status = "match" if path.read_text(encoding="utf-8") == rendered else "mismatch"
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot use golden file {path}: {exc}") from exc
+    code = EXIT_VERIFY if status == "mismatch" else EXIT_OK
+    return {"golden": str(path), "golden_status": status}, code
 
 
 def _cmd_verify(args) -> int:

@@ -15,9 +15,12 @@ each output coefficient becomes a ``Fraction`` once.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
+
+from .errors import PreconditionError
 
 Scalar = Union[int, Fraction]
 
@@ -27,11 +30,17 @@ def as_field(x):
 
 
 def format_rational(x: Scalar) -> str:
-    """Serialize a rational as ``p`` or ``p/q`` in lowest terms, q > 0."""
+    """Serialize a rational as ``p`` or ``p/q`` in lowest terms, q > 0.
+
+    A value past Python's int -> str digit limit is refused; the limit stays,
+    as it also guards how command-line integers are parsed.
+    """
     x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    except ValueError as exc:
+        raise PreconditionError(f"result exceeds the {sys.get_int_max_str_digits()}-digit "
+                                "limit on printing an integer") from exc
 
 
 class Poly:

@@ -272,8 +272,9 @@ def marked_gamma_vanishing_identity(g: int, r: int, d: int, h: int) -> bool:
 
     The degree equals (sum of (a_i - d)) * N where the a_i are the vanishing
     orders at the attaching point, i.e. (vanishing_sum(h,r,d) - (r+1)d) * N.
+    Both sides carry the factor N > 0, so they are compared per cover degree.
     """
-    n = castelnuovo_count(g, r, d)
-    lhs = push_marked(g, r, d, h, ClassLabel.GAMMA)
-    rhs = (vanishing_sum(h, r, d) - (r + 1) * d) * n
-    return lhs == rhs
+    COVER_DEGREE.check(g, r, d)
+    if not 1 <= h <= g - 1:
+        raise PreconditionError(f"need 1 <= h <= g-1, got h={h}")
+    return marked_per_n(g, r, d, h, ClassLabel.GAMMA) == vanishing_sum(h, r, d) - (r + 1) * d

@@ -3,7 +3,8 @@
 Everything here is elementary arithmetic in (g, r, d): the Brill-Noether
 number rho, the Castelnuovo count of series on a general curve when rho
 vanishes, the coefficient xi entering the push-forward of the bundle class,
-and the total vanishing-order identity at a point of a nodal curve.
+the closed push-forwards of alpha, beta and gamma per cover degree, and the
+total vanishing-order identity at a point of a nodal curve.
 
 ``GrdParams`` is the one validated rho = 0 triple; the ``Domain`` constants
 beside it declare each operation's extra bounds once, for its guard and for
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import List
+from typing import Callable, List
 
 from .errors import PreconditionError
 from .exact import as_field
@@ -112,6 +113,68 @@ def xi(g, r, d):
     if den == 0:
         raise PreconditionError("xi undefined: g - d + 2r + 1 = 0")
     return 3 * (g - 1) + (r - 1) * (g + r + 1) * (3 * g - 2 * d + r - 3) / den
+
+
+@dataclass(frozen=True)
+class PerCoverDegree:
+    """Coefficients of a push-forward divided by the cover degree N.
+
+    The entries lie in whatever field (g, r, d) lie in: Fractions for
+    integer inputs, rational functions for symbolic ones.  ``delta_i(i)``
+    gives the coefficient of delta_i for 1 <= i < g.
+    """
+
+    lam: object
+    delta0: object
+    psi: object
+    delta_i: Callable[[int], object]
+
+
+def alpha_per_n(g, r, d) -> PerCoverDegree:
+    """Push-forward of the squared line-bundle class, per cover degree.
+
+    d/(6(g-1)(g-2)) times
+    [ 6(gd - 2g^2 + 8d - 8g + 4) lambda + (2g^2 - gd + 3g - 4d - 2) delta_0
+      + 6 sum_i (g-i)(gd + 2ig - 2id - 2d) delta_i - 6d(g-2) psi ].
+    """
+    pref = as_field(d) / (6 * (g - 1) * (g - 2))
+    return PerCoverDegree(
+        lam=pref * 6 * (g * d - 2 * g * g + 8 * d - 8 * g + 4),
+        delta0=pref * (2 * g * g - g * d + 3 * g - 4 * d - 2),
+        psi=pref * (-6 * d * (g - 2)),
+        delta_i=lambda i: pref * 6 * (g - i) * (g * d + 2 * i * g - 2 * i * d - 2 * d))
+
+
+def beta_per_n(g, r, d) -> PerCoverDegree:
+    """Push-forward of (line bundle class).(dualizing class), per cover degree.
+
+    d/(2(g-1)) times
+    [ 12 lambda - delta_0 + 4 sum_i (g-i)(g-i-1) delta_i - 2(g-1) psi ].
+    """
+    pref = as_field(d) / (2 * (g - 1))
+    return PerCoverDegree(
+        lam=pref * 12,
+        delta0=-pref,
+        psi=pref * (-2 * (g - 1)),
+        delta_i=lambda i: pref * 4 * (g - i) * (g - i - 1))
+
+
+def gamma_per_n(g, r, d) -> PerCoverDegree:
+    """Push-forward of the section-bundle class, per cover degree.
+
+    1/(2(g-1)(g-2)) times
+    [ (-(g+3) xi + 5r(r+2)) lambda - d(r+1)(g-2) psi
+      + (1/6)((g+1) xi - 3r(r+2)) delta_0
+      + sum_i (g-i)(i xi + (g-i-2) r(r+2)) delta_i ].
+    """
+    x = xi(g, r, d)
+    pref = 1 / as_field(2 * (g - 1) * (g - 2))
+    rr = r * (r + 2)
+    return PerCoverDegree(
+        lam=pref * (-(g + 3) * x + 5 * rr),
+        delta0=pref * Fraction(1, 6) * ((g + 1) * x - 3 * rr),
+        psi=pref * (-d * (r + 1) * (g - 2)),
+        delta_i=lambda i: pref * (g - i) * (i * x + (g - i - 2) * rr))
 
 
 def vanishing_sum(h: int, r: int, d: int) -> int:

@@ -20,8 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import PreconditionError
-from .invariants import SLOPE
-from .pushforward import alpha_per_n, beta_per_n, gamma_per_n
+from .invariants import SLOPE, alpha_per_n, beta_per_n, gamma_per_n
 from .exact import Poly, RatFunc, format_rational, ratfunc_equal
 
 # Divisoriality of the quadric locus is established only for the genus-21

@@ -192,6 +192,31 @@ def test_verify_honours_format(tmp_path, capsys):
     assert {"passed\t15", "total\t15", "golden_status\tmatch"} <= set(lines)
 
 
+def test_long_count_below_the_digit_limit_prints(capsys):
+    # The pencil count at g = 14000 has about 4200 digits, under Python's
+    # default limit of 4300 on int -> str; g = 14400 is refused above.
+    payload = run_json(capsys, "invariants", "--g", "14000", "--r", "1", "--d", "7001")
+    assert len(payload["N"]) > 4000
+
+
+def test_golden_path_that_is_a_file_is_usage_error(tmp_path, capsys):
+    blocker = tmp_path / "golden"
+    blocker.write_text("not a directory\n")
+    code, out, err = run_cli(capsys, "verify", "--g-max", "5", "--m-max", "3",
+                             "--golden", str(blocker))
+    assert code == 1 and not out
+    assert err.startswith(f"grdcalc: error: cannot use golden file {blocker / 'verify_golden.json'}")
+
+
+def test_golden_file_not_utf8_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "verify_golden.json"
+    path.write_bytes(b"\xff\xfe not json\n")
+    code, out, err = run_cli(capsys, "verify", "--g-max", "5", "--m-max", "3",
+                             "--golden", str(tmp_path))
+    assert code == 1 and not out
+    assert err.startswith(f"grdcalc: error: cannot use golden file {path}")
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     code, _, _ = run_cli(capsys)
     assert code == 1
@@ -218,10 +243,14 @@ def test_missing_subcommand_is_usage_error(capsys):
     (["verify", "--g-max", "61"], None, 1, "g_max <= 60 (--g-max)"),
     (["verify"], "g_max=61\n", 1, "g_max <= 60 (--g-max)"),
     (["verify"], "m_max=1001\n", 1, "m_max <= 1000 (--m-max)"),
+    (["invariants", "--g", "14400", "--r", "1", "--d", "7201"], None, 1, "-digit limit"),
+    (["families", "marked", "--g", "14400", "--r", "1", "--d", "7201", "--h", "1"], None, 1,
+     "-digit limit"),
 ], ids=["class-coeff", "config-g-max", "config-m-max", "genus-zero", "unit-class-k",
         "pieri-unbounded", "genus-one-m21", "verify-g-max", "slope-stray-g", "mogb-rho",
         "m21-stray-h", "mogb-stray-h", "pullback-i-stray-h", "negative-index", "sweep-bound",
-        "m-max-bound", "g-max-bound", "config-g-max-bound", "config-m-max-bound"])
+        "m-max-bound", "g-max-bound", "config-g-max-bound", "config-m-max-bound",
+        "count-too-long", "marked-too-long"])
 def test_malformed_or_huge_input_ends_cleanly(tmp_path, capsys, argv, config, code, expected):
     if config is not None:
         path = tmp_path / "grdcalc.conf"
@@ -329,7 +358,7 @@ CLI_ONLY = {"grdcalc", "grdcalc.cli", "grdcalc.errors", "grdcalc.exact"}
 PICARD = {"grdcalc.picard", "grdcalc.linalg"}
 FAMILIES = PICARD | {"grdcalc.families", "grdcalc.invariants", "grdcalc.schubert"}
 PUSHFORWARD = FAMILIES | {"grdcalc.pushforward"}
-SLOPE = PUSHFORWARD | {"grdcalc.slope"}
+SLOPE = {"grdcalc.invariants", "grdcalc.slope"}
 
 
 def run_python(*args):
@@ -349,7 +378,8 @@ def run_python(*args):
     (["pushforward", "--g", "6", "--r", "2", "--d", "6", "--class", "beta"], PUSHFORWARD),
     (["slope", "--g", "21", "--r", "6", "--d", "24"], SLOPE),
     (["slope", "--sweep", "2"], SLOPE),
-    (["verify", "--g-max", "5", "--m-max", "2", "--format", "tsv"], SLOPE | {"grdcalc.verify"}),
+    (["verify", "--g-max", "5", "--m-max", "2", "--format", "tsv"],
+     PUSHFORWARD | SLOPE | {"grdcalc.verify"}),
 ], ids=["import-only", "usage-error", "invariants", "schubert", "picard", "families",
         "pushforward", "slope", "slope-sweep", "verify"])
 def test_a_process_imports_only_what_its_subcommand_runs(capsys, argv, loaded):

@@ -2,16 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import rand_class
 from grdcalc import linalg, pushforward
 from grdcalc.errors import ConsistencyError, PreconditionError
-from grdcalc.families import ClassLabel
+from grdcalc.families import ClassLabel, push_m21, push_marked
 from grdcalc.invariants import castelnuovo_count, rho_zero_triples
-from grdcalc.picard import (LAMBDA, PSI, DivisorClass, PicSpace, delta,
-                            make_class)
-from grdcalc.pushforward import (alpha, annihilated_by_elliptic_tails, beta,
-                                 closed_form, combination, gamma,
-                                 genus2_restriction_matches,
-                                 marked_degrees_match, solve_from_families)
+from grdcalc.picard import (LAMBDA, PSI, DivisorClass, PicSpace, delta, evaluate,
+                            make_class, pullback_i, pullback_j, pullback_k, reduce_m21)
+from grdcalc.pushforward import (alpha, beta, closed_form, combination, family_equations,
+                                 gamma, solve_from_families)
 
 N21 = castelnuovo_count(21, 6, 24)
 
@@ -120,9 +119,48 @@ def test_assembly_needs_g_at_least_five():
 def test_closed_forms_restrict_correctly():
     for g, r, d in [(6, 1, 4), (6, 2, 6), (8, 3, 9)]:
         for label in ClassLabel:
-            assert annihilated_by_elliptic_tails(g, r, d, label)
-            assert marked_degrees_match(g, r, d, label)
-            assert genus2_restriction_matches(g, r, d, label)
+            D = closed_form(g, r, d, label)
+            for family, row, value in family_equations(g, r, d, label):
+                assert evaluate(row, D) == value, family
+
+
+def _by_family(equations):
+    out = {"marked-point": [], "elliptic-tail": [], "genus-2": []}
+    for family, row, value in equations:
+        out[family].append((row, value))
+    return out
+
+
+REDUCED_M21 = (LAMBDA, delta(1), PSI)
+
+
+@pytest.mark.parametrize("g", range(5, 13))
+def test_family_equations_read_the_pullbacks(rng, g):
+    # The rows are the pull-backs: on random classes they evaluate to
+    # pullback_k for each h, to the epsilon coefficients of pullback_i and to
+    # the reduced coefficients of pullback_j.
+    triples = [t for t in rho_zero_triples(g) if t.g == g]
+    for t in triples:
+        for label in ClassLabel:
+            eqs = _by_family(family_equations(g, t.r, t.d, label))
+            assert [len(eqs[f]) for f in eqs] == [g - 1, g - 3, 3]
+            for _ in range(3):
+                D = rand_class(rng, PicSpace.mg1(g))
+                assert [evaluate(row, D) for row, _ in eqs["marked-point"]] \
+                    == [pullback_k(g, h, D) for h in range(1, g)]
+                restricted = pullback_i(g, D)
+                assert [evaluate(row, D) for row, _ in eqs["elliptic-tail"]] \
+                    == [restricted.get(sym) for sym in restricted.space.basis()]
+                reduced = reduce_m21(pullback_j(g, D))
+                assert [evaluate(row, D) for row, _ in eqs["genus-2"]] \
+                    == [reduced.get(sym) for sym in REDUCED_M21]
+            # The values are the family push-forwards.
+            assert [v for _, v in eqs["marked-point"]] \
+                == [push_marked(g, t.r, t.d, h, label) for h in range(1, g)]
+            assert all(v == 0 for _, v in eqs["elliptic-tail"])
+            target = reduce_m21(push_m21(g, t.r, t.d, label))
+            assert [v for _, v in eqs["genus-2"]] == [target.get(sym) for sym in REDUCED_M21]
+
 
 
 def test_closed_forms_scale_linearly_in_count():

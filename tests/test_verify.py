@@ -1,8 +1,12 @@
 import dataclasses
 from fractions import Fraction
 
-from grdcalc import families, slope, verify
+import pytest
+
+from grdcalc import families, pushforward, slope, verify
 from grdcalc.errors import ConsistencyError
+from grdcalc.families import ClassLabel
+from grdcalc.picard import DivisorClass, PicSpace
 
 
 def test_a_raising_check_fails_alone(monkeypatch):
@@ -32,3 +36,21 @@ def test_slope_vs_assembly_catches_a_closed_form_slip(monkeypatch):
     assert not results["slope-vs-assembly"].passed
     assert results["slope-vs-assembly"].detail.startswith("(10,4,12): (lambda, delta_0) assembled")
     assert results["assembly-vs-closed-form"].passed
+
+
+@pytest.mark.parametrize("symbol, detail", [
+    ("delta_2", "elliptic-tail restriction nonzero"),
+    ("psi", "marked-point degree mismatch"),
+    ("delta_0", "genus-2 restriction mismatch"),
+])
+def test_family_restrictions_name_the_family_a_slip_breaks(monkeypatch, symbol, detail):
+    # delta_2 enters the first elliptic-tail row (and a marked-point row),
+    # psi only the marked-point rows, delta_0 only the genus-2 rows.
+    true_gamma = pushforward.gamma
+
+    def slipped(g, r, d):
+        return true_gamma(g, r, d) + DivisorClass.basis_vector(PicSpace.mg1(g), symbol)
+
+    monkeypatch.setitem(pushforward._CLOSED_FORMS, ClassLabel.GAMMA, slipped)
+    result = verify.check_family_restrictions(5)
+    assert (result.passed, result.detail) == (False, f"(5,4,8) gamma: {detail}")
