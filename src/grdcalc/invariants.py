@@ -85,22 +85,24 @@ SLOPE = Domain("quadric slope", min_g=3, min_r=1, why="the alpha/gamma prefactor
 def castelnuovo_count(g: int, r: int, d: int) -> Fraction:
     """Number of series of degree d and dimension r on a general genus-g curve.
 
-    Defined when g >= 1, r >= 0 and rho = 0; the count is the classical
-    factorial quotient
+    Defined when g >= 1, r >= 0 and rho = 0.  With s = g - d + r the count
+    is the classical quotient
 
-        1! 2! ... r! g!  /  ( (g-d+r)! (g-d+r+1)! ... (g-d+2r)! ).
+        g!  /  prod_{i=0..r} (s+i)! / i!,
+
+    whose denominator is the product of the hook lengths of the (r+1) x s
+    box.  That product is symmetric in the two sides, so it is taken one
+    factorial quotient per row of the shorter side.
 
     Returned as a Fraction (always integral) so that one scalar type flows
     through every module.
     """
     COVER_DEGREE.check(g, r, d)
-    num = factorial(g)
-    for i in range(1, r + 1):
-        num *= factorial(i)
-    den = 1
-    for i in range(g - d + r, g - d + 2 * r + 1):
-        den *= factorial(i)
-    return Fraction(num, den)
+    rows, cols = sorted((r + 1, g - d + r))
+    hooks = 1
+    for i in range(rows):
+        hooks *= factorial(cols + i) // factorial(i)
+    return Fraction(factorial(g), hooks)
 
 
 def xi(g, r, d):

@@ -152,25 +152,3 @@ def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> Row:
         num[i] = value // g
     return [Fraction(v, den) for v in num]
 
-
-def determinant(rows: Sequence[Sequence]) -> Fraction:
-    """Exact determinant of a square matrix by fraction elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix is not square")
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                factor = m[i][col] * inv
-                m[i] = [a - factor * bb for a, bb in zip(m[i], m[col])]
-    return det

@@ -15,9 +15,8 @@ genus-g curves: attaching g fixed elliptic tails to a pointed rational curve
 genus-2 curve (``pullback_j``), and moving the marked point along one
 component of a fixed two-component curve (``pullback_k``).
 
-A divisor class stores its literal signed coefficients.  Solutions of the
-push-forward problem are conventionally written a*lambda - sum b_i delta_i
-+ c*psi, so the stored delta coefficients are the negated b_i.
+A divisor class stores its literal signed coefficients, and the push-forward
+assembly solves for exactly those coefficients, one unknown per basis symbol.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Tuple
 
-from . import linalg
 from .errors import PreconditionError
 from .exact import format_rational
 
@@ -273,10 +271,6 @@ def epsilon_intersection_matrix(g: int) -> List[List[Fraction]]:
             rows[j - 1][j - 1] = Fraction(1)
         rows[j - 1][n - 1] += Fraction(g - j - 1)
     return rows
-
-
-def epsilon_matrix_determinant(g: int) -> Fraction:
-    return linalg.determinant(epsilon_intersection_matrix(g))
 
 
 # Rank-3 reduction on m21: the classical genus-2 relation among the

@@ -29,19 +29,14 @@ from .picard import (GENUS2_REDUCTION, LAMBDA, PSI, DivisorClass, PicSpace, Row,
 
 @dataclass(frozen=True)
 class PushforwardSolution:
-    """Solution of the push-forward problem in the a*lambda - sum b_i delta_i + c*psi convention."""
+    """The coefficients that ``solve_from_families`` solved for, keyed by basis symbol."""
 
-    a: Fraction
-    b: Tuple[Fraction, ...]
-    c: Fraction
+    coeffs: Dict[str, Fraction]
 
     def as_divisor_class(self, g: int) -> DivisorClass:
-        if len(self.b) != g:
-            raise PreconditionError(f"need {g} boundary coefficients, got {len(self.b)}")
-        items: Dict[str, Fraction] = {LAMBDA: self.a, PSI: self.c}
-        for i, bi in enumerate(self.b):
-            items[delta(i)] = -bi
-        return make_class(PicSpace.mg1(g), items)
+        if len(self.coeffs) != g + 2:
+            raise PreconditionError(f"need {g + 2} coefficients on mg1({g}), got {len(self.coeffs)}")
+        return make_class(PicSpace.mg1(g), self.coeffs)
 
 
 def _times_cover_degree(g: int, r: int, d: int, per_n: PerCoverDegree) -> DivisorClass:
@@ -130,34 +125,32 @@ def family_equations(g: int, r: int, d: int,
 def solve_from_families(g: int, r: int, d: int, label: ClassLabel) -> PushforwardSolution:
     """Recover the push-forward from special-family data alone.
 
-    The unknown class is written a*lambda - sum_{i<g} b_i delta_i + c*psi and
-    constrained by ``family_equations``.  The system is solved by exact
-    elimination and every redundant equation is required to hold.
+    One unknown per basis symbol of mg1(g), in the elimination order lambda,
+    delta_0, ..., delta_{g-1}, psi, constrained by ``family_equations``.  The
+    system is solved by exact elimination and every redundant equation is
+    required to hold.
     """
     equations = family_equations(g, r, d, label)
-    # Unknown columns a, b_0..b_{g-1}, c read lambda, -delta_i and psi; a row
-    # names each symbol once, so each entry is set once.
-    column = {LAMBDA: (0, False), PSI: (g + 1, False)}
-    column.update((delta(i), (1 + i, True)) for i in range(g))
+    unknowns = [LAMBDA, *(delta(i) for i in range(g)), PSI]
+    column = {sym: j for j, sym in enumerate(unknowns)}
 
-    def unknowns(row: Row) -> list:
-        # Zeros stay plain ints, which solve_unique skips cheaply.
-        out = [0] * (g + 2)
+    def coefficients(row: Row) -> list:
+        # Zeros stay plain ints, which solve_unique skips cheaply; a row
+        # names each symbol once, so each entry is set once.
+        out = [0] * len(unknowns)
         for sym, w in row.items():
-            col, negate = column[sym]
-            out[col] = -w if negate else w
+            out[column[sym]] = w
         return out
 
-    rows = [unknowns(row) for _, row, _ in equations]
+    rows = [coefficients(row) for _, row, _ in equations]
     rhs = [value for _, _, value in equations]
-    names = ["a"] + [f"b_{i}" for i in range(g)] + ["c"]
     try:
         x = linalg.solve_unique(rows, rhs)
     except linalg.InconsistentSystemError as exc:
         raise ConsistencyError(
             f"family data contradicts for ({g},{r},{d}) {label.value}: {exc}") from exc
     except linalg.RankDeficientError as exc:
-        free = ", ".join(names[i] for i in exc.free_columns)
+        free = ", ".join(unknowns[i] for i in exc.free_columns)
         raise ConsistencyError(
             f"family system for ({g},{r},{d}) {label.value} leaves {free} undetermined") from exc
-    return PushforwardSolution(a=x[0], b=tuple(x[1:g + 1]), c=x[g + 1])
+    return PushforwardSolution(dict(zip(unknowns, x)))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List
 
-from . import invariants, picard, pushforward, schubert, slope
+from . import invariants, linalg, picard, pushforward, schubert, slope
 from .errors import PreconditionError
 from .exact import format_rational
 from .families import (ClassLabel, genus2_dualizing_class,
@@ -209,7 +209,9 @@ def check_family_restrictions(g_max: int):
 def check_epsilon_matrix(g_lo: int = 6, g_hi: int = 30):
     """Nonsingularity of the test-curve intersection matrix."""
     for g in range(g_lo, g_hi + 1):
-        if picard.epsilon_matrix_determinant(g) == 0:
+        try:
+            linalg.solve_unique(picard.epsilon_intersection_matrix(g), [0] * (g - 3))
+        except linalg.RankDeficientError:
             return False, f"g={g}: determinant 0"
     return True, f"g={g_lo}..{g_hi} all nonsingular"
 
@@ -272,13 +274,16 @@ def quadric_from_families(g: int, r: int, d: int):
     """``slope.quadric_lambda_delta0`` from the family assembly alone.
 
     The lambda and delta_0 parts of 2*alpha - beta - (r+2)*gamma + lambda per
-    cover degree N; solutions read a*lambda - sum b_i delta_i + c*psi.
+    cover degree N, read off the three assembled classes.
     """
-    a, b, c = (pushforward.solve_from_families(g, r, d, label) for label in ClassLabel)
+    alpha, beta, gamma = (pushforward.solve_from_families(g, r, d, label).as_divisor_class(g)
+                          for label in ClassLabel)
     n = invariants.castelnuovo_count(g, r, d)
-    lam = (2 * a.a - b.a - (r + 2) * c.a) / n + 1
-    d0 = -(2 * a.b[0] - b.b[0] - (r + 2) * c.b[0]) / n
-    return lam, d0
+
+    def part(sym: str) -> Fraction:
+        return (2 * alpha.get(sym) - beta.get(sym) - (r + 2) * gamma.get(sym)) / n
+
+    return part(LAMBDA) + 1, part(delta(0))
 
 
 @_check("slope-vs-assembly")

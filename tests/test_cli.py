@@ -355,9 +355,9 @@ CHILD_CODE = ("import atexit, json, sys; atexit.register(lambda: print(json.dump
               "m for m in sys.modules if m.startswith('grdcalc'))), file=sys.stderr)); {}")
 RUN_MAIN = "from grdcalc.cli import main; sys.exit(main())"
 CLI_ONLY = {"grdcalc", "grdcalc.cli", "grdcalc.errors", "grdcalc.exact"}
-PICARD = {"grdcalc.picard", "grdcalc.linalg"}
+PICARD = {"grdcalc.picard"}
 FAMILIES = PICARD | {"grdcalc.families", "grdcalc.invariants", "grdcalc.schubert"}
-PUSHFORWARD = FAMILIES | {"grdcalc.pushforward"}
+PUSHFORWARD = FAMILIES | {"grdcalc.pushforward", "grdcalc.linalg"}
 SLOPE = {"grdcalc.invariants", "grdcalc.slope"}
 
 

@@ -1,8 +1,12 @@
+import json
+
 import pytest
 
+from grdcalc.cli import main
 from grdcalc.errors import PreconditionError
 from grdcalc.invariants import (GrdParams, castelnuovo_count, rho,
                                 rho_zero_triples, vanishing_sum, xi)
+from grdcalc.schubert import GrassShape, special_power_integral
 
 # Fixed by the factorial formula 1! 2! 6! 21! / (3! 4! ... 9!); the Pieri
 # route re-derives it in the acceptance suite.
@@ -19,6 +23,20 @@ def test_castelnuovo_small_counts():
     assert castelnuovo_count(4, 1, 3) == 2
     assert castelnuovo_count(6, 2, 6) == 5
     assert castelnuovo_count(21, 6, 24) == N_GENUS_21
+
+
+def test_castelnuovo_count_is_the_schubert_degree():
+    # The same classical quotient, zeta^g on the Grassmannian, in independent code.
+    for t in rho_zero_triples(120):
+        assert castelnuovo_count(t.g, t.r, t.d) \
+            == special_power_integral(GrassShape(t.r, t.d), t.g, (0,) * (t.r + 1)), t
+
+
+def test_canonical_series_count_is_quick(capsys):
+    # The canonical series: the count is 1, and its cost must not grow with r*g.
+    code = main(["invariants", "--g", "1000", "--r", "999", "--d", "1998"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["N"] == "1"
 
 
 def test_castelnuovo_requires_rho_zero():

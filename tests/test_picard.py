@@ -3,11 +3,10 @@ from fractions import Fraction
 import pytest
 
 from grdcalc.errors import PreconditionError
-from grdcalc.linalg import determinant
+from grdcalc.linalg import solve_unique
 from grdcalc.picard import (GENUS2_REDUCTION, GENUS2_RELATION, LAMBDA, PSI,
                             DivisorClass, PicSpace, compose, delta, epsilon,
-                            epsilon_intersection_matrix,
-                            epsilon_matrix_determinant, genus2_tail_rows,
+                            epsilon_intersection_matrix, genus2_tail_rows,
                             make_class, parse_class, pullback_i, pullback_j,
                             pullback_k, reduce_m21, restrict)
 from conftest import rand_class, rand_fraction
@@ -110,10 +109,17 @@ def test_epsilon_matrix_small_genus():
         [-1, 1, 3],
         [0, -1, 2],
     ]
-    # Cofactor oracle for the 3x3: 5 * (1*2 - 3*(-1)).
-    assert epsilon_matrix_determinant(6) == 5 * (1 * 2 - 3 * (-1)) == 25
     assert epsilon_intersection_matrix(5) == [[4, 0], [-1, 2]]
-    assert epsilon_matrix_determinant(5) == 8
+
+
+def test_epsilon_matrix_determinant_by_cramer():
+    # Without its last row and column the matrix is lower bidiagonal with
+    # determinant g - 1, so by Cramer's rule the last coordinate of M x = e_last
+    # is (g - 1) / det M: this pins det M = (g-1)^2 (g-4) / 2.
+    for g in range(5, 31):
+        e_last = [0] * (g - 4) + [1]
+        x = solve_unique(epsilon_intersection_matrix(g), e_last)
+        assert x[-1] == Fraction(2, (g - 1) * (g - 4)), g
 
 
 def test_epsilon_matrix_general_row_pattern():
@@ -128,7 +134,7 @@ def test_epsilon_matrix_general_row_pattern():
 
 def test_epsilon_matrix_nonsingular_range():
     for g in range(6, 31):
-        assert epsilon_matrix_determinant(g) != 0
+        assert solve_unique(epsilon_intersection_matrix(g), [0] * (g - 3)) == [0] * (g - 3)
 
 
 def test_epsilon_matrix_requires_g_at_least_five():
@@ -196,9 +202,3 @@ def test_parse_class():
         parse_class(space, "lambda:1,psi:abc")
     with pytest.raises(PreconditionError, match="psi:1/0"):
         parse_class(space, "psi:1/0")
-
-
-def test_determinant_helper_matches_small_cases():
-    assert determinant([[2]]) == 2
-    assert determinant([[1, 2], [3, 4]]) == -2
-    assert determinant([[1, 2], [2, 4]]) == 0

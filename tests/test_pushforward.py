@@ -72,13 +72,11 @@ def test_combination_pure_projection_formula():
 
 
 def test_assembled_solution_sign_convention():
-    # a*lambda - sum b_i delta_i + c*psi: the stored delta_i is -b_i.
+    # The unknowns are the literal coefficients: delta_0 keeps its sign.
     D = beta(8, 3, 9)
-    sol = solve_from_families(8, 3, 9, ClassLabel.BETA)
-    assert sol.as_divisor_class(8) == D
-    assert sol.a == D.get(LAMBDA)
-    assert sol.c == D.get(PSI)
-    assert sol.b[0] == -D.get(delta(0))
+    assembled = solve_from_families(8, 3, 9, ClassLabel.BETA).as_divisor_class(8)
+    assert assembled == D
+    assert assembled.get(delta(0)) == D.get(delta(0)) < 0
 
 
 def test_assembly_matches_closed_form_spec_cases():
@@ -106,9 +104,20 @@ def test_corrupted_family_datum_names_the_contradiction(monkeypatch):
 
 
 def test_assembled_beta_psi_coefficient():
-    # Adding the h and g-h marked-point equations forces c = -dN.
-    sol = solve_from_families(8, 3, 9, ClassLabel.BETA)
-    assert sol.c == -9 * castelnuovo_count(8, 3, 9)
+    # Adding the h and g-h marked-point equations forces the psi coefficient -dN.
+    assembled = solve_from_families(8, 3, 9, ClassLabel.BETA).as_divisor_class(8)
+    assert assembled.get(PSI) == -9 * castelnuovo_count(8, 3, 9)
+
+
+def test_missing_family_data_names_the_free_symbols(monkeypatch):
+    equations = pushforward.family_equations
+
+    def without_genus2(g, r, d, label):
+        return [eq for eq in equations(g, r, d, label) if eq[0] != "genus-2"]
+
+    monkeypatch.setattr(pushforward, "family_equations", without_genus2)
+    with pytest.raises(ConsistencyError, match="leaves lambda, delta_0, delta_7 undetermined$"):
+        solve_from_families(8, 3, 9, ClassLabel.GAMMA)
 
 
 def test_assembly_needs_g_at_least_five():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from grdcalc import families, pushforward, slope, verify
+from grdcalc import families, picard, pushforward, slope, verify
 from grdcalc.errors import ConsistencyError
 from grdcalc.families import ClassLabel
 from grdcalc.picard import DivisorClass, PicSpace
@@ -54,3 +54,17 @@ def test_family_restrictions_name_the_family_a_slip_breaks(monkeypatch, symbol, 
     monkeypatch.setitem(pushforward._CLOSED_FORMS, ClassLabel.GAMMA, slipped)
     result = verify.check_family_restrictions(5)
     assert (result.passed, result.detail) == (False, f"(5,4,8) gamma: {detail}")
+
+
+def test_a_singular_boundary_matrix_fails_epsilon_nonsingular(monkeypatch):
+    true_matrix = picard.epsilon_intersection_matrix
+
+    def singular_at_9(g):
+        rows = true_matrix(g)
+        if g == 9:
+            rows[2] = [2 * x for x in rows[1]]
+        return rows
+
+    monkeypatch.setattr(picard, "epsilon_intersection_matrix", singular_at_9)
+    result = verify.check_epsilon_matrix()
+    assert (result.passed, result.detail) == (False, "g=9: determinant 0")
