@@ -35,6 +35,12 @@ EXIT_VERIFY = 2
 
 GOLDEN_NAME = "verify_golden.json"
 
+# The largest --g of any subcommand and --d of `schubert`: the count builds g!
+# and a class space g + 2 symbols, and the closed Schubert form grows about as
+# d^4 (0.3 s at d = 300).
+G_LIMIT = 20000
+SCHUBERT_D_LIMIT = 300
+
 
 class CliError(Exception):
     """Usage-level failure carrying the exit code 1 message."""
@@ -175,6 +181,8 @@ def _cmd_invariants(args) -> tuple[Dict, int]:
 
 def _cmd_schubert(args) -> tuple[Dict, int]:
     from . import schubert
+    if args.d > SCHUBERT_D_LIMIT:
+        raise CliError(f"--d must be at most {SCHUBERT_D_LIMIT}")
     shape = schubert.GrassShape(args.r, args.d)
     try:
         b = tuple(int(x) for x in args.b.split(","))
@@ -334,6 +342,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                     except ValueError:
                         raise CliError(f"config {key} {config[key]!r} is not an integer")
         fmt = getattr(args, "format", None) or "json"
+        if getattr(args, "g", None) is not None and args.g > G_LIMIT:
+            raise CliError(f"--g must be at most {G_LIMIT}")
 
         if args.command == "verify":
             return _cmd_verify(args)

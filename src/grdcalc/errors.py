@@ -6,9 +6,10 @@ class PreconditionError(ValueError):
 
 
 class ConsistencyError(RuntimeError):
-    """Two independent computations of the same quantity disagree.
+    """The family data contradict themselves.
 
-    Raised by the dual-route operations (closed form vs. Schubert integral,
-    closed form vs. assembled linear system).  Reaching this exception means
-    an implementation bug, never bad user input.
+    Raised only by the push-forward assembly, when the over-determined family
+    system has no solution or more than one.  Every other comparison of two
+    routes is a ``verify`` check.  Reaching this exception means an
+    implementation bug, never bad user input.
     """

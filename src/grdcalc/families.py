@@ -11,8 +11,10 @@ fibers explicit, and the push-forwards of
 
 become computable.  The genus-2 family needs an intersection calculus on the
 universal genus-2 curve plus Schubert integrals for the fibers over
-Weierstrass points; both are implemented here with a closed form and an
-independent Schubert-integral route that must agree.
+Weierstrass points.  Each quantity is computed here along one route: the
+closed push-forwards in ``push_m21``, the raw family data (sheet counts,
+product table, Schubert totals over the Weierstrass fibers) in the other
+functions.  ``verify`` compares the two.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConsistencyError, PreconditionError
-from .invariants import (COVER_DEGREE, GENUS2_TAIL, WEIERSTRASS, castelnuovo_count,
-                         vanishing_sum, xi)
+from .errors import PreconditionError
+from .invariants import COVER_DEGREE, GENUS2_TAIL, WEIERSTRASS, castelnuovo_count, xi
 from .picard import (LAMBDA, PSI, DivisorClass, PicSpace, delta, make_class,
                      reduce_m21)
 from .schubert import GrassShape, special_power_integral
@@ -143,43 +144,29 @@ def sheet_counts(g: int, r: int, d: int) -> tuple[Fraction, Fraction]:
 def weierstrass_alpha(g: int, r: int, d: int) -> Fraction:
     """Total alpha over the series with maximal ramification at a Weierstrass point.
 
-    Closed form -2d(2g-2-d)N / (3(g-1)); recomputed as the Schubert integral
-    -2(g-2) * integral(sigma_{(1,2,3,...,3)} . zeta^{g-3}) and compared.  A
-    mismatch is an implementation bug, not bad input.
+    The Schubert integral -2(g-2) * integral(sigma_{(1,2,3,...,3)} . zeta^{g-3});
+    ``push_m21`` holds the closed total, and ``verify`` compares the two.
     """
     WEIERSTRASS.check(g, r, d)
-    shape = GrassShape(r, d)
-    n = castelnuovo_count(g, r, d)
-    closed = Fraction(-2 * d * (2 * g - 2 - d), 3 * (g - 1)) * n
     index = (1, 2) + (3,) * (r - 1)
-    via_schubert = -2 * (g - 2) * special_power_integral(shape, g - 3, index)
-    if closed != via_schubert:
-        raise ConsistencyError(
-            f"weierstrass_alpha({g},{r},{d}): closed {closed} != schubert {via_schubert}")
-    return closed
+    return -2 * (g - 2) * special_power_integral(GrassShape(r, d), g - 3, index)
 
 
 def weierstrass_gamma(g: int, r: int, d: int) -> Fraction:
     """Total gamma over the Weierstrass-point fibers.
 
-    Closed form -xi*N / (3(g-1)); the Schubert route integrates
-    sigma_{(0,1,2,...,2,3)} . zeta^{g-2} plus zeta^g.  For r = 1 the first
-    index degenerates away (its three-term Pieri expansion is exactly
-    zeta^2), leaving -integral(zeta^g) alone.
+    Minus the Schubert integrals of zeta^g and sigma_{(0,1,2,...,2,3)} . zeta^{g-2};
+    ``push_m21`` holds the closed total, and ``verify`` compares the two.  For
+    r = 1 the second index degenerates away (its three-term Pieri expansion is
+    exactly zeta^2), leaving -integral(zeta^g) alone.
     """
     WEIERSTRASS.check(g, r, d)
     shape = GrassShape(r, d)
-    n = castelnuovo_count(g, r, d)
-    closed = -Fraction(xi(g, r, d), 3 * (g - 1)) * n
     total = special_power_integral(shape, g, (0,) * (r + 1))
     if r >= 2:
         index = (0, 1) + (2,) * (r - 2) + (3,)
         total += special_power_integral(shape, g - 2, index)
-    via_schubert = -total
-    if closed != via_schubert:
-        raise ConsistencyError(
-            f"weierstrass_gamma({g},{r},{d}): closed {closed} != schubert {via_schubert}")
-    return closed
+    return -total
 
 
 def push_mogb(g: int, label: ClassLabel) -> DivisorClass:
@@ -203,6 +190,7 @@ def push_m21(g: int, r: int, d: int, label: ClassLabel) -> DivisorClass:
     where W = 3*psi - lambda - delta_1 (Weierstrass class) and
     T = lambda + delta_1 - 4*psi (per-sheet contribution of the
     degree-d-ramification sheets, reduced modulo the genus-2 relation).
+    The coefficients of W are the closed Weierstrass-fiber totals.
     """
     GENUS2_TAIL.check(g, r, d)
     n = castelnuovo_count(g, r, d)
@@ -248,11 +236,8 @@ def reconstruct_push_m21(g: int, r: int, d: int, label: ClassLabel) -> DivisorCl
     """Rebuild the genus-2-tail push-forward from raw family data.
 
     Sheet counts times the reduced per-sheet class from the universal-curve
-    product table, plus the Weierstrass-fiber totals times the Weierstrass
-    class.  Must agree with ``push_m21``; exercised by the verification
-    suite, where it simultaneously validates the product table, the sheet
-    counts, the genus-2 relation, the Weierstrass class and the Schubert
-    integrals.
+    product table, plus the Schubert totals over the Weierstrass fibers times
+    the Weierstrass class.  ``verify`` compares it with the closed ``push_m21``.
     """
     _, a2 = sheet_counts(g, r, d)
     line = genus2_line_bundle_class()
@@ -266,15 +251,3 @@ def reconstruct_push_m21(g: int, r: int, d: int, label: ClassLabel) -> DivisorCl
         return weierstrass_class().scale(weierstrass_gamma(g, r, d))
     raise PreconditionError("label must be a ClassLabel")
 
-
-def marked_gamma_vanishing_identity(g: int, r: int, d: int, h: int) -> bool:
-    """Check gamma's marked-point degree against the vanishing-order sum.
-
-    The degree equals (sum of (a_i - d)) * N where the a_i are the vanishing
-    orders at the attaching point, i.e. (vanishing_sum(h,r,d) - (r+1)d) * N.
-    Both sides carry the factor N > 0, so they are compared per cover degree.
-    """
-    COVER_DEGREE.check(g, r, d)
-    if not 1 <= h <= g - 1:
-        raise PreconditionError(f"need 1 <= h <= g-1, got h={h}")
-    return marked_per_n(g, r, d, h, ClassLabel.GAMMA) == vanishing_sum(h, r, d) - (r + 1) * d

@@ -94,15 +94,16 @@ def castelnuovo_count(g: int, r: int, d: int) -> Fraction:
     box.  That product is symmetric in the two sides, so it is taken one
     factorial quotient per row of the shorter side.
 
-    Returned as a Fraction (always integral) so that one scalar type flows
-    through every module.
+    The hook-length formula makes the quotient exact, so it is an integer
+    division, returned as a Fraction so that one scalar type flows through
+    every module.
     """
     COVER_DEGREE.check(g, r, d)
     rows, cols = sorted((r + 1, g - d + r))
     hooks = 1
     for i in range(rows):
         hooks *= factorial(cols + i) // factorial(i)
-    return Fraction(factorial(g), hooks)
+    return Fraction(factorial(g) // hooks)
 
 
 def xi(g, r, d):

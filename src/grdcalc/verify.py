@@ -13,14 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List
 
-from . import invariants, linalg, picard, pushforward, schubert, slope
+from . import families, invariants, linalg, picard, pushforward, schubert, slope
 from .errors import PreconditionError
 from .exact import format_rational
 from .families import (ClassLabel, genus2_dualizing_class,
-                       genus2_line_bundle_class, m21_push_product,
-                       marked_gamma_vanishing_identity, push_m21,
-                       reconstruct_push_m21)
-from .picard import LAMBDA, DivisorClass, PicSpace, delta, epsilon, make_class
+                       genus2_line_bundle_class, m21_push_product, marked_per_n,
+                       push_m21, reconstruct_push_m21)
+from .picard import LAMBDA, PSI, DivisorClass, PicSpace, delta, epsilon, make_class
 from .slope import M_FAMILY_LIMIT
 
 
@@ -30,6 +29,11 @@ from .slope import M_FAMILY_LIMIT
 DEFAULT_G_MAX = 12
 DEFAULT_M_MAX = 15
 G_MAX_LIMIT = 60
+# The fixed sweeps of the Schubert oracle and the two boundary-class checks.
+ORACLE_MAX_DIM = 30
+ORACLE_MAX_WEIGHT = 6
+EPSILON_GENERA = range(6, 31)
+DELTA_PULLBACK_GENERA = range(5, 31)
 
 
 @dataclass
@@ -63,20 +67,21 @@ def _sweep_triples(g_max: int, domain: invariants.Domain) -> List[invariants.Grd
 
 
 @_check("schubert-oracle")
-def check_schubert_oracle(max_dim: int = 30, max_weight: int = 6):
+def check_schubert_oracle():
     """Closed factorial form vs. Pieri expansion over every small shape.
 
-    Exhausts shapes with dim <= max_dim and all indices of weight <= max_weight
-    whose complementary degree is a multiple of r (so a power of zeta can fill
-    it); shapes with r = 0 admit every power, checked up to a small cap.
+    Exhausts shapes with dim <= ORACLE_MAX_DIM and all indices of weight <=
+    ORACLE_MAX_WEIGHT whose complementary degree is a multiple of r (so a
+    power of zeta can fill it); shapes with r = 0 admit every power, checked
+    up to a small cap.
     """
     cases = 0
-    for r in range(0, max_dim + 1):
-        for width in range(0, max_dim + 1):
+    for r in range(0, ORACLE_MAX_DIM + 1):
+        for width in range(0, ORACLE_MAX_DIM + 1):
             shape = schubert.GrassShape(r, r + width)
-            if shape.dim > max_dim:
+            if shape.dim > ORACLE_MAX_DIM:
                 continue
-            for b in schubert.iter_box_indices(shape, max_weight):
+            for b in schubert.iter_box_indices(shape, ORACLE_MAX_WEIGHT):
                 rest = shape.dim - sum(b)
                 if r == 0:
                     ks = [0, 1, 2] if rest == 0 else []
@@ -127,16 +132,21 @@ def check_count_m_family():
 
 @_check("weierstrass-dual")
 def check_weierstrass_dual(g_max: int):
-    """Closed forms vs. Schubert integrals for the Weierstrass-fiber totals.
+    """Schubert integrals vs. closed forms for the Weierstrass-fiber totals.
 
-    The dual comparison lives inside weierstrass_alpha / weierstrass_gamma;
-    calling them is the check, over the triples of their domain.
+    The closed total is the coefficient of W = 3*psi - lambda - delta_1 in
+    ``push_m21`` = A*W + B*(lambda + delta_1 - 4*psi), i.e. A = -(4*lambda + psi).
     """
-    from .families import weierstrass_alpha, weierstrass_gamma
     done = 0
     for t in _sweep_triples(g_max, invariants.WEIERSTRASS):
-        weierstrass_alpha(t.g, t.r, t.d)
-        weierstrass_gamma(t.g, t.r, t.d)
+        for label, total in ((ClassLabel.ALPHA, families.weierstrass_alpha),
+                             (ClassLabel.GAMMA, families.weierstrass_gamma)):
+            schubert_total = total(t.g, t.r, t.d)
+            closed = push_m21(t.g, t.r, t.d, label)
+            closed_total = -(4 * closed.get(LAMBDA) + closed.get(PSI))
+            if schubert_total != closed_total:
+                return False, (f"({t.g},{t.r},{t.d}) {label.value}: "
+                               f"schubert {schubert_total} != closed {closed_total}")
         done += 1
     return True, f"{done} triples, both classes agree"
 
@@ -206,20 +216,20 @@ def check_family_restrictions(g_max: int):
 
 
 @_check("epsilon-nonsingular")
-def check_epsilon_matrix(g_lo: int = 6, g_hi: int = 30):
+def check_epsilon_matrix():
     """Nonsingularity of the test-curve intersection matrix."""
-    for g in range(g_lo, g_hi + 1):
+    for g in EPSILON_GENERA:
         try:
             linalg.solve_unique(picard.epsilon_intersection_matrix(g), [0] * (g - 3))
         except linalg.RankDeficientError:
             return False, f"g={g}: determinant 0"
-    return True, f"g={g_lo}..{g_hi} all nonsingular"
+    return True, f"g={EPSILON_GENERA[0]}..{EPSILON_GENERA[-1]} all nonsingular"
 
 
 @_check("delta-pullback-identity")
-def check_delta_pullback_identity(g_lo: int = 5, g_hi: int = 30):
+def check_delta_pullback_identity():
     """i*(delta_1) + i*(delta_{g-1}) equals sum_i i(i-g)/(g-1) epsilon_i, symbolically."""
-    for g in range(g_lo, g_hi + 1):
+    for g in DELTA_PULLBACK_GENERA:
         space = PicSpace.mg1(g)
         total = picard.pullback_i(g, DivisorClass.basis_vector(space, delta(1))) \
             + picard.pullback_i(g, DivisorClass.basis_vector(space, delta(g - 1)))
@@ -227,16 +237,18 @@ def check_delta_pullback_identity(g_lo: int = 5, g_hi: int = 30):
             epsilon(i): Fraction(i * (i - g), g - 1) for i in range(2, g - 1)})
         if total != expected:
             return False, f"g={g}: {total} != {expected}"
-    return True, f"g={g_lo}..{g_hi} identity holds"
+    return True, f"g={DELTA_PULLBACK_GENERA[0]}..{DELTA_PULLBACK_GENERA[-1]} identity holds"
 
 
 @_check("marked-gamma-identity")
 def check_marked_gamma_identity(g_max: int):
-    """Marked-point gamma degrees match the vanishing-order bookkeeping for every h."""
+    """Marked-point gamma degrees per cover degree N match the vanishing-order sum
+    vanishing_sum(h,r,d) - (r+1)d, for every h."""
     done = 0
     for t in _sweep_triples(g_max, invariants.COVER_DEGREE):
         for h in range(1, t.g):
-            if not marked_gamma_vanishing_identity(t.g, t.r, t.d, h):
+            if (marked_per_n(t.g, t.r, t.d, h, ClassLabel.GAMMA)
+                    != invariants.vanishing_sum(h, t.r, t.d) - (t.r + 1) * t.d):
                 return False, f"({t.g},{t.r},{t.d}), h={h}: degrees disagree"
             done += 1
     return True, f"{done} degrees agree"

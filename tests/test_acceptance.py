@@ -98,7 +98,7 @@ def test_criterion_4_closed_form_assembly():
 
 def test_criterion_5_schubert_oracle():
     with _Budget("criterion-5 schubert oracle", 300.0):
-        result = verify.check_schubert_oracle(max_dim=30, max_weight=6)
+        result = verify.check_schubert_oracle()
         assert result.passed, result.detail
         for t in invariants.rho_zero_triples(12):
             shape = schubert.GrassShape(t.r, t.d)

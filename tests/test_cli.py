@@ -192,6 +192,16 @@ def test_verify_honours_format(tmp_path, capsys):
     assert {"passed\t15", "total\t15", "golden_status\tmatch"} <= set(lines)
 
 
+@pytest.mark.parametrize("name, fmt", [("verify_default.txt", []),
+                                       ("verify_default.json", ["--format", "json"])])
+def test_default_verify_report_is_pinned(capsys, name, fmt):
+    # Every row detail of the default battery, byte for byte: a change to how
+    # a check computes its routes must leave its report as it was.
+    code, out, err = run_cli(capsys, "verify", *fmt)
+    assert (code, err) == (0, "")
+    assert out == (Path(__file__).parent / "data" / name).read_text(encoding="utf-8")
+
+
 def test_long_count_below_the_digit_limit_prints(capsys):
     # The pencil count at g = 14000 has about 4200 digits, under Python's
     # default limit of 4300 on int -> str; g = 14400 is refused above.
@@ -246,11 +256,27 @@ def test_missing_subcommand_is_usage_error(capsys):
     (["invariants", "--g", "14400", "--r", "1", "--d", "7201"], None, 1, "-digit limit"),
     (["families", "marked", "--g", "14400", "--r", "1", "--d", "7201", "--h", "1"], None, 1,
      "-digit limit"),
+    (["invariants", "--g", "1" + "0" * 30, "--r", "1", "--d", "5" + "0" * 28 + "1"], None, 1,
+     "--g must be at most 20000"),
+    (["schubert", "--r", "1", "--d", "1" + "0" * 20, "--k", "1" + "9" * 19 + "8", "--b", "0,0"],
+     None, 1, "--d must be at most 300"),
+    (["invariants", "--g", "400000", "--r", "1", "--d", "200001"], None, 1,
+     "--g must be at most 20000"),
+    (["families", "marked", "--g", "2000000", "--r", "1999999", "--d", "3999998", "--h", "1"],
+     None, 1, "--g must be at most 20000"),
+    (["families", "mogb", "--g", "2000000", "--r", "1999999", "--d", "3999998"], None, 1,
+     "--g must be at most 20000"),
+    (["picard", "pullback", "k", "--g", "1000000", "--h", "1", "--class", "psi:1"], None, 1,
+     "--g must be at most 20000"),
+    (["schubert", "--r", "1", "--d", "100000", "--k", "199998", "--b", "0,0", "--method",
+      "pieri"], None, 1, "--d must be at most 300"),
 ], ids=["class-coeff", "config-g-max", "config-m-max", "genus-zero", "unit-class-k",
         "pieri-unbounded", "genus-one-m21", "verify-g-max", "slope-stray-g", "mogb-rho",
         "m21-stray-h", "mogb-stray-h", "pullback-i-stray-h", "negative-index", "sweep-bound",
         "m-max-bound", "g-max-bound", "config-g-max-bound", "config-m-max-bound",
-        "count-too-long", "marked-too-long"])
+        "count-too-long", "marked-too-long", "count-factorial-overflow",
+        "schubert-factorial-overflow", "count-huge-genus", "marked-huge-genus", "mogb-huge-genus",
+        "pullback-huge-genus", "pieri-huge-box"])
 def test_malformed_or_huge_input_ends_cleanly(tmp_path, capsys, argv, config, code, expected):
     if config is not None:
         path = tmp_path / "grdcalc.conf"

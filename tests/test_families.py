@@ -6,11 +6,11 @@ from grdcalc.errors import PreconditionError
 from grdcalc.families import (ClassLabel, UniversalCurveClass,
                               genus2_dualizing_class,
                               genus2_line_bundle_class, m21_push_product,
-                              marked_gamma_vanishing_identity, push_m21,
-                              push_marked, push_mogb, reconstruct_push_m21,
-                              sheet_counts, weierstrass_alpha,
-                              weierstrass_class, weierstrass_gamma)
-from grdcalc.invariants import castelnuovo_count, rho_zero_triples
+                              marked_per_n, push_m21, push_marked, push_mogb,
+                              reconstruct_push_m21, sheet_counts,
+                              weierstrass_alpha, weierstrass_class,
+                              weierstrass_gamma)
+from grdcalc.invariants import castelnuovo_count, rho_zero_triples, vanishing_sum, xi
 from grdcalc.picard import (LAMBDA, PSI, DivisorClass, PicSpace, delta,
                             make_class)
 from conftest import rand_fraction
@@ -87,13 +87,15 @@ def test_weierstrass_guard():
 
 
 def test_weierstrass_dual_routes_agree_for_small_triples():
-    # Both operations compare their closed form against Schubert integrals
-    # internally; completing without ConsistencyError is the assertion.
+    # The Schubert totals equal the closed forms -2d(2g-2-d)N / (3(g-1))
+    # and -xi N / (3(g-1)).
     for t in rho_zero_triples(10):
         if t.g < 3 or t.d - t.r < 3:
             continue
-        weierstrass_alpha(t.g, t.r, t.d)
-        weierstrass_gamma(t.g, t.r, t.d)
+        g, r, d = t.g, t.r, t.d
+        n = castelnuovo_count(g, r, d)
+        assert weierstrass_alpha(g, r, d) == Fraction(-2 * d * (2 * g - 2 - d), 3 * (g - 1)) * n
+        assert weierstrass_gamma(g, r, d) == -xi(g, r, d) / (3 * (g - 1)) * n
 
 
 def test_push_mogb_is_zero():
@@ -136,9 +138,12 @@ def test_push_marked_examples():
 
 
 def test_push_marked_gamma_matches_vanishing_orders():
+    # The gamma degree per cover degree is the sum of (a_i - d) over the
+    # vanishing orders a_i at the attaching point.
     for t in rho_zero_triples(9):
         for h in range(1, t.g):
-            assert marked_gamma_vanishing_identity(t.g, t.r, t.d, h)
+            assert marked_per_n(t.g, t.r, t.d, h, ClassLabel.GAMMA) \
+                == vanishing_sum(h, t.r, t.d) - (t.r + 1) * t.d
 
 
 def test_push_marked_domain():

@@ -22,6 +22,24 @@ def test_a_raising_check_fails_alone(monkeypatch):
     assert failed["weierstrass-dual"] == "ConsistencyError: injected at (4,3,6)"
 
 
+def test_weierstrass_dual_catches_a_schubert_slip(monkeypatch):
+    # Off by one only on the alpha index (1, 2, 3, ...): at (4,3,6) the closed
+    # alpha total is 0 (2g - 2 - d = 0) and the Schubert total becomes -4.
+    true_integral = families.special_power_integral
+
+    def slipped(shape, k, b):
+        return true_integral(shape, k, b) + (tuple(b[:2]) == (1, 2))
+
+    monkeypatch.setattr(families, "special_power_integral", slipped)
+    results = {rs.name: rs for rs in verify.run_checks(5, 3)}
+    assert results["weierstrass-dual"].detail == "(4,3,6) alpha: schubert -4 != closed 0"
+    assert results["genus2-reconstruction"].detail == (
+        "(4,3,6) alpha: DivisorClass(m21, 6*lambda + -20*psi + 6*delta_1)"
+        " != DivisorClass(m21, 2*lambda + -8*psi + 2*delta_1)")
+    assert [name for name, rs in results.items() if not rs.passed] == [
+        "weierstrass-dual", "genus2-reconstruction"]
+
+
 def test_slope_vs_assembly_catches_a_closed_form_slip(monkeypatch):
     # Only the slope module's closed gamma is off; the push-forward module
     # and hence the family assembly keep the true one.
