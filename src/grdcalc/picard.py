@@ -120,24 +120,11 @@ class DivisorClass:
                 out[sym] = v
         return DivisorClass(self.space, out)
 
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.space, {s: -c for s, c in self.coeffs.items()})
-
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return self + (-other)
-
     def scale(self, c) -> "DivisorClass":
         c = Fraction(c)
         if c == 0:
             return DivisorClass.zero(self.space)
         return DivisorClass(self.space, {s: c * v for s, v in self.coeffs.items()})
-
-    def __rmul__(self, c) -> "DivisorClass":
-        return self.scale(c)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, DivisorClass)
-                and self.space == other.space and self.coeffs == other.coeffs)
 
     def sorted_items(self) -> List[Tuple[str, Fraction]]:
         order = {sym: i for i, sym in enumerate(self.space.basis())}

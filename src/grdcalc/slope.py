@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .errors import PreconditionError
 from .invariants import SLOPE, alpha_per_n, beta_per_n, gamma_per_n
-from .exact import Poly, RatFunc, format_rational, ratfunc_equal
+from .exact import Poly, RatFunc, as_field, format_rational, ratfunc_equal
 
 # Divisoriality of the quadric locus is established only for the genus-21
 # member of the family; every other report is flagged conjectural.
@@ -57,6 +57,23 @@ class SlopeReport:
         }
 
 
+def quadric_per_n(r, alpha, beta, gamma):
+    """(lambda, delta_0) per cover degree N of 2*alpha - beta - (r+2)*gamma + lambda.
+
+    Each argument is that push-forward's (lambda, delta_0) pair per N; the
+    pulled-back lambda adds 1 per N (projection formula).  Any field.
+    """
+    (a_lam, a_d0), (b_lam, b_d0), (c_lam, c_d0) = alpha, beta, gamma
+    return 2 * a_lam - b_lam - (r + 2) * c_lam + 1, 2 * a_d0 - b_d0 - (r + 2) * c_d0
+
+
+def ratio_bound_gap(g, lam, d0):
+    """ratio = lambda/(-delta_0), bound = 6 + 12/(g+1), gap = bound - ratio; any field."""
+    ratio = lam / -d0
+    bound = 6 + 12 / as_field(g + 1)
+    return ratio, bound, bound - ratio
+
+
 def slope_report(g: int, r: int, d: int) -> SlopeReport:
     """Slope of the quadric divisor against the conjectured bound 6 + 12/(g+1).
 
@@ -71,28 +88,28 @@ def slope_report(g: int, r: int, d: int) -> SlopeReport:
     lam, d0 = quadric_lambda_delta0(g, r, d)
     if d0 == 0:
         raise PreconditionError(f"slope undefined: delta_0 coefficient vanishes for ({g},{r},{d})")
-    ratio = lam / (-d0)
-    bound = 6 + Fraction(12, g + 1)
+    ratio, bound, gap = ratio_bound_gap(g, lam, d0)
     return SlopeReport(
         g=g, r=r, d=d,
         lambda_coeff=lam,
         delta0_coeff=d0,
         ratio=ratio,
         bound=bound,
-        gap=bound - ratio,
+        gap=gap,
         violates=(ratio < bound) and (d0 < 0),
         conjectural=(g, r, d) not in PROVEN_DIVISOR_TRIPLES,
     )
 
 
-def m_family_triple(m: int) -> tuple[int, int, int]:
-    """The rho = 0 family (g, r, d) = (m(2m+1), 2m, 2m(m+1))."""
-    if m < 1:
-        raise PreconditionError("need m >= 1")
+def m_family_triple(m):
+    """The rho = 0 family (g, r, d) = (m(2m+1), 2m, 2m(m+1)), for an int or symbolic m."""
     return (m * (2 * m + 1), 2 * m, 2 * m * (m + 1))
 
 
 def m_family_report(m: int) -> SlopeReport:
+    """The slope report of the member m >= 1 of the family."""
+    if m < 1:
+        raise PreconditionError("need m >= 1")
     return slope_report(*m_family_triple(m))
 
 
@@ -122,34 +139,19 @@ def family_gap_function() -> RatFunc:
 def quadric_lambda_delta0(g, r, d):
     """(lambda, delta_0) coefficients of the quadric divisor per cover degree.
 
-    The lambda and delta_0 entries of 2*alpha - beta - (r+2)*gamma + lambda
-    (Riemann-Roch for the squared bundle, the symmetric square of the section
-    bundle), from the per-N closed push-forwards.  Works over any field
-    containing the rationals: integer inputs give Fractions, rational
-    functions of m give the m-family symbolically.  Unlike ``slope_report``
-    it checks no preconditions.
+    The closed route: ``quadric_per_n`` of ``alpha_per_n``, ``beta_per_n``
+    and ``gamma_per_n``.  Works over any field containing the rationals:
+    integer inputs give Fractions, rational functions of m give the m-family
+    symbolically.  Unlike ``slope_report`` it checks no preconditions.
     """
     a, b, c = alpha_per_n(g, r, d), beta_per_n(g, r, d), gamma_per_n(g, r, d)
-    lam = 2 * a.lam - b.lam - (r + 2) * c.lam + 1
-    d0 = 2 * a.delta0 - b.delta0 - (r + 2) * c.delta0
-    return lam, d0
+    return quadric_per_n(r, (a.lam, a.delta0), (b.lam, b.delta0), (c.lam, c.delta0))
 
 
 def family_gap_symbolic() -> RatFunc:
-    """The m-family gap derived symbolically from the push-forward coefficients.
-
-    Substitutes g, r, d as polynomials in m into the normalized quadric
-    coefficients and forms 6 + 12/(g+1) - lambda/(-delta_0) in exact
-    rational-function arithmetic.
-    """
-    m = RatFunc.variable()
-    g = 2 * m * m + m
-    r = 2 * m
-    d = 2 * m * m + 2 * m
-    lam, d0 = quadric_lambda_delta0(g, r, d)
-    ratio = lam / (-d0)
-    bound = 6 + 12 / (g + 1)
-    return bound - ratio
+    """The gap of ``ratio_bound_gap`` at ``m_family_triple(RatFunc.variable())``."""
+    g, r, d = m_family_triple(RatFunc.variable())
+    return ratio_bound_gap(g, *quadric_lambda_delta0(g, r, d))[2]
 
 
 def m_family_gap_identity(reports: Sequence[SlopeReport]) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import grdcalc
-from grdcalc import invariants
+from grdcalc import invariants, pushforward, schubert
 from grdcalc.cli import main
+from grdcalc.families import ClassLabel
 
 
 def run_cli(capsys, *argv):
@@ -270,13 +272,23 @@ def test_missing_subcommand_is_usage_error(capsys):
      "--g must be at most 20000"),
     (["schubert", "--r", "1", "--d", "100000", "--k", "199998", "--b", "0,0", "--method",
       "pieri"], None, 1, "--d must be at most 300"),
+    (["schubert", "--r", "10", "--d", "290", "--k", "308", "--b", ",".join("0" * 11),
+      "--method", "pieri"], None, 1, "more than 1000000 term-rows"),
+    (["schubert", "--r", "30", "--d", "180", "--k", "155", "--b", ",".join("0" * 31),
+      "--method", "pieri"], None, 1, "more than 1000000 term-rows"),
+    (["schubert", "--r", "1", "--d", "3", "--k", "4", "--b", "0,x"], None, 1, "bad index"),
+    (["slope", "--sweep", "0"], None, 1, "--sweep must be at least 1"),
+    (["slope", "--m", "0"], None, 1, "need m >= 1"),
+    (["invariants", "--g", "4", "--r", "1", "--d", "3"], "format=xml\n", 1,
+     "config format 'xml' invalid"),
 ], ids=["class-coeff", "config-g-max", "config-m-max", "genus-zero", "unit-class-k",
         "pieri-unbounded", "genus-one-m21", "verify-g-max", "slope-stray-g", "mogb-rho",
         "m21-stray-h", "mogb-stray-h", "pullback-i-stray-h", "negative-index", "sweep-bound",
         "m-max-bound", "g-max-bound", "config-g-max-bound", "config-m-max-bound",
         "count-too-long", "marked-too-long", "count-factorial-overflow",
         "schubert-factorial-overflow", "count-huge-genus", "marked-huge-genus", "mogb-huge-genus",
-        "pullback-huge-genus", "pieri-huge-box"])
+        "pullback-huge-genus", "pieri-huge-box", "pieri-work-r10", "pieri-work-r30",
+        "bad-index", "sweep-zero", "m-zero", "config-format"])
 def test_malformed_or_huge_input_ends_cleanly(tmp_path, capsys, argv, config, code, expected):
     if config is not None:
         path = tmp_path / "grdcalc.conf"
@@ -300,6 +312,47 @@ def test_division_fault_is_an_internal_error(monkeypatch, capsys):
     assert code == 2
     assert err == "grdcalc: internal error: ZeroDivisionError: injected\n"
     assert "Traceback" not in err and not out
+
+
+def test_a_slipped_family_datum_is_a_consistency_failure(monkeypatch, capsys):
+    # Only the h = 1 marked-point degree is off, so the system has no solution.
+    true_marked = pushforward.marked_per_n
+    monkeypatch.setattr(pushforward, "marked_per_n",
+                        lambda g, r, d, h, label: true_marked(g, r, d, h, label) + (h == 1))
+    code, out, err = run_cli(capsys, "pushforward", "--g", "6", "--r", "2", "--d", "6",
+                             "--class", "beta", "--method", "assembled")
+    assert (code, out) == (2, "")
+    assert err.startswith("grdcalc: consistency failure: family data contradicts for (6,2,6) beta")
+
+
+def test_routes_that_disagree_exit_two(monkeypatch, capsys):
+    true_pieri = schubert.zeta_power_integral_pieri
+    monkeypatch.setattr(schubert, "zeta_power_integral_pieri", lambda *args: true_pieri(*args) + 1)
+    code, out, _ = run_cli(capsys, "schubert", "--r", "1", "--d", "3", "--k", "4", "--b", "0,0",
+                           "--method", "both")
+    assert code == 2
+    assert json.loads(out)["methods_agree"] is False
+    true_beta = pushforward.closed_form(6, 2, 6, ClassLabel.BETA)
+    monkeypatch.setitem(pushforward._CLOSED_FORMS, ClassLabel.BETA,
+                        lambda g, r, d: true_beta.scale(2))
+    code, out, _ = run_cli(capsys, "pushforward", "--g", "6", "--r", "2", "--d", "6",
+                           "--class", "beta", "--method", "both")
+    assert code == 2
+    assert json.loads(out)["methods_agree"] is False
+
+
+def test_every_valid_query_of_the_benchmark_prints_its_reference(capsys):
+    # perfbench/cli_reference.json holds sha256[:16] of the stdout of each
+    # valid query the benchmark draws; every one must still exit 0 with it.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "cli_reference.json"
+    reference = json.loads(path.read_text())
+    assert len(reference) >= 700
+    wrong = []
+    for query, digest in reference.items():
+        code, out, _ = run_cli(capsys, *query.split(" "))
+        if code != 0 or hashlib.sha256(out.encode()).hexdigest()[:16] != digest:
+            wrong.append(query)
+    assert not wrong
 
 
 SMALL = [str(v) for v in range(-2, 13)]

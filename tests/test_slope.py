@@ -72,8 +72,8 @@ def test_m_family_triples():
     assert m_family_triple(1) == (3, 2, 4)
     assert m_family_triple(2) == (10, 4, 12)
     assert m_family_triple(3) == (21, 6, 24)
-    with pytest.raises(PreconditionError):
-        m_family_triple(0)
+    with pytest.raises(PreconditionError, match="need m >= 1"):
+        m_family_report(0)
 
 
 def test_m_family_reports():

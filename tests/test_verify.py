@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from grdcalc import families, picard, pushforward, slope, verify
+from grdcalc import families, invariants, picard, pushforward, schubert, slope, verify
 from grdcalc.errors import ConsistencyError
 from grdcalc.families import ClassLabel
 from grdcalc.picard import DivisorClass, PicSpace
@@ -86,3 +86,77 @@ def test_a_singular_boundary_matrix_fails_epsilon_nonsingular(monkeypatch):
     monkeypatch.setattr(picard, "epsilon_intersection_matrix", singular_at_9)
     result = verify.check_epsilon_matrix()
     assert (result.passed, result.detail) == (False, "g=9: determinant 0")
+
+
+def _class_slip(true):
+    # 10^-6 on the lambda entry of the quadric class that every route shares.
+    def slipped(r, alpha, beta, gamma):
+        lam, d0 = true(r, alpha, beta, gamma)
+        return lam + Fraction(1, 10 ** 6), d0
+    return slipped
+
+
+def _gap_plus_one(true):
+    def slipped(g, lam, d0):
+        ratio, bound, gap = true(g, lam, d0)
+        return ratio, bound, gap + 1
+    return slipped
+
+
+def _plus(extra):
+    """A wrap that adds extra(*args) to what the true function returns."""
+    return lambda true: lambda *args: true(*args) + extra(*args)
+
+
+SLIPS = {
+    # The two formulas of `slope` that the closed, symbolic and family routes share.
+    "class-formula": ([(slope, "quadric_per_n", _class_slip)], {
+        "m-family-gap": "pointwise mismatch within m <= 3",
+        "genus21-slope": "ratio 491800019/75400000 vs bound 72/11",
+        "genus10-slope": "ratio 7000001/1000000"}),
+    "bound-12/(g+2)": ([(slope, "ratio_bound_gap",
+                         lambda true: lambda g, lam, d0: true(g + 1, lam, d0))], {
+        "m-family-gap": "pointwise mismatch within m <= 3",
+        "genus21-slope": "ratio 2459/377 vs bound 150/23",
+        "genus10-slope": "ratio 7"}),
+    # Reports and the printed gap agree, but the gap at m = 1 is no longer 0.
+    "gap-plus-one": ([(slope, "ratio_bound_gap", _gap_plus_one),
+                      (slope, "family_gap_function", _plus(lambda: 1))],
+                     {"m-family-gap": "m=1 gap 1 != 0"}),
+    "symbolic-gap": ([(slope, "family_gap_symbolic", _plus(lambda: 1))],
+                     {"m-family-gap": "symbolic rational-function identity fails"}),
+    "closed-schubert": ([(schubert, "special_power_integral", _plus(lambda *args: 1))],
+                        {"schubert-oracle": "shape (r=0, d=0), k=0, b=[0]: closed 2 != pieri 1"}),
+    "pencil-count": ([(invariants, "castelnuovo_count", _plus(lambda g, r, d: r == 1))],
+                     {"count-vs-degree": "(2,1,2): count 2 != integral 1"}),
+    "large-pieri": ([(schubert, "zeta_power_integral_pieri", _plus(lambda shape, k, b: k > 30))],
+                    {"count-m-family": "(36,8,40): count 177295473274920, "
+                                      "zeta^36 integral 177295473274921"}),
+    "genus2-product": ([(verify, "m21_push_product",
+                         lambda true: lambda x, y: DivisorClass.zero(PicSpace.m21()))],
+                       {"genus2-engine": "alpha DivisorClass(m21, 0), beta DivisorClass(m21, 0)"}),
+    "closed-gamma-psi": ([(pushforward._CLOSED_FORMS, ClassLabel.GAMMA, _plus(
+        lambda g, r, d: DivisorClass.basis_vector(PicSpace.mg1(g), "psi")))], {
+        "assembly-vs-closed-form": "(5,4,8) gamma: assembled DivisorClass(mg1(5), 1*lambda + -5*psi",
+        "family-restrictions": "(5,4,8) gamma: marked-point degree mismatch"}),
+    "pullback-i": ([(picard, "pullback_i", _plus(
+        lambda g, D: DivisorClass.basis_vector(PicSpace.m0g(g), picard.epsilon(2))))],
+                   {"delta-pullback-identity": "g=5: DivisorClass(m0g(5), 1/2*epsilon_2"}),
+    "marked-gamma": ([(verify, "marked_per_n", _plus(lambda *args: 1))],
+                     {"marked-gamma-identity": "(2,1,2), h=1: degrees disagree"}),
+}
+
+
+@pytest.mark.parametrize("patches, failed", SLIPS.values(), ids=SLIPS.keys())
+def test_a_slip_fails_only_the_rows_that_read_it(monkeypatch, patches, failed):
+    for target, name, wrap in patches:
+        if isinstance(target, dict):
+            monkeypatch.setitem(target, name, wrap(target[name]))
+        else:
+            monkeypatch.setattr(target, name, wrap(getattr(target, name)))
+    results = verify.run_checks(5, 3)
+    assert len(results) == 15
+    got = {rs.name: rs.detail for rs in results if not rs.passed}
+    assert set(got) == set(failed)
+    for name, prefix in failed.items():
+        assert got[name].startswith(prefix), got[name]
