@@ -28,8 +28,9 @@ Index = Tuple[int, ...]
 
 # The most work one Pieri integral may do, counted at each product as the
 # terms of the combination times the rows.  The largest integral of `verify`
-# at g_max 60, at (g, r, d) = (60, 9, 63), counts about 80k.
-PIERI_WORK_LIMIT = 10 ** 6
+# at g_max 60, at (g, r, d) = (60, 9, 63), counts about 80k; a refusal at
+# the limit takes well under half a second on a 2-vCPU machine.
+PIERI_WORK_LIMIT = 3 * 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -146,11 +147,12 @@ def special_power_integral(shape: GrassShape, k: int, b: Sequence[int]) -> Fract
 def pieri_multiply(combo: SchubertCombo, p: int) -> SchubertCombo:
     """Multiply a combination by the vertical-strip class sigma_{1^p}.
 
-    Dual Pieri rule: each term gains one box in each of p distinct rows
-    (every row but the rows - p that stay), and a result is kept only if it
-    is still weakly increasing and stays in the box.  Coefficients that
-    cancel are dropped.  p = 0 is the identity, p may not exceed the row
-    count.
+    Dual Pieri rule: each term b gains one box in each of p distinct rows
+    (every row but the rows - p that stay).  A set of staying rows is taken
+    only if the result is an index: a row i > 0 with b[i-1] == b[i] stays
+    only if row i - 1 stays too, and the last row grows only if
+    b[-1] < width.  Only those results are built.  Coefficients that cancel
+    are dropped.  p = 0 is the identity, p may not exceed the row count.
     """
     shape = combo.shape
     if not 0 <= p <= shape.rows:
@@ -158,20 +160,28 @@ def pieri_multiply(combo: SchubertCombo, p: int) -> SchubertCombo:
     out = SchubertCombo(shape)
     terms = out.terms
     width = shape.width
+    last = shape.rows - 1
     for b, c in combo.terms.items():
         grown = [x + 1 for x in b]
+        full = b[-1] == width
         for stay in combinations(range(shape.rows), shape.rows - p):
-            mu = grown.copy()
-            for i in stay:
-                mu[i] -= 1
-            if mu[-1] > width or mu != sorted(mu):
+            if full and last not in stay:
                 continue
-            key = tuple(mu)
-            v = terms.get(key, 0) + c
-            if v == 0:
-                terms.pop(key, None)
+            below = -1
+            for i in stay:
+                if i and b[i - 1] == b[i] and below != i - 1:
+                    break
+                below = i
             else:
-                terms[key] = v
+                mu = grown.copy()
+                for i in stay:
+                    mu[i] -= 1
+                key = tuple(mu)
+                v = terms.get(key, 0) + c
+                if v == 0:
+                    terms.pop(key, None)
+                else:
+                    terms[key] = v
     return out
 
 

@@ -273,9 +273,9 @@ def test_missing_subcommand_is_usage_error(capsys):
     (["schubert", "--r", "1", "--d", "100000", "--k", "199998", "--b", "0,0", "--method",
       "pieri"], None, 1, "--d must be at most 300"),
     (["schubert", "--r", "10", "--d", "290", "--k", "308", "--b", ",".join("0" * 11),
-      "--method", "pieri"], None, 1, "more than 1000000 term-rows"),
+      "--method", "pieri"], None, 1, "more than 300000 term-rows"),
     (["schubert", "--r", "30", "--d", "180", "--k", "155", "--b", ",".join("0" * 31),
-      "--method", "pieri"], None, 1, "more than 1000000 term-rows"),
+      "--method", "pieri"], None, 1, "more than 300000 term-rows"),
     (["schubert", "--r", "1", "--d", "3", "--k", "4", "--b", "0,x"], None, 1, "bad index"),
     (["slope", "--sweep", "0"], None, 1, "--sweep must be at least 1"),
     (["slope", "--m", "0"], None, 1, "need m >= 1"),

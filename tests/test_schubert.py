@@ -147,6 +147,26 @@ def test_strip_products_and_box_indices_match_brute_force():
     assert pieri_multiply(mixed, 1).terms == {}
 
 
+def test_strip_products_match_brute_force_on_long_runs_of_tied_rows():
+    # Every index of every box with r = 5..8 and width <= 2, so an index has
+    # runs of up to 9 equal rows, against the same filter over all tuples.
+    cases = 0
+    for r in range(5, 9):
+        for width in range(3):
+            shape = GrassShape(r, r + width)
+            box = [b for b in product(range(width + 1), repeat=shape.rows)
+                   if list(b) == sorted(b)]
+            for b in box:
+                for p in range(shape.rows + 1):
+                    expected = {mu: 1 for mu in box
+                                if all(m - x in (0, 1) for m, x in zip(mu, b))
+                                and sum(mu) - sum(b) == p}
+                    assert pieri_multiply(SchubertCombo.single(shape, b), p).terms \
+                        == expected, (shape, b, p)
+                    cases += 1
+    assert cases == 1767
+
+
 def _oracle_cases(max_dim, max_weight):
     for r in range(0, max_dim + 1):
         for width in range(0, max_dim + 1):
@@ -195,6 +215,12 @@ def test_count_equals_top_zeta_power_for_small_triples():
         zeros = (0,) * (t.r + 1)
         assert special_power_integral(shape, t.g, zeros) == n
         assert zeta_power_integral_pieri(shape, t.g, zeros) == n
+
+
+def test_work_limit_admits_the_largest_integral_of_the_battery():
+    # verify at g_max 60 does its most Pieri work at (g, r, d) = (60, 9, 63).
+    assert zeta_power_integral_pieri(GrassShape(9, 63), 60, (0,) * 10) \
+        == castelnuovo_count(60, 9, 63)
 
 
 def test_pieri_route_stops_once_the_combination_is_empty(monkeypatch):
