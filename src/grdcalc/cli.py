@@ -15,7 +15,8 @@ handler, so ``import grdcalc.cli`` loads only ``errors`` and ``exact``.  A
 process answers one query, and where no bytecode cache is written every
 module it imports is compiled from source at each start; an ``invariants``
 query or a usage error then does not pay for ``verify`` or the family
-assembly.  ``--help`` shows this docstring up to this paragraph.
+assembly, and as the value classes are plain ``__slots__`` classes, no query
+imports ``inspect``.  ``--help`` shows this docstring up to this paragraph.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Sequence
 from pathlib import Path
-from typing import Dict, List, Sequence
 
 from .errors import ConsistencyError, PreconditionError
 from .exact import format_rational
@@ -68,9 +69,9 @@ def _emit(payload, fmt: str) -> None:
         print(f"{key.ljust(width)}  {value}")
 
 
-def _flatten(payload, prefix: str = "") -> List[tuple[str, str]]:
+def _flatten(payload, prefix: str = "") -> list[tuple[str, str]]:
     if isinstance(payload, dict):
-        out: List[tuple[str, str]] = []
+        out: list[tuple[str, str]] = []
         for key in sorted(payload):
             out.extend(_flatten(payload[key], f"{prefix}.{key}" if prefix else str(key)))
         return out
@@ -83,9 +84,9 @@ def _flatten(payload, prefix: str = "") -> List[tuple[str, str]]:
     return [(prefix, value)]
 
 
-def _load_config(path: str) -> Dict[str, str]:
+def _load_config(path: str) -> dict[str, str]:
     """key=value lines; blank lines and # comments ignored."""
-    out: Dict[str, str] = {}
+    out: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -169,7 +170,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_invariants(args) -> tuple[Dict, int]:
+def _cmd_invariants(args) -> tuple[dict, int]:
     from . import invariants
     g, r, d = args.g, args.r, args.d
     return {
@@ -179,7 +180,7 @@ def _cmd_invariants(args) -> tuple[Dict, int]:
     }, EXIT_OK
 
 
-def _cmd_schubert(args) -> tuple[Dict, int]:
+def _cmd_schubert(args) -> tuple[dict, int]:
     from . import schubert
     if args.d > SCHUBERT_D_LIMIT:
         raise CliError(f"--d must be at most {SCHUBERT_D_LIMIT}")
@@ -188,7 +189,7 @@ def _cmd_schubert(args) -> tuple[Dict, int]:
         b = tuple(int(x) for x in args.b.split(","))
     except ValueError:
         raise CliError(f"bad index {args.b!r}, expected comma-separated integers")
-    payload: Dict = {"r": args.r, "d": args.d, "k": args.k, "b": list(b)}
+    payload: dict = {"r": args.r, "d": args.d, "k": args.k, "b": list(b)}
     code = EXIT_OK
     if args.method in ("closed", "both"):
         payload["value"] = format_rational(schubert.special_power_integral(shape, args.k, b))
@@ -205,7 +206,7 @@ def _cmd_schubert(args) -> tuple[Dict, int]:
     return payload, code
 
 
-def _cmd_picard(args) -> tuple[Dict, int]:
+def _cmd_picard(args) -> tuple[dict, int]:
     from . import picard
     if args.map != "k" and args.h is not None:
         raise CliError(f"pullback {args.map} takes no --h (component genus of map k only)")
@@ -221,7 +222,7 @@ def _cmd_picard(args) -> tuple[Dict, int]:
     return {"degree": format_rational(picard.pullback_k(g, args.h, D))}, EXIT_OK
 
 
-def _cmd_families(args) -> tuple[Dict, int]:
+def _cmd_families(args) -> tuple[dict, int]:
     from . import invariants
     from .families import ClassLabel, push_m21, push_marked, push_mogb
     g, r, d = args.g, args.r, args.d
@@ -240,12 +241,12 @@ def _cmd_families(args) -> tuple[Dict, int]:
             for label in ClassLabel}, EXIT_OK
 
 
-def _cmd_pushforward(args) -> tuple[Dict, int]:
+def _cmd_pushforward(args) -> tuple[dict, int]:
     from . import pushforward
     from .families import ClassLabel
     g, r, d = args.g, args.r, args.d
     label = ClassLabel(args.class_name)
-    payload: Dict = {"g": g, "r": r, "d": d, "class": label.value, "method": args.method}
+    payload: dict = {"g": g, "r": r, "d": d, "class": label.value, "method": args.method}
     code = EXIT_OK
     if args.method in ("closed", "both"):
         payload["coefficients"] = pushforward.closed_form(g, r, d, label).payload()
@@ -261,7 +262,7 @@ def _cmd_pushforward(args) -> tuple[Dict, int]:
     return payload, code
 
 
-def _cmd_slope(args) -> tuple[Dict, int]:
+def _cmd_slope(args) -> tuple[dict, int]:
     from . import slope
     triple = (args.g, args.r, args.d)
     # Any part of a triple counts as a choice, so a stray --g beside --m is refused.
@@ -283,7 +284,7 @@ def _cmd_slope(args) -> tuple[Dict, int]:
     return slope.slope_report(args.g, args.r, args.d).payload(), EXIT_OK
 
 
-def _golden_compare(payload: Dict, directory: str) -> tuple[Dict, int]:
+def _golden_compare(payload: dict, directory: str) -> tuple[dict, int]:
     path = Path(directory) / GOLDEN_NAME
     rendered = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     try:
@@ -305,7 +306,7 @@ def _cmd_verify(args) -> int:
     m_max = verify.DEFAULT_M_MAX if args.m_max is None else args.m_max
     results = verify.run_checks(g_max, m_max)
     failures = sum(not rs.passed for rs in results)
-    golden: Dict = {}
+    golden: dict = {}
     golden_code = EXIT_OK
     if args.golden is not None:
         golden, golden_code = _golden_compare(verify.golden_payload(g_max, m_max), args.golden)

@@ -16,13 +16,13 @@ each output coefficient becomes a ``Fraction`` once.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Union
 
 from .errors import PreconditionError
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 def as_field(x):
     """An int as a Fraction, so that / stays exact; Fractions and RatFuncs pass through."""

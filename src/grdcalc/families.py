@@ -20,7 +20,6 @@ functions.  ``verify`` compares the two.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
@@ -41,7 +40,6 @@ class ClassLabel(enum.Enum):
 _M21 = PicSpace.m21()
 
 
-@dataclass(frozen=True)
 class UniversalCurveClass:
     """Degree-1 class on the universal pointed genus-2 curve.
 
@@ -50,19 +48,15 @@ class UniversalCurveClass:
     points split), plus the pull-back of a class from the base.
     """
 
-    omega: Fraction = Fraction(0)
-    sigma: Fraction = Fraction(0)
-    delta: Fraction = Fraction(0)
-    base: DivisorClass = None  # type: ignore[assignment]
+    __slots__ = ("omega", "sigma", "delta", "base")
 
-    def __post_init__(self):
-        object.__setattr__(self, "omega", Fraction(self.omega))
-        object.__setattr__(self, "sigma", Fraction(self.sigma))
-        object.__setattr__(self, "delta", Fraction(self.delta))
-        if self.base is None:
-            object.__setattr__(self, "base", DivisorClass.zero(_M21))
-        elif self.base.space != _M21:
+    def __init__(self, omega=0, sigma=0, delta=0, base: DivisorClass | None = None):
+        self.omega, self.sigma, self.delta = Fraction(omega), Fraction(sigma), Fraction(delta)
+        if base is None:
+            base = DivisorClass.zero(_M21)
+        elif base.space != _M21:
             raise PreconditionError("base part must live on m21")
+        self.base = base
 
     def fiber_degree(self) -> Fraction:
         """Push-forward to the base: omega has fiber degree 2, sigma 1, delta 0."""

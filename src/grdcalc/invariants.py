@@ -13,13 +13,13 @@ the verification sweeps alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
 from math import factorial
-from typing import Callable, List
 
 from .errors import PreconditionError
 from .exact import as_field
+from .value import Value
 
 
 def rho(g: int, r: int, d: int) -> int:
@@ -27,31 +27,29 @@ def rho(g: int, r: int, d: int) -> int:
     return g - (r + 1) * (g - d + r)
 
 
-@dataclass(frozen=True)
-class GrdParams:
+class GrdParams(Value):
     """A triple (g, r, d) with g >= 1, r >= 0 and rho = 0: the domain of ``castelnuovo_count``."""
 
-    g: int
-    r: int
-    d: int
+    __slots__ = ("g", "r", "d")
 
-    def __post_init__(self):
-        if self.g < 1 or self.r < 0:
-            raise PreconditionError(f"need g >= 1 and r >= 0, got g={self.g}, r={self.r}")
-        value = rho(self.g, self.r, self.d)
+    def __init__(self, g: int, r: int, d: int):
+        if g < 1 or r < 0:
+            raise PreconditionError(f"need g >= 1 and r >= 0, got g={g}, r={r}")
+        value = rho(g, r, d)
         if value != 0:
-            raise PreconditionError(f"rho(g={self.g}, r={self.r}, d={self.d}) = {value}, need 0")
+            raise PreconditionError(f"rho(g={g}, r={r}, d={d}) = {value}, need 0")
+        self.g, self.r, self.d = g, r, d
 
 
-@dataclass(frozen=True)
 class Domain:
     """The GrdParams one operation accepts; ``check`` refuses the first of r, g, d - r too low."""
 
-    name: str
-    min_g: int = 1
-    min_r: int = 0
-    min_width: int = 0
-    why: str = ""
+    __slots__ = ("name", "min_g", "min_r", "min_width", "why")
+
+    def __init__(self, name: str, min_g: int = 1, min_r: int = 0, min_width: int = 0,
+                 why: str = ""):
+        self.name, self.why = name, why
+        self.min_g, self.min_r, self.min_width = min_g, min_r, min_width
 
     def _refusal(self, t: GrdParams) -> str | None:
         if t.r < self.min_r:
@@ -118,7 +116,6 @@ def xi(g, r, d):
     return 3 * (g - 1) + (r - 1) * (g + r + 1) * (3 * g - 2 * d + r - 3) / den
 
 
-@dataclass(frozen=True)
 class PerCoverDegree:
     """Coefficients of a push-forward divided by the cover degree N.
 
@@ -127,10 +124,10 @@ class PerCoverDegree:
     gives the coefficient of delta_i for 1 <= i < g.
     """
 
-    lam: object
-    delta0: object
-    psi: object
-    delta_i: Callable[[int], object]
+    __slots__ = ("lam", "delta0", "psi", "delta_i")
+
+    def __init__(self, lam, delta0, psi, delta_i: Callable[[int], object]):
+        self.lam, self.delta0, self.psi, self.delta_i = lam, delta0, psi, delta_i
 
 
 def alpha_per_n(g, r, d) -> PerCoverDegree:
@@ -190,7 +187,7 @@ def vanishing_sum(h: int, r: int, d: int) -> int:
     return (r + 1) * d - r * (r + 1) // 2 - h * r
 
 
-def rho_zero_triples(g_max: int) -> List[GrdParams]:
+def rho_zero_triples(g_max: int) -> list[GrdParams]:
     """All triples with 1 <= g <= g_max, r >= 1 and rho = 0.
 
     rho = 0 forces (r+1) | g; with s = g/(r+1) the degree d = g + r - s lies

@@ -8,11 +8,11 @@ needed because the arithmetic is exact.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Sequence
 
-Row = List[Fraction]
+Row = list[Fraction]
 
 
 class LinearSystemError(Exception):
@@ -73,10 +73,10 @@ def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> Row:
     if not rows:
         raise ValueError("empty system")
     n = len(rows[0])
-    m: List[Dict[int, int]] = []
+    m: list[dict[int, int]] = []
     # Row i of m is scale_num[i] / scale_den[i] times its rational row.
-    scale_num: List[int] = []
-    scale_den: List[int] = []
+    scale_num: list[int] = []
+    scale_den: list[int] = []
     for row, bv in zip(rows, rhs):
         entries = {j: x.as_integer_ratio() for j, x in enumerate(row) if x}
         if bv:
@@ -90,7 +90,7 @@ def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> Row:
         scale_num.append(den)
         scale_den.append(max(content, 1))
     origin = list(range(len(m)))
-    pivots: List[int] = []
+    pivots: list[int] = []
     r = 0
     for col in range(n + 1):
         pivot = next((i for i in range(r, len(m)) if col in m[i]), None)

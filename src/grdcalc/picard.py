@@ -21,12 +21,12 @@ assembly solves for exactly those coefficients, one unknown per basis symbol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .errors import PreconditionError
 from .exact import format_rational
+from .value import Value
 
 LAMBDA = "lambda"
 PSI = "psi"
@@ -40,12 +40,13 @@ def epsilon(i: int) -> str:
     return f"epsilon_{i}"
 
 
-@dataclass(frozen=True)
-class PicSpace:
+class PicSpace(Value):
     """One of the three divisor class groups, identified by kind and genus."""
 
-    kind: str
-    g: int
+    __slots__ = ("kind", "g")
+
+    def __init__(self, kind: str, g: int):
+        self.kind, self.g = kind, g
 
     @classmethod
     def mg1(cls, g: int) -> "PicSpace":
@@ -63,7 +64,7 @@ class PicSpace:
             raise PreconditionError("m0g needs g >= 4 for a non-empty basis")
         return cls("m0g", g)
 
-    def basis(self) -> Tuple[str, ...]:
+    def basis(self) -> tuple[str, ...]:
         if self.kind in ("mg1", "m21"):
             return (LAMBDA, PSI) + tuple(delta(i) for i in range(self.g))
         return tuple(epsilon(i) for i in range(2, self.g - 1))
@@ -72,27 +73,27 @@ class PicSpace:
         return {"mg1": f"mg1({self.g})", "m21": "m21", "m0g": f"m0g({self.g})"}[self.kind]
 
 
-@dataclass
-class DivisorClass:
+class DivisorClass(Value):
     """Sparse rational coefficient vector over the basis of one space.
 
     Treated as immutable: arithmetic returns new instances, zero coefficients
     are never stored, and all symbols are validated against the basis.
+    Equal by space and coefficients, and unhashable.
     """
 
-    space: PicSpace
-    coeffs: Dict[str, Fraction] = field(default_factory=dict)
+    __slots__ = ("space", "coeffs")
+    __hash__ = None
 
-    def __post_init__(self):
-        allowed = set(self.space.basis())
-        clean: Dict[str, Fraction] = {}
-        for sym, c in self.coeffs.items():
+    def __init__(self, space: PicSpace, coeffs: Mapping[str, object] | None = None):
+        allowed = set(space.basis())
+        clean: dict[str, Fraction] = {}
+        for sym, c in (coeffs or {}).items():
             if sym not in allowed:
-                raise PreconditionError(f"symbol {sym!r} is not in the basis of {self.space}")
+                raise PreconditionError(f"symbol {sym!r} is not in the basis of {space}")
             c = Fraction(c)
             if c != 0:
                 clean[sym] = c
-        self.coeffs = clean
+        self.space, self.coeffs = space, clean
 
     @classmethod
     def zero(cls, space: PicSpace) -> "DivisorClass":
@@ -126,11 +127,11 @@ class DivisorClass:
             return DivisorClass.zero(self.space)
         return DivisorClass(self.space, {s: c * v for s, v in self.coeffs.items()})
 
-    def sorted_items(self) -> List[Tuple[str, Fraction]]:
+    def sorted_items(self) -> list[tuple[str, Fraction]]:
         order = {sym: i for i, sym in enumerate(self.space.basis())}
         return sorted(self.coeffs.items(), key=lambda kv: order[kv[0]])
 
-    def payload(self) -> Dict[str, str]:
+    def payload(self) -> dict[str, str]:
         """The coefficients as a JSON-ready dict; rationals become ``p/q`` strings."""
         return {sym: format_rational(c) for sym, c in self.sorted_items()}
 
@@ -139,7 +140,7 @@ class DivisorClass:
         return f"DivisorClass({self.space}, {body or '0'})"
 
 
-def make_class(space: PicSpace, items: Mapping[str, object] | Iterable[Tuple[str, object]]) -> DivisorClass:
+def make_class(space: PicSpace, items: Mapping[str, object] | Iterable[tuple[str, object]]) -> DivisorClass:
     """Convenience constructor from a symbol -> coefficient mapping."""
     mapping = dict(items)
     return DivisorClass(space, {s: Fraction(v) for s, v in mapping.items()})
@@ -154,7 +155,7 @@ def _require_space(D: DivisorClass, space: PicSpace, what: str) -> None:
 # target coordinate -> {source basis symbol of mg1(g): weight}.  The
 # pull-backs evaluate these rows on a class; the push-forward assembly
 # reads the same rows as the coefficients of its unknowns.
-Row = Dict[str, Fraction]
+Row = dict[str, Fraction]
 
 
 def evaluate(row: Row, D: DivisorClass) -> Fraction:
@@ -162,12 +163,12 @@ def evaluate(row: Row, D: DivisorClass) -> Fraction:
     return sum((w * D.get(sym) for sym, w in row.items()), Fraction(0))
 
 
-def restrict(rows: Mapping[str, Row], D: DivisorClass) -> Dict[str, Fraction]:
+def restrict(rows: Mapping[str, Row], D: DivisorClass) -> dict[str, Fraction]:
     """Evaluate restriction rows on a class: target coordinate -> value."""
     return {target: evaluate(row, D) for target, row in rows.items()}
 
 
-def elliptic_tail_rows(g: int) -> Dict[str, Row]:
+def elliptic_tail_rows(g: int) -> dict[str, Row]:
     """Restriction of mg1(g) to the elliptic-tail family, for g >= 5.
 
     epsilon_i, for 2 <= i <= g-2, reads delta_i minus the weights
@@ -179,7 +180,7 @@ def elliptic_tail_rows(g: int) -> Dict[str, Row]:
             for i in range(2, g - 1)}
 
 
-def genus2_tail_rows(g: int) -> Dict[str, Row]:
+def genus2_tail_rows(g: int) -> dict[str, Row]:
     """Restriction of mg1(g) to the genus-2-tail family, onto the m21 basis."""
     return {LAMBDA: {LAMBDA: Fraction(1)}, delta(0): {delta(0): Fraction(1)},
             PSI: {delta(g - 2): Fraction(-1)}, delta(1): {delta(g - 1): Fraction(1)}}
@@ -235,7 +236,7 @@ def pullback_k(g: int, h: int, D: DivisorClass) -> Fraction:
     return evaluate(marked_point_row(g, h), D)
 
 
-def epsilon_intersection_matrix(g: int) -> List[List[Fraction]]:
+def epsilon_intersection_matrix(g: int) -> list[list[Fraction]]:
     """Intersection numbers of the test curves against the epsilon basis.
 
     Square of size g - 3: rows are the curves B_1, ..., B_{g-3} (B_1 moves
@@ -264,7 +265,7 @@ def epsilon_intersection_matrix(g: int) -> List[List[Fraction]]:
 # generators, 10*lambda = delta_0 + 2*delta_1 (Mumford).  The elimination
 # of delta_0 below is derived from it, and every consumer reduces through
 # ``reduce_m21``; the over-determined push-forward assembly cross-checks it.
-GENUS2_RELATION: Dict[str, Fraction] = {
+GENUS2_RELATION: dict[str, Fraction] = {
     LAMBDA: Fraction(10),
     delta(0): Fraction(-1),
     delta(1): Fraction(-2),
@@ -272,16 +273,16 @@ GENUS2_RELATION: Dict[str, Fraction] = {
 
 # Rows of the reduced basis (lambda, delta_1, psi) over the m21 basis: the
 # weight of delta_0 on each symbol is read off the relation solved for delta_0.
-GENUS2_REDUCTION: Dict[str, Row] = {
+GENUS2_REDUCTION: dict[str, Row] = {
     sym: {sym: Fraction(1),
           delta(0): -GENUS2_RELATION.get(sym, Fraction(0)) / GENUS2_RELATION[delta(0)]}
     for sym in (LAMBDA, delta(1), PSI)
 }
 
 
-def compose(outer: Mapping[str, Row], inner: Mapping[str, Row]) -> Dict[str, Row]:
+def compose(outer: Mapping[str, Row], inner: Mapping[str, Row]) -> dict[str, Row]:
     """Rows of restricting by ``inner`` and then by ``outer``."""
-    out: Dict[str, Row] = {}
+    out: dict[str, Row] = {}
     for target, row in outer.items():
         acc: Row = {}
         for mid, w in row.items():
@@ -303,7 +304,7 @@ def reduce_m21(D: DivisorClass) -> DivisorClass:
 
 def parse_class(space: PicSpace, text: str) -> DivisorClass:
     """Parse ``symbol:coeff,symbol:coeff`` into a class on the given space."""
-    items: Dict[str, Fraction] = {}
+    items: dict[str, Fraction] = {}
     text = text.strip()
     if text:
         for chunk in text.split(","):

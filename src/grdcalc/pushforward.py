@@ -12,9 +12,7 @@ package's central check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
 
 from . import linalg
 from .errors import ConsistencyError, PreconditionError
@@ -27,11 +25,13 @@ from .picard import (GENUS2_REDUCTION, LAMBDA, PSI, DivisorClass, PicSpace, Row,
                      marked_point_row, reduce_m21)
 
 
-@dataclass(frozen=True)
 class PushforwardSolution:
     """The coefficients that ``solve_from_families`` solved for, keyed by basis symbol."""
 
-    coeffs: Dict[str, Fraction]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: dict[str, Fraction]):
+        self.coeffs = coeffs
 
     def as_divisor_class(self, g: int) -> DivisorClass:
         if len(self.coeffs) != g + 2:
@@ -42,7 +42,7 @@ class PushforwardSolution:
 def _times_cover_degree(g: int, r: int, d: int, per_n: PerCoverDegree) -> DivisorClass:
     """The class on mg1(g) whose coefficients are N times those of per_n."""
     n = castelnuovo_count(g, r, d)
-    items: Dict[str, Fraction] = {LAMBDA: per_n.lam * n, delta(0): per_n.delta0 * n,
+    items: dict[str, Fraction] = {LAMBDA: per_n.lam * n, delta(0): per_n.delta0 * n,
                                   PSI: per_n.psi * n}
     for i in range(1, g):
         items[delta(i)] = per_n.delta_i(i) * n
@@ -96,7 +96,7 @@ def combination(g: int, r: int, d: int, c_alpha, c_beta, c_gamma,
 
 
 def family_equations(g: int, r: int, d: int,
-                     label: ClassLabel) -> List[Tuple[str, Row, Fraction]]:
+                     label: ClassLabel) -> list[tuple[str, Row, Fraction]]:
     """The special-family data on the push-forward, one (family, row, value) per equation.
 
     The push-forward of ``label`` evaluates to ``value`` on each restriction

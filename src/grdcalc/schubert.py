@@ -16,15 +16,15 @@ of the package's verification suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import factorial
-from typing import Dict, Iterator, Sequence, Tuple
 
 from .errors import PreconditionError
+from .value import Value
 
-Index = Tuple[int, ...]
+Index = tuple[int, ...]
 
 # The most work one Pieri integral may do, counted at each product as the
 # terms of the combination times the rows.  The largest integral of `verify`
@@ -33,16 +33,15 @@ Index = Tuple[int, ...]
 PIERI_WORK_LIMIT = 3 * 10 ** 5
 
 
-@dataclass(frozen=True)
-class GrassShape:
+class GrassShape(Value):
     """The Grassmannian of projective r-planes in projective d-space."""
 
-    r: int
-    d: int
+    __slots__ = ("r", "d")
 
-    def __post_init__(self):
-        if not 0 <= self.r <= self.d:
-            raise PreconditionError(f"need 0 <= r <= d, got r={self.r}, d={self.d}")
+    def __init__(self, r: int, d: int):
+        if not 0 <= r <= d:
+            raise PreconditionError(f"need 0 <= r <= d, got r={r}, d={d}")
+        self.r, self.d = r, d
 
     @property
     def rows(self) -> int:
@@ -83,9 +82,9 @@ class SchubertCombo:
 
     __slots__ = ("shape", "terms")
 
-    def __init__(self, shape: GrassShape, terms: Dict[Index, Fraction] | None = None):
+    def __init__(self, shape: GrassShape, terms: dict[Index, Fraction] | None = None):
         self.shape = shape
-        self.terms: Dict[Index, Fraction] = {}
+        self.terms: dict[Index, Fraction] = {}
         if terms:
             for b, c in terms.items():
                 if c == 0:
@@ -106,7 +105,7 @@ class SchubertCombo:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __iter__(self) -> Iterator[Tuple[Index, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[Index, Fraction]]:
         return iter(sorted(self.terms.items()))
 
     def __repr__(self) -> str:

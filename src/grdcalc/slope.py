@@ -15,9 +15,8 @@ and as a symbolic rational-function identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import PreconditionError
 from .invariants import SLOPE, alpha_per_n, beta_per_n, gamma_per_n
@@ -28,20 +27,19 @@ from .exact import Poly, RatFunc, as_field, format_rational, ratfunc_equal
 PROVEN_DIVISOR_TRIPLES = {(21, 6, 24)}
 
 
-@dataclass(frozen=True)
 class SlopeReport:
     """Slope data of the pushed-forward quadric class, normalized per cover degree."""
 
-    g: int
-    r: int
-    d: int
-    lambda_coeff: Fraction
-    delta0_coeff: Fraction
-    ratio: Fraction
-    bound: Fraction
-    gap: Fraction
-    violates: bool
-    conjectural: bool
+    __slots__ = ("g", "r", "d", "lambda_coeff", "delta0_coeff", "ratio", "bound", "gap",
+                 "violates", "conjectural")
+
+    def __init__(self, g: int, r: int, d: int, lambda_coeff: Fraction, delta0_coeff: Fraction,
+                 ratio: Fraction, bound: Fraction, gap: Fraction, violates: bool,
+                 conjectural: bool):
+        self.g, self.r, self.d = g, r, d
+        self.lambda_coeff, self.delta0_coeff = lambda_coeff, delta0_coeff
+        self.ratio, self.bound, self.gap = ratio, bound, gap
+        self.violates, self.conjectural = violates, conjectural
 
     def payload(self) -> dict:
         """The report as a JSON-ready dict; rationals become ``p/q`` strings."""

@@ -9,9 +9,7 @@ regression mode.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List
 
 from . import families, invariants, linalg, picard, pushforward, schubert, slope
 from .errors import PreconditionError
@@ -21,6 +19,7 @@ from .families import (ClassLabel, genus2_dualizing_class,
                        push_m21, reconstruct_push_m21)
 from .picard import LAMBDA, PSI, DivisorClass, PicSpace, delta, epsilon, make_class
 from .slope import M_FAMILY_LIMIT
+from .value import Value
 
 
 # The sizes of the verify sweeps: their defaults, and the largest accepted;
@@ -36,11 +35,14 @@ EPSILON_GENERA = range(6, 31)
 DELTA_PULLBACK_GENERA = range(5, 31)
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(Value):
+    """One row of the battery; equal by fields, and unhashable."""
+
+    __slots__ = ("name", "passed", "detail")
+    __hash__ = None
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        self.name, self.passed, self.detail = name, passed, detail
 
     def payload(self) -> dict:
         """The row as a JSON-ready dict, as ``verify --format`` emits it."""
@@ -61,7 +63,7 @@ def _check(name: str):
     return decorate
 
 
-def _sweep_triples(g_max: int, domain: invariants.Domain) -> List[invariants.GrdParams]:
+def _sweep_triples(g_max: int, domain: invariants.Domain) -> list[invariants.GrdParams]:
     """The rho = 0 triples with g <= g_max that the domain admits."""
     return [t for t in invariants.rho_zero_triples(g_max) if domain.admits(t)]
 
@@ -313,7 +315,7 @@ def check_slope_vs_assembly(g_max: int):
                   f"{len(pencils)} pencils agree")
 
 
-def run_checks(g_max: int = DEFAULT_G_MAX, m_max: int = DEFAULT_M_MAX) -> List[CheckResult]:
+def run_checks(g_max: int = DEFAULT_G_MAX, m_max: int = DEFAULT_M_MAX) -> list[CheckResult]:
     """Run the whole cross-check battery.
 
     g_max bounds the triple sweeps (5 to G_MAX_LIMIT) and m_max the family
@@ -346,14 +348,14 @@ def run_checks(g_max: int = DEFAULT_G_MAX, m_max: int = DEFAULT_M_MAX) -> List[C
     ]
 
 
-def golden_payload(g_max: int = DEFAULT_G_MAX, m_max: int = DEFAULT_M_MAX) -> Dict:
+def golden_payload(g_max: int = DEFAULT_G_MAX, m_max: int = DEFAULT_M_MAX) -> dict:
     """Deterministic value dump for golden-file regression comparisons.
 
     Holds the exact push-forward coefficient maps for every swept triple and
     the slope reports of the m-family; serialized values are strings, so the
     payload is stable across platforms and runs.
     """
-    payload: Dict = {"g_max": g_max, "m_max": m_max, "pushforwards": {}, "slopes": {}}
+    payload: dict = {"g_max": g_max, "m_max": m_max, "pushforwards": {}, "slopes": {}}
     for t in _sweep_triples(g_max, invariants.ALPHA_GAMMA_PUSH):
         payload["pushforwards"][f"{t.g},{t.r},{t.d}"] = {
             label.value: pushforward.closed_form(t.g, t.r, t.d, label).payload()

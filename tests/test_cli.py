@@ -428,16 +428,19 @@ def test_random_argv_ends_in_a_known_exit_code(rng, tmp_path, monkeypatch, capsy
     assert codes == {0, 1}
 
 
-# The child prints the grdcalc modules it loaded to stderr as it exits, after
-# whatever main() wrote.
+# The child prints to stderr as it exits, after whatever main() wrote, the
+# grdcalc modules it loaded and whichever of `dataclasses` and `inspect` it
+# loaded: the value classes are plain classes, so no query needs either.
 CHILD_CODE = ("import atexit, json, sys; atexit.register(lambda: print(json.dumps(sorted("
-              "m for m in sys.modules if m.startswith('grdcalc'))), file=sys.stderr)); {}")
+              "m for m in sys.modules if m.startswith('grdcalc') or m in ('dataclasses', "
+              "'inspect'))), file=sys.stderr)); {}")
 RUN_MAIN = "from grdcalc.cli import main; sys.exit(main())"
 CLI_ONLY = {"grdcalc", "grdcalc.cli", "grdcalc.errors", "grdcalc.exact"}
-PICARD = {"grdcalc.picard"}
-FAMILIES = PICARD | {"grdcalc.families", "grdcalc.invariants", "grdcalc.schubert"}
+INVARIANTS = {"grdcalc.invariants", "grdcalc.value"}
+PICARD = {"grdcalc.picard", "grdcalc.value"}
+FAMILIES = PICARD | INVARIANTS | {"grdcalc.families", "grdcalc.schubert"}
 PUSHFORWARD = FAMILIES | {"grdcalc.pushforward", "grdcalc.linalg"}
-SLOPE = {"grdcalc.invariants", "grdcalc.slope"}
+SLOPE = INVARIANTS | {"grdcalc.slope"}
 
 
 def run_python(*args):
@@ -447,24 +450,27 @@ def run_python(*args):
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
 
 
-@pytest.mark.parametrize("argv, loaded", [
-    (None, set()),
-    (["frobnicate"], set()),
-    (["invariants", "--g", "21", "--r", "6", "--d", "24"], {"grdcalc.invariants"}),
-    (["schubert", "--r", "1", "--d", "3", "--k", "4", "--b", "0,0"], {"grdcalc.schubert"}),
-    (["picard", "pullback", "j", "--g", "8", "--class", "delta_6:1"], PICARD),
-    (["families", "marked", "--g", "4", "--r", "1", "--d", "3", "--h", "1"], FAMILIES),
-    (["pushforward", "--g", "6", "--r", "2", "--d", "6", "--class", "beta"], PUSHFORWARD),
-    (["slope", "--g", "21", "--r", "6", "--d", "24"], SLOPE),
-    (["slope", "--sweep", "2"], SLOPE),
+@pytest.mark.parametrize("argv, loaded, exit_code", [
+    (None, set(), 0),
+    (["frobnicate"], set(), 1),
+    (["invariants", "--g", "21", "--r", "6", "--d", "24"], INVARIANTS, 0),
+    (["invariants", "--g", "3", "--r", "1", "--d", "2"], INVARIANTS, 1),
+    (["schubert", "--r", "1", "--d", "3", "--k", "4", "--b", "0,0"],
+     {"grdcalc.schubert", "grdcalc.value"}, 0),
+    (["picard", "pullback", "j", "--g", "8", "--class", "delta_6:1"], PICARD, 0),
+    (["families", "marked", "--g", "4", "--r", "1", "--d", "3", "--h", "1"], FAMILIES, 0),
+    (["pushforward", "--g", "6", "--r", "2", "--d", "6", "--class", "beta"], PUSHFORWARD, 0),
+    (["slope", "--g", "21", "--r", "6", "--d", "24"], SLOPE, 0),
+    (["slope", "--sweep", "2"], SLOPE, 0),
     (["verify", "--g-max", "5", "--m-max", "2", "--format", "tsv"],
-     PUSHFORWARD | SLOPE | {"grdcalc.verify"}),
-], ids=["import-only", "usage-error", "invariants", "schubert", "picard", "families",
-        "pushforward", "slope", "slope-sweep", "verify"])
-def test_a_process_imports_only_what_its_subcommand_runs(capsys, argv, loaded):
+     PUSHFORWARD | SLOPE | {"grdcalc.verify"}, 0),
+], ids=["import-only", "usage-error", "invariants", "precondition-error", "schubert", "picard",
+        "families", "pushforward", "slope", "slope-sweep", "verify"])
+def test_a_process_imports_only_what_its_subcommand_runs(capsys, argv, loaded, exit_code):
     child = CHILD_CODE.format("import grdcalc.cli" if argv is None else RUN_MAIN)
     proc = run_python("-c", child, *(argv or []))
     *err_lines, modules = proc.stderr.splitlines()
+    assert proc.returncode == exit_code
     assert set(json.loads(modules)) == CLI_ONLY | loaded
     if argv is not None:
         code, out, err = run_cli(capsys, *argv)

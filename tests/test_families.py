@@ -156,5 +156,5 @@ def test_push_marked_domain():
 
 
 def test_curve_class_base_space_checked():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^base part must live on m21$"):
         UniversalCurveClass(base=DivisorClass.zero(PicSpace.mg1(3)))

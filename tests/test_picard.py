@@ -21,7 +21,7 @@ def test_bases():
 def test_space_validation():
     with pytest.raises(PreconditionError):
         PicSpace.m0g(3)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^symbol 'delta_2' is not in the basis of m21$"):
         make_class(PicSpace.m21(), {"delta_2": 1})
 
 

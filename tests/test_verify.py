@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -47,7 +46,7 @@ def test_slope_vs_assembly_catches_a_closed_form_slip(monkeypatch):
 
     def off(g, r, d):
         c = true_gamma(g, r, d)
-        return dataclasses.replace(c, delta0=c.delta0 + Fraction(1, 10 ** 6))
+        return invariants.PerCoverDegree(c.lam, c.delta0 + Fraction(1, 10 ** 6), c.psi, c.delta_i)
 
     monkeypatch.setattr(slope, "gamma_per_n", off)
     results = {rs.name: rs for rs in verify.run_checks(5, 3)}
