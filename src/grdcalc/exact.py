@@ -3,14 +3,15 @@
 The scalar type of the whole package is ``fractions.Fraction``, which already
 guarantees the canonical form we need (positive denominator, gcd one).  On top
 of it this module provides dense univariate polynomials and rational functions
-in one formal variable m, normalized so that numerator and denominator are
-coprime and the denominator is monic.  Equality of rational functions is
-decided by cross-multiplication, never by sampling.
+in one formal variable m.  Equality of rational functions is decided by
+cross-multiplication, never by sampling.
 
-Polynomials show ``Fraction`` coefficients, but their products, division with
-remainder and gcds run on Python ints over a common denominator (integer
-convolution; pseudo-division; a primitive remainder sequence for the gcd), and
-each output coefficient becomes a ``Fraction`` once.
+A polynomial is stored as Python ints over one positive int denominator, in
+lowest terms: sums, products (integer convolution), division with remainder
+(pseudo-division), gcds (a primitive remainder sequence) and evaluation run
+on ints, and ``Poly.coeffs`` makes ``Fraction``s only for a reader.  A
+rational function keeps the unreduced pair its arithmetic produced and
+reduces it, by one gcd, when its value is first read.
 """
 
 from __future__ import annotations
@@ -46,115 +47,128 @@ def format_rational(x: Scalar) -> str:
 class Poly:
     """Dense univariate polynomial over the rationals.
 
-    Coefficients are stored in ascending order with trailing zeros stripped;
-    the zero polynomial has an empty coefficient tuple and degree -1.
+    Stored as ``ints / denom``: ``ints`` are integer coefficients in ascending
+    order with trailing zeros stripped (empty for the zero polynomial, of
+    degree -1), and ``denom`` is a positive int coprime to their content, so
+    each polynomial has one stored form.  ``coeffs`` gives the coefficients
+    as ``Fraction``s.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("ints", "denom")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        cs = [Fraction(c) for c in coeffs]
+        denom = lcm(*(c.denominator for c in cs))
+        self._set([c.numerator * (denom // c.denominator) for c in cs], denom)
+
+    def _set(self, ints: list[int], denom: int) -> "Poly":
+        """Store ints / denom in lowest terms, for any nonzero int denom."""
+        while ints and not ints[-1]:
+            ints.pop()
+        g = gcd(denom, *ints)
+        if denom < 0:
+            g = -g
+        self.ints = tuple(ints) if g == 1 else tuple(x // g for x in ints)
+        self.denom = denom // g
+        return self
 
     @classmethod
     def variable(cls) -> "Poly":
         return cls((0, 1))
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.denom) for x in self.ints)
+
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def leading(self) -> Fraction:
         if self.is_zero():
             raise ZeroDivisionError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.ints[-1], self.denom)
 
     def __call__(self, x: Scalar) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        v, scale = _homogeneous(self.ints, x)
+        return Fraction(v, self.denom * scale)
 
     def __neg__(self) -> "Poly":
-        return Poly(-c for c in self.coeffs)
+        return _over([-x for x in self.ints], self.denom)
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
+        a, b, den = self.ints, other.ints, self.denom
+        if den != other.denom:
+            den = lcm(den, other.denom)
+            a = [x * (den // self.denom) for x in a]
+            b = [x * (den // other.denom) for x in b]
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return _over(out, den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
+        a, b = self.ints, other.ints
+        if not a or not b:
             return Poly()
-        (a, da), (b, db) = _integral(self), _integral(other)
+        if len(a) > len(b):
+            a, b = b, a
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return _poly(out, da * db)
-
-    def scale(self, c: Scalar) -> "Poly":
-        return Poly(Fraction(c) * x for x in self.coeffs)
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return _over(out, self.denom * other.denom)
 
     def __divmod__(self, other: "Poly"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        (a, da), (b, db) = _integral(self), _integral(other)
-        q, r, k = _pseudo_divmod(a, b)
+        b = other.ints
+        q, r, k = _pseudo_divmod(self.ints, b)
         # lead(b)**k * a = q * b + r over the integers; undo the scalings.
-        s = b[-1] ** k * da
-        return _poly([x * db for x in q], s), _poly(r, s)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
+        s = b[-1] ** k * self.denom
+        return _over([x * other.denom for x in q], s), _over(r, s)
 
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.denom == other.denom and self.ints == other.ints
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.ints, self.denom))
 
     def __repr__(self) -> str:
-        if self.is_zero():
-            return "Poly(0)"
-        parts = []
-        for i in reversed(range(len(self.coeffs))):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            term = format_rational(c) if i == 0 else (
-                f"{format_rational(c)}*m" if i == 1 else f"{format_rational(c)}*m^{i}")
-            parts.append(term)
-        return "Poly(" + " + ".join(parts) + ")"
+        terms = [format_rational(c) + ("" if i == 0 else "*m" if i == 1 else f"*m^{i}")
+                 for i, c in reversed(list(enumerate(self.coeffs))) if c]
+        return "Poly(" + (" + ".join(terms) or "0") + ")"
 
 
-# Integer kernels.  A polynomial enters them as (ints, den) with
-# p = ints / den, ints ascending with a nonzero last entry (empty for zero);
-# Fractions are made again only by ``_poly``, one per output coefficient.
+# Integer kernels, on ascending int coefficient sequences with a nonzero
+# last entry (empty for zero).
 
-def _integral(p: Poly) -> tuple[list[int], int]:
-    """Integer coefficients over the common denominator of p's coefficients."""
-    den = lcm(*(c.denominator for c in p.coeffs))
-    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
+def _over(ints: list[int], denom: int) -> Poly:
+    """The polynomial ints / denom, for a list ints and a nonzero int denom."""
+    return object.__new__(Poly)._set(ints, denom)
 
 
-def _poly(ints, den: int) -> Poly:
-    return Poly(Fraction(x, den) for x in ints)
+def _homogeneous(ints, x: Scalar) -> tuple[int, int]:
+    """(v, q^n) with the polynomial ``ints`` at x = p/q equal to v / q^n.
+
+    v is the sum of ints[i] * p^i * q^(n-i), n = len(ints) - 1, by Horner's rule on ints.
+    """
+    p, q = x.numerator, x.denominator
+    v, qk = 0, 1
+    for c in reversed(ints):
+        v, qk = v * p + c * qk, qk * q
+    return v, qk // q or 1
 
 
 def _primitive(ints: list[int]) -> list[int]:
@@ -197,15 +211,15 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor, by a primitive remainder sequence over the integers."""
-    g = _gcd_ints(_integral(a)[0], _integral(b)[0])
-    return _poly(g, g[-1]) if g else Poly()
+    g = _gcd_ints(a.ints, b.ints)
+    return _over(list(g), g[-1]) if g else Poly()
 
 
 def _as_poly(x) -> Poly:
     if isinstance(x, Poly):
         return x
     if isinstance(x, (int, Fraction)):
-        return Poly((x,))
+        return _over([x.numerator], x.denominator)
     raise TypeError(f"cannot coerce {type(x).__name__} to Poly")
 
 
@@ -215,63 +229,60 @@ _ONE = Poly((1,))
 class RatFunc:
     """Rational function in one formal variable m.
 
-    Stored reduced: numerator and denominator coprime, denominator monic and
-    never the zero polynomial.  All four field operations are supported, with
-    ints and Fractions coerced to constants, so formulas written for numeric
-    inputs evaluate unchanged over rational functions.  An operation whose
-    result is reduced by construction (negation, adding a polynomial, scaling
-    by a constant) skips the gcd.
+    All four field operations are supported, with ints and Fractions
+    coerced to constants, so formulas written for numeric inputs evaluate
+    unchanged over rational functions.  An operation returns the
+    cross-multiplied pair of its operands and computes no gcd; the pair is
+    reduced once, the first time ``num``, ``den``, ``eval``, hash or repr
+    reads the value, and the reduced pair is then kept.  ``num`` and ``den``
+    read coprime, with ``den`` monic and never the zero polynomial.
+
+    Unreduced degrees add up along an expression: ``family_gap_symbolic()``
+    holds a pair of degrees 23/27, against 5/9 once reduced.  A caller that
+    iterates on its own results (an elimination over Q(m), say) should read
+    ``num`` or ``den`` between steps, so that each step starts reduced.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_num", "_den", "_lowest")
 
     def __init__(self, num=Poly(), den=_ONE):
         num, den = _as_poly(num), _as_poly(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator polynomial")
-        if num.is_zero():
-            den = _ONE
-        elif den.degree() == 0:
-            num, den = num.scale(1 / den.coeffs[0]), _ONE
-        else:
-            (n, dn), (d, dd) = _integral(num), _integral(den)
-            g = _gcd_ints(n, d)
-            if len(g) > 1:
-                n, d = _exact_quotient(n, g), _exact_quotient(d, g)
-            # num/den = (n * dd) / (d * dn); divide both by d's leading entry.
-            num, den = _poly([x * dd for x in n], dn * d[-1]), _poly(d, d[-1])
-        self.num, self.den = num, den
+        self._num, self._den, self._lowest = num, den, False
 
-    @classmethod
-    def _reduced(cls, num: Poly, den: Poly) -> "RatFunc":
-        """num/den for coprime num and monic den, without a gcd."""
-        f = object.__new__(cls)
-        f.num, f.den = num, den
-        return f
+    def _read(self) -> tuple[Poly, Poly]:
+        """The reduced pair: coprime, monic denominator; one gcd on the first read."""
+        if not self._lowest:
+            n, d = self._num, self._den
+            a, b = n.ints, d.ints
+            g = _gcd_ints(a, b)
+            if len(g) > 1:
+                a, b = _exact_quotient(a, g), _exact_quotient(b, g)
+            # n/d = (a * d.denom) / (b * n.denom); divide both by b's leading entry.
+            self._num = _over([x * d.denom for x in a], n.denom * b[-1])
+            self._den, self._lowest = _over(list(b), b[-1]), True
+        return self._num, self._den
+
+    num = property(lambda self: self._read()[0], doc="The reduced numerator.")
+    den = property(lambda self: self._read()[1], doc="The reduced, monic denominator.")
 
     @classmethod
     def variable(cls) -> "RatFunc":
         return cls(Poly.variable())
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def _constant(self):
-        """The value of a constant function, else None."""
-        if self.den.degree() == 0 and self.num.degree() <= 0:
-            return self.num.coeffs[0] if self.num.coeffs else Fraction(0)
-        return None
-
-    def _scaled(self, c: Fraction) -> "RatFunc":
-        return RatFunc._reduced(self.num.scale(c), self.den) if c else RatFunc()
+        return self._num.is_zero()
 
     def eval(self, m0: Scalar) -> Fraction:
-        """Exact evaluation; a vanishing denominator is a genuine pole."""
-        m0 = Fraction(m0)
-        dv = self.den(m0)
+        """Exact evaluation of the reduced pair; a vanishing denominator is a genuine pole."""
+        n, d = self._read()
+        dv, dq = _homogeneous(d.ints, m0)
         if dv == 0:
             raise ZeroDivisionError(f"pole at m = {format_rational(m0)}")
-        return self.num(m0) / dv
+        nv, nq = _homogeneous(n.ints, m0)
+        # n(m0) / d(m0) = (nv / (n.denom * nq)) / (dv / (d.denom * dq))
+        return Fraction(nv * d.denom * dq, dv * n.denom * nq)
 
     def _coerce(self, other):
         if isinstance(other, RatFunc):
@@ -284,17 +295,12 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # n/d + p keeps gcd(n + p*d, d) = gcd(n, d) = 1.
-        if o.den.degree() == 0:
-            return RatFunc._reduced(self.num + o.num * self.den, self.den)
-        if self.den.degree() == 0:
-            return RatFunc._reduced(o.num + self.num * o.den, o.den)
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+        return RatFunc(self._num * o._den + o._num * self._den, self._den * o._den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc._reduced(-self.num, self.den)
+        return RatFunc(-self._num, self._den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -312,10 +318,7 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        c = o._constant()
-        if c is not None:
-            return self._scaled(c)
-        return RatFunc(self.num * o.num, self.den * o.den)
+        return RatFunc(self._num * o._num, self._den * o._den)
 
     __rmul__ = __mul__
 
@@ -325,10 +328,7 @@ class RatFunc:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        c = o._constant()
-        if c is not None:
-            return self._scaled(1 / c)
-        return RatFunc(self.num * o.den, self.den * o.num)
+        return RatFunc(self._num * o._den, self._den * o._num)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -343,14 +343,13 @@ class RatFunc:
         return ratfunc_equal(self, o)
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        return hash(self._read())
 
     def __repr__(self) -> str:
-        if self.den == _ONE:
-            return f"RatFunc({self.num!r})"
-        return f"RatFunc({self.num!r} / {self.den!r})"
+        num, den = self._read()
+        return f"RatFunc({num!r})" if den == _ONE else f"RatFunc({num!r} / {den!r})"
 
 
 def ratfunc_equal(f: RatFunc, g: RatFunc) -> bool:
-    """True iff f - g is identically zero, by cross-multiplied polynomial identity."""
-    return f.num * g.den == g.num * f.den
+    """True iff f - g is identically zero: the stored pairs, reduced or not, cross-multiplied."""
+    return f._num * g._den == g._num * f._den

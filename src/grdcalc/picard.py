@@ -272,23 +272,24 @@ GENUS2_RELATION: dict[str, Fraction] = {
 }
 
 # Rows of the reduced basis (lambda, delta_1, psi) over the m21 basis: the
-# weight of delta_0 on each symbol is read off the relation solved for delta_0.
+# weight of delta_0 on each symbol is read off the relation solved for delta_0,
+# and left out where it is zero (psi).
 GENUS2_REDUCTION: dict[str, Row] = {
-    sym: {sym: Fraction(1),
-          delta(0): -GENUS2_RELATION.get(sym, Fraction(0)) / GENUS2_RELATION[delta(0)]}
+    sym: {sym: Fraction(1), delta(0): -GENUS2_RELATION[sym] / GENUS2_RELATION[delta(0)]}
+    if sym in GENUS2_RELATION else {sym: Fraction(1)}
     for sym in (LAMBDA, delta(1), PSI)
 }
 
 
 def compose(outer: Mapping[str, Row], inner: Mapping[str, Row]) -> dict[str, Row]:
-    """Rows of restricting by ``inner`` and then by ``outer``."""
+    """Rows of restricting by ``inner`` and then by ``outer``; zero weights are dropped."""
     out: dict[str, Row] = {}
     for target, row in outer.items():
         acc: Row = {}
         for mid, w in row.items():
             for sym, v in inner[mid].items():
                 acc[sym] = acc.get(sym, Fraction(0)) + w * v
-        out[target] = acc
+        out[target] = {sym: w for sym, w in acc.items() if w}
     return out
 
 

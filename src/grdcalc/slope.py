@@ -156,9 +156,10 @@ def m_family_gap_identity(reports: Sequence[SlopeReport]) -> bool:
     """Check each m-family report's gap against the closed-form gap at its m.
 
     The member m is read from the report (r = 2m).  Both sides are rational
-    functions of m, so agreement at enough points (15 exceeds both degrees)
-    certifies the identity; the symbolic route ``family_gap_symbolic``
-    provides the same certificate in one shot.
+    functions of m, so agreement at 15 points (more than both degrees)
+    certifies the identity: the check is a certificate only for reports of
+    m = 1 .. m_max with m_max >= 15.  For fewer members (``slope --sweep 3``,
+    ``verify --m-max 5``) the certificate is ``symbolic_gap_identity``.
     """
     printed = family_gap_function()
     return all(report.gap == printed.eval(report.r // 2) for report in reports)

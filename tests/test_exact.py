@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -177,11 +178,107 @@ def test_equality_matches_pointwise_sampling(rng):
         assert pointwise == ratfunc_equal(f, g)
 
 
-def _rand_ratfunc(rng):
-    num = Poly([rand_fraction(rng, 6) for _ in range(rng.randint(0, 4))])
+def test_eval_on_ints_matches_fraction_horner(rng):
+    points = [0, 1, -1, 2 ** 70, Fraction(1, 2), Fraction(-7, 3), Fraction(3, 2 ** 65)]
+    points += [rng.randint(-10 ** 6, 10 ** 6) for _ in range(10)]
+    points += [Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+               for _ in range(10)]
+    for _ in range(80):
+        f = _rand_ratfunc(rng)
+        for x in points:
+            nv, dv = _fraction_horner(f.num.coeffs, x), _fraction_horner(f.den.coeffs, x)
+            assert (f.num(x), f.den(x)) == (nv, dv)
+            if dv:
+                assert f.eval(x) == nv / dv
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    f.eval(x)
+    assert Poly()(Fraction(1, 3)) == 0 and Poly([5])(Fraction(1, 3)) == 5
+
+
+def test_eval_where_only_the_unreduced_denominator_vanishes():
+    # (m - a)(m + 1) / ((m - a)(m - 7)) is (m + 1)/(m - 7): defined at m = a.
+    m = RatFunc.variable()
+    for a in (5, -3, Fraction(2, 3), Fraction(-9, 4)):
+        num, den = Poly([-a, 1]) * Poly([1, 1]), Poly([-a, 1]) * Poly([-7, 1])
+        assert den(a) == 0
+        assert RatFunc(num, den).eval(a) == Fraction(a + 1) / (a - 7)
+        assert ((m - a) * (m + 1) / ((m - a) * (m - 7))).eval(a) == Fraction(a + 1) / (a - 7)
+
+
+def test_random_expression_trees_match_fraction_evaluation(rng):
+    # Arithmetic keeps unreduced pairs; whatever the chain, the value, the
+    # reduced form and the equality must be those of the function itself.
+    m = RatFunc.variable()
+    points = [0, 1, 2, -3, 11, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 9)]
+
+    def build(depth):
+        if depth == 0:
+            kind = rng.randrange(4)
+            if kind == 0:
+                c = rng.randint(-5, 5)
+                return c, lambda x: Fraction(c)
+            if kind == 1:
+                c = rand_fraction(rng, 9)
+                return c, lambda x: c
+            if kind == 2:
+                return m, lambda x: Fraction(x)
+            f = _rand_ratfunc(rng, max_deg=2)
+            return f, f.eval
+        (a, fa), (b, fb) = build(depth - 1), build(rng.randint(0, min(2, depth - 1)))
+        if rng.random() < 0.5:
+            (a, fa), (b, fb) = (b, fb), (a, fa)
+        op = rng.choice([operator.add, operator.sub, operator.mul, operator.truediv])
+        if op is operator.truediv and b == 0:
+            op = operator.add
+        if not isinstance(a, RatFunc) and not isinstance(b, RatFunc):
+            a = Fraction(a)  # keep int / int exact
+        return op(a, b), lambda x: op(fa(x), fb(x))
+
+    checked = 0
+    for _ in range(60):
+        h, at = build(rng.randint(6, 8))
+        if not isinstance(h, RatFunc):
+            continue
+        for x in points:
+            try:
+                expected = at(x)
+            except ZeroDivisionError:
+                continue
+            assert h.eval(x) == expected
+            checked += 1
+        assert h.den.leading() == 1
+        assert poly_gcd(h.num, h.den) == Poly([1])
+        # The same function built another way is equal, hash-equal and the same key.
+        k = _rand_ratfunc(rng, max_deg=2)
+        while k.is_zero():
+            k = _rand_ratfunc(rng, max_deg=2)
+        other = h * k / k
+        assert other == h and hash(other) == hash(h) and {h: 1}[other] == 1
+    assert checked > 200
+
+
+def test_equal_values_built_differently_are_one_key():
+    m = RatFunc.variable()
+    f, g = (m * m - 1) / (m - 1), m + 1
+    assert f == g and hash(f) == hash(g)
+    assert len({f: "a", g: "b"}) == 1
+    assert Poly([Fraction(1, 2), 1]) == Poly([Fraction(2, 4), Fraction(3, 3)])
+    assert hash(Poly([Fraction(1, 2), 1])) == hash(Poly([Fraction(2, 4), Fraction(3, 3)]))
+
+
+def _fraction_horner(coeffs, x):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _rand_ratfunc(rng, max_deg=3):
+    num = Poly([rand_fraction(rng, 6) for _ in range(rng.randint(0, max_deg + 1))])
     den = Poly()
     while den.is_zero():
-        den = Poly([rand_fraction(rng, 6) for _ in range(rng.randint(1, 4))])
+        den = Poly([rand_fraction(rng, 6) for _ in range(rng.randint(1, max_deg + 1))])
     return RatFunc(num, den)
 
 

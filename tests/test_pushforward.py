@@ -7,8 +7,9 @@ from grdcalc import linalg, pushforward
 from grdcalc.errors import ConsistencyError, PreconditionError
 from grdcalc.families import ClassLabel, push_m21, push_marked
 from grdcalc.invariants import castelnuovo_count, rho_zero_triples
-from grdcalc.picard import (LAMBDA, PSI, DivisorClass, PicSpace, delta, evaluate,
-                            make_class, pullback_i, pullback_j, pullback_k, reduce_m21)
+from grdcalc.picard import (GENUS2_REDUCTION, LAMBDA, PSI, DivisorClass, PicSpace, delta,
+                            evaluate, make_class, pullback_i, pullback_j, pullback_k,
+                            reduce_m21)
 from grdcalc.pushforward import (alpha, beta, closed_form, combination, family_equations,
                                  gamma, solve_from_families)
 
@@ -202,3 +203,14 @@ def test_beta_reference_formula():
         if value:
             expected[delta(i)] = value
     assert beta(g, r, d) == make_class(PicSpace.mg1(g), expected)
+
+
+def test_no_family_row_holds_a_zero_weight():
+    # solve_unique scans every entry a row names, so a zero weight is waste.
+    assert all(w for row in GENUS2_REDUCTION.values() for w in row.values())
+    triples = [p for p in rho_zero_triples(30) if p.g >= 5]
+    assert {p.g for p in triples} == set(range(5, 31))
+    for p in triples:
+        for label in ClassLabel:
+            for family, row, _ in family_equations(p.g, p.r, p.d, label):
+                assert all(row.values()), (p, label, family, row)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from grdcalc import exact
 from grdcalc.errors import PreconditionError
 from grdcalc.exact import RatFunc, ratfunc_equal
 from grdcalc.slope import (family_gap_function, family_gap_symbolic,
@@ -105,6 +106,22 @@ def test_symbolic_gap_equals_printed_function():
     assert ratfunc_equal(symbolic, printed)
     # Both are stored reduced with a monic denominator, hence coefficient-equal.
     assert (symbolic.num, symbolic.den) == (printed.num, printed.den)
+
+
+def test_gap_identity_runs_no_polynomial_gcd(monkeypatch):
+    # Arithmetic over Q(m) keeps unreduced pairs and the identity
+    # cross-multiplies them; one gcd runs when a reduced value is first read.
+    calls = []
+    gcd_ints = exact._gcd_ints
+    monkeypatch.setattr(exact, "_gcd_ints", lambda a, b: calls.append(1) or gcd_ints(a, b))
+    assert symbolic_gap_identity()
+    assert len(calls) == 0
+    symbolic = family_gap_symbolic()
+    assert len(calls) == 0
+    assert symbolic.num.degree() == 5
+    assert len(calls) == 1
+    assert symbolic.den.degree() == 9 and symbolic.eval(3) == Fraction(95, 4147)
+    assert len(calls) == 1
 
 
 def test_generic_coefficients_match_full_pushforward():
