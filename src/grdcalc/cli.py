@@ -42,6 +42,11 @@ GOLDEN_NAME = "verify_golden.json"
 G_LIMIT = 20000
 SCHUBERT_D_LIMIT = 300
 
+FORMATS = ("json", "tsv", "pretty")
+# The keys a --config file may hold, each the dest of the flag whose default
+# it supplies, applied in this order where the subcommand has that flag.
+CONFIG_KEYS = ("format", "g_max", "m_max")
+
 
 class CliError(Exception):
     """Usage-level failure carrying the exit code 1 message."""
@@ -56,37 +61,33 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(payload, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-        return
-    flat = _flatten(payload)
-    if fmt == "tsv":
-        for key, value in flat:
-            print(f"{key}\t{value}")
-        return
-    width = max((len(k) for k, _ in flat), default=0)
-    for key, value in flat:
-        print(f"{key.ljust(width)}  {value}")
+    """Print a payload in one of FORMATS; a string (the verify table) as it is."""
+    if isinstance(payload, str):
+        lines = [payload]
+    elif fmt == "json":
+        lines = [json.dumps(payload, sort_keys=True, indent=2)]
+    elif fmt == "tsv":
+        lines = [f"{key}\t{value}" for key, value in _flatten(payload)]
+    else:
+        flat = _flatten(payload)
+        width = max((len(k) for k, _ in flat), default=0)
+        lines = [f"{key.ljust(width)}  {value}" for key, value in flat]
+    for line in lines:
+        print(line)
 
 
 def _flatten(payload, prefix: str = "") -> list[tuple[str, str]]:
-    if isinstance(payload, dict):
-        out: list[tuple[str, str]] = []
-        for key in sorted(payload):
-            out.extend(_flatten(payload[key], f"{prefix}.{key}" if prefix else str(key)))
-        return out
-    if isinstance(payload, list):
-        out = []
-        for i, item in enumerate(payload):
-            out.extend(_flatten(item, f"{prefix}.{i}" if prefix else str(i)))
-        return out
-    value = json.dumps(payload) if isinstance(payload, bool) else str(payload)
-    return [(prefix, value)]
+    if isinstance(payload, dict | list):
+        items = sorted(payload.items()) if isinstance(payload, dict) else enumerate(payload)
+        return [pair for key, item in items
+                for pair in _flatten(item, f"{prefix}.{key}" if prefix else str(key))]
+    return [(prefix, json.dumps(payload) if isinstance(payload, bool) else str(payload))]
 
 
-def _load_config(path: str) -> dict[str, str]:
-    """key=value lines; blank lines and # comments ignored."""
-    out: dict[str, str] = {}
+def _apply_config(args, path: str) -> None:
+    """Read key=value lines (blank lines and # comments ignored) and fill each
+    flag that the subcommand has and the command line left unset."""
+    config: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -97,14 +98,37 @@ def _load_config(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise CliError(f"{path}:{lineno}: unknown config key {key!r}, "
+                           f"expected one of {', '.join(CONFIG_KEYS)}")
+        config[key] = value
+    for key in CONFIG_KEYS:
+        if key not in config or key not in vars(args) or getattr(args, key) is not None:
+            continue
+        value = config[key]
+        if key == "format":
+            if value not in FORMATS:
+                raise CliError(f"config format {value!r} invalid")
+        else:
+            try:
+                value = int(value)
+            except ValueError:
+                raise CliError(f"config {key} {value!r} is not an integer")
+        setattr(args, key, value)
+
+
+def _add_triple(parser: argparse.ArgumentParser, required: bool = True) -> None:
+    """The --g --r --d of a triple.  Added where it is called, not as a parent
+    parser, so that `families` still names its positional first when
+    arguments are missing."""
+    for flag in ("--g", "--r", "--d"):
+        parser.add_argument(flag, type=int, required=required)
 
 
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["json", "tsv", "pretty"], default=None,
+    common.add_argument("--format", choices=FORMATS, default=None,
                         help="output format (default json)")
     common.add_argument("--config", default=None,
                         help="optional key=value config file supplying defaults")
@@ -115,9 +139,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("invariants", parents=[common],
                        help="rho, Castelnuovo count and xi for a triple")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    _add_triple(p)
 
     p = sub.add_parser("schubert", parents=[common],
                        help="integral of zeta^k . sigma_b on the Grassmannian")
@@ -127,38 +149,33 @@ def _build_parser() -> _Parser:
     p.add_argument("--b", required=True, help="comma-separated increasing index, e.g. 0,0")
     p.add_argument("--method", choices=["closed", "pieri", "both"], default="closed")
 
-    p = sub.add_parser("picard", parents=[common], help="pull-back maps on divisor classes")
-    psub = p.add_subparsers(dest="picard_command", required=True)
-    pb = psub.add_parser("pullback", parents=[common])
-    pb.add_argument("map", choices=["i", "j", "k"],
-                    help="i: elliptic-tail family, j: genus-2-tail family, k: moving marked point")
-    pb.add_argument("--g", type=int, required=True)
-    pb.add_argument("--h", type=int, default=None, help="component genus (map k only)")
-    pb.add_argument("--class", dest="class_text", required=True,
-                    help='divisor class as "symbol:coeff,symbol:coeff"')
+    # `picard` only groups its maps: --format and --config go after `pullback`.
+    p = sub.add_parser("picard", help="pull-back maps on divisor classes")
+    p = p.add_subparsers(dest="picard_command", required=True).add_parser(
+        "pullback", parents=[common])
+    p.add_argument("map", choices=["i", "j", "k"],
+                   help="i: elliptic-tail family, j: genus-2-tail family, k: moving marked point")
+    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--h", type=int, default=None, help="component genus (map k only)")
+    p.add_argument("--class", dest="class_text", required=True,
+                   help='divisor class as "symbol:coeff,symbol:coeff"')
 
     p = sub.add_parser("families", parents=[common],
                        help="push-forwards of alpha, beta, gamma over a special family")
     p.add_argument("family", choices=["m21", "marked", "mogb"])
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    _add_triple(p)
     p.add_argument("--h", type=int, default=None, help="component genus (marked family only)")
 
     p = sub.add_parser("pushforward", parents=[common],
                        help="push-forward of one class on the pointed moduli space")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    _add_triple(p)
     p.add_argument("--class", dest="class_name", required=True,
                    choices=["alpha", "beta", "gamma"])
     p.add_argument("--method", choices=["closed", "assembled", "both"], default="closed")
 
     p = sub.add_parser("slope", parents=[common],
                        help="slope report for the quadric divisor")
-    p.add_argument("--g", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--d", type=int)
+    _add_triple(p, required=False)
     p.add_argument("--m", type=int, help="member of the quadratic family")
     p.add_argument("--sweep", type=int, help="report the family for m = 1..SWEEP")
 
@@ -168,6 +185,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--golden", default=None,
                    help="directory for golden-file regression (writes if absent, else compares)")
     return parser
+
+
+def _compare_routes(payload: dict, method: str, closed_key: str,
+                    other_key: str) -> tuple[dict, int]:
+    """Under ``--method both``, record whether the two routes agree; they must, or exit 2."""
+    if method != "both":
+        return payload, EXIT_OK
+    agree = payload[closed_key] == payload[other_key]
+    payload["methods_agree"] = agree
+    return payload, EXIT_OK if agree else EXIT_VERIFY
 
 
 def _cmd_invariants(args) -> tuple[dict, int]:
@@ -190,20 +217,12 @@ def _cmd_schubert(args) -> tuple[dict, int]:
     except ValueError:
         raise CliError(f"bad index {args.b!r}, expected comma-separated integers")
     payload: dict = {"r": args.r, "d": args.d, "k": args.k, "b": list(b)}
-    code = EXIT_OK
-    if args.method in ("closed", "both"):
+    if args.method != "pieri":
         payload["value"] = format_rational(schubert.special_power_integral(shape, args.k, b))
-    if args.method in ("pieri", "both"):
-        payload["value_pieri"] = format_rational(
+    if args.method != "closed":
+        payload["value_pieri" if args.method == "both" else "value"] = format_rational(
             schubert.zeta_power_integral_pieri(shape, args.k, b))
-        if args.method == "pieri":
-            payload["value"] = payload.pop("value_pieri")
-    if args.method == "both":
-        agree = payload["value"] == payload["value_pieri"]
-        payload["methods_agree"] = agree
-        if not agree:
-            code = EXIT_VERIFY
-    return payload, code
+    return _compare_routes(payload, args.method, "value", "value_pieri")
 
 
 def _cmd_picard(args) -> tuple[dict, int]:
@@ -247,19 +266,13 @@ def _cmd_pushforward(args) -> tuple[dict, int]:
     g, r, d = args.g, args.r, args.d
     label = ClassLabel(args.class_name)
     payload: dict = {"g": g, "r": r, "d": d, "class": label.value, "method": args.method}
-    code = EXIT_OK
-    if args.method in ("closed", "both"):
+    if args.method != "assembled":
         payload["coefficients"] = pushforward.closed_form(g, r, d, label).payload()
-    if args.method in ("assembled", "both"):
+    if args.method != "closed":
         assembled = pushforward.solve_from_families(g, r, d, label).as_divisor_class(g)
         key = "coefficients_assembled" if args.method == "both" else "coefficients"
         payload[key] = assembled.payload()
-    if args.method == "both":
-        agree = payload["coefficients"] == payload["coefficients_assembled"]
-        payload["methods_agree"] = agree
-        if not agree:
-            code = EXIT_VERIFY
-    return payload, code
+    return _compare_routes(payload, args.method, "coefficients", "coefficients_assembled")
 
 
 def _cmd_slope(args) -> tuple[dict, int]:
@@ -300,7 +313,7 @@ def _golden_compare(payload: dict, directory: str) -> tuple[dict, int]:
     return {"golden": str(path), "golden_status": status}, code
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict | str, int]:
     from . import verify
     g_max = verify.DEFAULT_G_MAX if args.g_max is None else args.g_max
     m_max = verify.DEFAULT_M_MAX if args.m_max is None else args.m_max
@@ -312,52 +325,33 @@ def _cmd_verify(args) -> int:
         golden, golden_code = _golden_compare(verify.golden_payload(g_max, m_max), args.golden)
     code = max(EXIT_OK if failures == 0 else EXIT_VERIFY, golden_code)
     if args.format is not None:
-        _emit({"checks": [rs.payload() for rs in results],
-               "passed": len(results) - failures, "total": len(results), **golden},
-              args.format)
-        return code
+        return ({"checks": [rs.payload() for rs in results],
+                 "passed": len(results) - failures, "total": len(results), **golden}, code)
     width = max(len(rs.name) for rs in results)
-    for rs in results:
-        print(f"{'PASS' if rs.passed else 'FAIL'}  {rs.name.ljust(width)}  {rs.detail}")
+    lines = [f"{'PASS' if rs.passed else 'FAIL'}  {rs.name.ljust(width)}  {rs.detail}"
+             for rs in results]
     if golden:
-        print(f"{'PASS' if golden_code == EXIT_OK else 'FAIL'}  golden{' ' * (width - 6)}  "
-              f"{golden['golden_status']}: {golden['golden']}")
-    print(f"{len(results) - failures}/{len(results)} checks passed")
-    return code
+        lines.append(f"{'PASS' if golden_code == EXIT_OK else 'FAIL'}  golden{' ' * (width - 6)}"
+                     f"  {golden['golden_status']}: {golden['golden']}")
+    lines.append(f"{len(results) - failures}/{len(results)} checks passed")
+    return "\n".join(lines), code
+
+
+_HANDLERS = {"invariants": _cmd_invariants, "schubert": _cmd_schubert, "picard": _cmd_picard,
+             "families": _cmd_families, "pushforward": _cmd_pushforward, "slope": _cmd_slope,
+             "verify": _cmd_verify}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            config = _load_config(args.config)
-            if getattr(args, "format", None) is None and "format" in config:
-                if config["format"] not in ("json", "tsv", "pretty"):
-                    raise CliError(f"config format {config['format']!r} invalid")
-                args.format = config["format"]
-            for key in ("g_max", "m_max"):
-                if hasattr(args, key) and getattr(args, key) is None and key in config:
-                    try:
-                        setattr(args, key, int(config[key]))
-                    except ValueError:
-                        raise CliError(f"config {key} {config[key]!r} is not an integer")
-        fmt = getattr(args, "format", None) or "json"
+        if args.config:
+            _apply_config(args, args.config)
         if getattr(args, "g", None) is not None and args.g > G_LIMIT:
             raise CliError(f"--g must be at most {G_LIMIT}")
-
-        if args.command == "verify":
-            return _cmd_verify(args)
-        handler = {
-            "invariants": _cmd_invariants,
-            "schubert": _cmd_schubert,
-            "picard": _cmd_picard,
-            "families": _cmd_families,
-            "pushforward": _cmd_pushforward,
-            "slope": _cmd_slope,
-        }[args.command]
-        payload, code = handler(args)
-        _emit(payload, fmt)
+        payload, code = _HANDLERS[args.command](args)
+        _emit(payload, args.format or "json")
         return code
     except CliError as exc:
         print(f"grdcalc: error: {exc}", file=sys.stderr)

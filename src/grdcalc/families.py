@@ -24,8 +24,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError
 from .invariants import COVER_DEGREE, GENUS2_TAIL, WEIERSTRASS, castelnuovo_count, xi
-from .picard import (LAMBDA, PSI, DivisorClass, PicSpace, delta, make_class,
-                     reduce_m21)
+from .picard import LAMBDA, PSI, DivisorClass, PicSpace, delta, reduce_m21
 from .schubert import GrassShape, special_power_integral
 
 
@@ -79,7 +78,7 @@ def genus2_line_bundle_class() -> UniversalCurveClass:
     right degrees on all components and is trivial along the marked section:
     omega - 2*sigma + delta - 3*psi pulled back.
     """
-    return UniversalCurveClass(1, -2, 1, make_class(_M21, {PSI: -3}))
+    return UniversalCurveClass(1, -2, 1, DivisorClass(_M21, {PSI: -3}))
 
 
 def genus2_dualizing_class() -> UniversalCurveClass:
@@ -89,7 +88,7 @@ def genus2_dualizing_class() -> UniversalCurveClass:
 
 def weierstrass_class() -> DivisorClass:
     """Class of the pointed-Weierstrass divisor on m21: 3*psi - lambda - delta_1."""
-    return make_class(_M21, {PSI: 3, LAMBDA: -1, delta(1): -1})
+    return DivisorClass(_M21, {PSI: 3, LAMBDA: -1, delta(1): -1})
 
 
 # Push-forwards of quadratic monomials along the universal genus-2 curve.
@@ -116,7 +115,7 @@ def m21_push_product(x: UniversalCurveClass, y: UniversalCurveClass) -> DivisorC
         cs, ct = parts[s], parts[t]
         weight = cs[0] * ct[1] + (ct[0] * cs[1] if s != t else 0)
         if weight != 0 and image:
-            out = out + make_class(_M21, image).scale(weight)
+            out = out + DivisorClass(_M21, image).scale(weight)
     out = out + y.base.scale(x.fiber_degree()) + x.base.scale(y.fiber_degree())
     return out
 
@@ -189,7 +188,7 @@ def push_m21(g: int, r: int, d: int, label: ClassLabel) -> DivisorClass:
     GENUS2_TAIL.check(g, r, d)
     n = castelnuovo_count(g, r, d)
     w = weierstrass_class()
-    t = make_class(_M21, {LAMBDA: 1, delta(1): 1, PSI: -4})
+    t = DivisorClass(_M21, {LAMBDA: 1, delta(1): 1, PSI: -4})
     if label is ClassLabel.ALPHA:
         return (w.scale(Fraction(2 * d * (d - 2 * g + 2), 3 * (g - 1)) * n)
                 + t.scale(Fraction(d, g - 1) * n))

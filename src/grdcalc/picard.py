@@ -21,7 +21,7 @@ assembly solves for exactly those coefficients, one unknown per basis symbol.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from fractions import Fraction
 
 from .errors import PreconditionError
@@ -99,10 +99,6 @@ class DivisorClass(Value):
     def zero(cls, space: PicSpace) -> "DivisorClass":
         return cls(space, {})
 
-    @classmethod
-    def basis_vector(cls, space: PicSpace, sym: str, coeff=1) -> "DivisorClass":
-        return cls(space, {sym: Fraction(coeff)})
-
     def get(self, sym: str) -> Fraction:
         return self.coeffs.get(sym, Fraction(0))
 
@@ -138,12 +134,6 @@ class DivisorClass(Value):
     def __repr__(self) -> str:
         body = " + ".join(f"{c}*{s}" for s, c in self.sorted_items())
         return f"DivisorClass({self.space}, {body or '0'})"
-
-
-def make_class(space: PicSpace, items: Mapping[str, object] | Iterable[tuple[str, object]]) -> DivisorClass:
-    """Convenience constructor from a symbol -> coefficient mapping."""
-    mapping = dict(items)
-    return DivisorClass(space, {s: Fraction(v) for s, v in mapping.items()})
 
 
 def _require_space(D: DivisorClass, space: PicSpace, what: str) -> None:

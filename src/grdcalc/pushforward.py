@@ -21,8 +21,8 @@ from .invariants import (ALPHA_GAMMA_PUSH, BETA_PUSH, COVER_DEGREE, TEST_FAMILIE
                          PerCoverDegree, alpha_per_n, beta_per_n, castelnuovo_count,
                          gamma_per_n)
 from .picard import (GENUS2_REDUCTION, LAMBDA, PSI, DivisorClass, PicSpace, Row, compose,
-                     delta, elliptic_tail_rows, genus2_tail_rows, make_class,
-                     marked_point_row, reduce_m21)
+                     delta, elliptic_tail_rows, genus2_tail_rows, marked_point_row,
+                     reduce_m21)
 
 
 class PushforwardSolution:
@@ -36,7 +36,7 @@ class PushforwardSolution:
     def as_divisor_class(self, g: int) -> DivisorClass:
         if len(self.coeffs) != g + 2:
             raise PreconditionError(f"need {g + 2} coefficients on mg1({g}), got {len(self.coeffs)}")
-        return make_class(PicSpace.mg1(g), self.coeffs)
+        return DivisorClass(PicSpace.mg1(g), self.coeffs)
 
 
 def _times_cover_degree(g: int, r: int, d: int, per_n: PerCoverDegree) -> DivisorClass:
@@ -46,7 +46,7 @@ def _times_cover_degree(g: int, r: int, d: int, per_n: PerCoverDegree) -> Diviso
                                   PSI: per_n.psi * n}
     for i in range(1, g):
         items[delta(i)] = per_n.delta_i(i) * n
-    return make_class(PicSpace.mg1(g), items)
+    return DivisorClass(PicSpace.mg1(g), items)
 
 
 def alpha(g: int, r: int, d: int) -> DivisorClass:

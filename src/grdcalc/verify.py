@@ -17,14 +17,15 @@ from .exact import format_rational
 from .families import (ClassLabel, genus2_dualizing_class,
                        genus2_line_bundle_class, m21_push_product, marked_per_n,
                        push_m21, reconstruct_push_m21)
-from .picard import LAMBDA, PSI, DivisorClass, PicSpace, delta, epsilon, make_class
+from .picard import LAMBDA, PSI, DivisorClass, PicSpace, delta, epsilon
 from .slope import M_FAMILY_LIMIT
 from .value import Value
 
 
 # The sizes of the verify sweeps: their defaults, and the largest accepted;
 # m_max shares its bound, slope.M_FAMILY_LIMIT, with `slope --sweep`.  At
-# g_max 60 the battery takes about 5.5 s (Python 3.11, 2 vCPUs).
+# g_max 60 and m_max 1000 the battery takes about 4.5 s, and
+# ``golden_payload`` another 0.5 s (Python 3.11, 2 vCPUs).
 DEFAULT_G_MAX = 12
 DEFAULT_M_MAX = 15
 G_MAX_LIMIT = 60
@@ -157,7 +158,7 @@ def check_weierstrass_dual(g_max: int):
 def check_genus2_engine():
     """Universal-curve products reproduce 12*lambda - delta_0 - 8*psi for alpha and beta."""
     line = genus2_line_bundle_class()
-    expected = make_class(PicSpace.m21(), {LAMBDA: 12, delta(0): -1, "psi": -8})
+    expected = DivisorClass(PicSpace.m21(), {LAMBDA: 12, delta(0): -1, "psi": -8})
     got_alpha = m21_push_product(line, line)
     got_beta = m21_push_product(line, genus2_dualizing_class())
     if got_alpha != expected or got_beta != expected:
@@ -233,9 +234,9 @@ def check_delta_pullback_identity():
     """i*(delta_1) + i*(delta_{g-1}) equals sum_i i(i-g)/(g-1) epsilon_i, symbolically."""
     for g in DELTA_PULLBACK_GENERA:
         space = PicSpace.mg1(g)
-        total = picard.pullback_i(g, DivisorClass.basis_vector(space, delta(1))) \
-            + picard.pullback_i(g, DivisorClass.basis_vector(space, delta(g - 1)))
-        expected = make_class(PicSpace.m0g(g), {
+        total = picard.pullback_i(g, DivisorClass(space, {delta(1): 1})) \
+            + picard.pullback_i(g, DivisorClass(space, {delta(g - 1): 1}))
+        expected = DivisorClass(PicSpace.m0g(g), {
             epsilon(i): Fraction(i * (i - g), g - 1) for i in range(2, g - 1)})
         if total != expected:
             return False, f"g={g}: {total} != {expected}"
@@ -352,14 +353,15 @@ def golden_payload(g_max: int = DEFAULT_G_MAX, m_max: int = DEFAULT_M_MAX) -> di
     """Deterministic value dump for golden-file regression comparisons.
 
     Holds the exact push-forward coefficient maps for every swept triple and
-    the slope reports of the m-family; serialized values are strings, so the
-    payload is stable across platforms and runs.
+    the slope reports of the m-family (``slope.m_family_reports``, the sweep of
+    ``slope --sweep``); serialized values are strings, so the payload is
+    stable across platforms and runs.
     """
     payload: dict = {"g_max": g_max, "m_max": m_max, "pushforwards": {}, "slopes": {}}
     for t in _sweep_triples(g_max, invariants.ALPHA_GAMMA_PUSH):
         payload["pushforwards"][f"{t.g},{t.r},{t.d}"] = {
             label.value: pushforward.closed_form(t.g, t.r, t.d, label).payload()
             for label in ClassLabel}
-    for m in range(1, m_max + 1):
-        payload["slopes"][str(m)] = slope.m_family_report(m).payload()
+    for m, report in enumerate(slope.m_family_reports(m_max), 1):
+        payload["slopes"][str(m)] = report.payload()
     return payload

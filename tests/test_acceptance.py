@@ -28,8 +28,7 @@ from grdcalc.families import (ClassLabel, genus2_dualizing_class,
 from grdcalc.linalg import solve_unique
 from grdcalc.picard import (GENUS2_RELATION,LAMBDA, PSI, DivisorClass,
                             PicSpace, delta, epsilon_intersection_matrix,
-                            make_class, pullback_i, pullback_j, pullback_k,
-                            reduce_m21)
+                            pullback_i, pullback_j, pullback_k, reduce_m21)
 from conftest import rand_class, rand_fraction
 
 
@@ -112,7 +111,7 @@ def test_criterion_5_schubert_oracle():
 def test_criterion_6_genus2_engine():
     with _Budget("criterion-6 genus-2 engine", 5.0):
         line = genus2_line_bundle_class()
-        expected = make_class(PicSpace.m21(), {LAMBDA: 12, delta(0): -1, PSI: -8})
+        expected = DivisorClass(PicSpace.m21(), {LAMBDA: 12, delta(0): -1, PSI: -8})
         assert m21_push_product(line, line) == expected
         assert m21_push_product(line, genus2_dualizing_class()) == expected
         for t in invariants.rho_zero_triples(12):
@@ -131,8 +130,8 @@ def test_criterion_7_picard_checks():
                 == [0] * (g - 3), g
         for g in range(5, 31):
             space = PicSpace.mg1(g)
-            D = make_class(space, {delta(1): 1, delta(g - 1): 1})
-            expected = make_class(PicSpace.m0g(g), {
+            D = DivisorClass(space, {delta(1): 1, delta(g - 1): 1})
+            expected = DivisorClass(PicSpace.m0g(g), {
                 f"epsilon_{i}": Fraction(i * (i - g), g - 1) for i in range(2, g - 1)})
             assert pullback_i(g, D) == expected, g
 
@@ -169,7 +168,7 @@ def test_criterion_8_property_suite():
         from grdcalc.families import UniversalCurveClass
         for _ in range(250):
             def rand_curve():
-                base = make_class(m21, {s: rand_fraction(rng) for s in m21.basis()
+                base = DivisorClass(m21, {s: rand_fraction(rng) for s in m21.basis()
                                         if rng.random() < 0.5})
                 return UniversalCurveClass(rand_fraction(rng), rand_fraction(rng),
                                            rand_fraction(rng), base)

@@ -281,6 +281,15 @@ def test_missing_subcommand_is_usage_error(capsys):
     (["slope", "--m", "0"], None, 1, "need m >= 1"),
     (["invariants", "--g", "4", "--r", "1", "--d", "3"], "format=xml\n", 1,
      "config format 'xml' invalid"),
+    (["invariants", "--g", "4", "--r", "1", "--d", "3"], "format=tsv\nformt=tsv\n", 1,
+     "grdcalc.conf:2: unknown config key 'formt'"),
+    (["verify"], "formt=tsv\n", 1, "grdcalc.conf:1: unknown config key 'formt'"),
+    (["picard", "--format", "tsv", "pullback", "i", "--g", "5", "--class", "delta_2:1"], None, 1,
+     "invalid choice: 'tsv'"),
+    (["picard", "--config", "CONFIG", "pullback", "i", "--g", "5", "--class", "lambda:1"], None, 1,
+     "invalid choice: "),
+    (["picard", "--config", "CONFIG", "pullback", "i", "--g", "5", "--class", "lambda:1"],
+     "format=tsv\n", 1, "invalid choice: "),
 ], ids=["class-coeff", "config-g-max", "config-m-max", "genus-zero", "unit-class-k",
         "pieri-unbounded", "genus-one-m21", "verify-g-max", "slope-stray-g", "mogb-rho",
         "m21-stray-h", "mogb-stray-h", "pullback-i-stray-h", "negative-index", "sweep-bound",
@@ -288,11 +297,18 @@ def test_missing_subcommand_is_usage_error(capsys):
         "count-too-long", "marked-too-long", "count-factorial-overflow",
         "schubert-factorial-overflow", "count-huge-genus", "marked-huge-genus", "mogb-huge-genus",
         "pullback-huge-genus", "pieri-huge-box", "pieri-work-r10", "pieri-work-r30",
-        "bad-index", "sweep-zero", "m-zero", "config-format"])
+        "bad-index", "sweep-zero", "m-zero", "config-format", "config-unknown-key",
+        "verify-config-unknown-key", "picard-level-format", "picard-level-config-missing",
+        "picard-level-config"])
 def test_malformed_or_huge_input_ends_cleanly(tmp_path, capsys, argv, config, code, expected):
+    # The config file is written only if the case gives its text; it goes
+    # where the argv says CONFIG, or else at the end.
+    path = tmp_path / "grdcalc.conf"
     if config is not None:
-        path = tmp_path / "grdcalc.conf"
         path.write_text(config)
+    if "CONFIG" in argv:
+        argv = [str(path) if arg == "CONFIG" else arg for arg in argv]
+    elif config is not None:
         argv = argv + ["--config", str(path)]
     got, out, err = run_cli(capsys, *argv)
     assert got == code, err
@@ -301,6 +317,32 @@ def test_malformed_or_huge_input_ends_cleanly(tmp_path, capsys, argv, config, co
         assert json.loads(out)["value"] == expected
     else:
         assert expected in err and not out
+
+
+def test_picard_takes_format_and_config_after_pullback(tmp_path, capsys):
+    argv = ["picard", "pullback", "i", "--g", "5", "--class", "delta_2:1"]
+    assert run_cli(capsys, *argv, "--format", "tsv") == (0, "epsilon_2\t1\n", "")
+    config = tmp_path / "grdcalc.conf"
+    config.write_text("format=pretty\n")
+    assert run_cli(capsys, *argv, "--config", str(config)) == (0, "epsilon_2  1\n", "")
+    code, out, err = run_cli(capsys, *argv, "--config", str(tmp_path / "missing.conf"))
+    assert (code, out) == (1, "") and err.startswith("grdcalc: error: cannot read config file")
+
+
+HELP_PAGES = [[], ["invariants"], ["schubert"], ["picard"], ["picard", "pullback"], ["families"],
+              ["pushforward"], ["slope"], ["verify"]]
+
+
+@pytest.mark.parametrize("argv", HELP_PAGES, ids=lambda argv: "-".join(["grdcalc"] + argv))
+def test_help_pages_are_pinned(monkeypatch, capsys, argv):
+    # argparse wraps help to the terminal width.
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--help"])
+    assert exit_info.value.code == 0
+    name = "help_" + "_".join(["grdcalc"] + argv) + ".txt"
+    assert capsys.readouterr().out == (Path(__file__).parent / "data" / name).read_text(
+        encoding="utf-8")
 
 
 def test_division_fault_is_an_internal_error(monkeypatch, capsys):
@@ -366,7 +408,8 @@ CONFIGS = [b"format=tsv\n", b"g_max=abc\n", b"garbage\n", b"format=xml\n", b"for
 def random_argv(rng, config_paths):
     """One argv: a subcommand (or none, or an unknown one), each of its flags
     with probability 3/4, mostly small values and some malformed ones, and
-    now and then --format, --config or a stray token."""
+    now and then --format, --config (for `picard`, often before `pullback`)
+    or a stray token."""
     def value(pool):
         return rng.choice(pool) if rng.random() < 0.8 else rng.choice(MALFORMED)
 
@@ -396,10 +439,14 @@ def random_argv(rng, config_paths):
     for flag, pool in flags.items():
         if rng.random() < 0.75:
             argv += [flag] if pool is None else [flag, value(pool)]
+    options = []
     if rng.random() < 0.2:
-        argv += ["--format", rng.choice(["json", "tsv", "pretty", "xml"])]
+        options += ["--format", rng.choice(["json", "tsv", "pretty", "xml"])]
     if rng.random() < 0.15:
-        argv += ["--config", rng.choice(config_paths)]
+        options += ["--config", rng.choice(config_paths)]
+    # Half of the time right after `picard`, which itself takes neither.
+    at = 1 if command == "picard" and rng.random() < 0.5 else len(argv)
+    argv[at:at] = options
     if rng.random() < 0.1:
         argv.insert(rng.randrange(len(argv) + 1), rng.choice(["--h", "--zzz", "-x", "--g", "7"]))
     return argv

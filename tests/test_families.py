@@ -11,8 +11,7 @@ from grdcalc.families import (ClassLabel, UniversalCurveClass,
                               weierstrass_alpha, weierstrass_class,
                               weierstrass_gamma)
 from grdcalc.invariants import castelnuovo_count, rho_zero_triples, vanishing_sum, xi
-from grdcalc.picard import (LAMBDA, PSI, DivisorClass, PicSpace, delta,
-                            make_class)
+from grdcalc.picard import LAMBDA, PSI, DivisorClass, PicSpace, delta
 from conftest import rand_fraction
 
 M21 = PicSpace.m21()
@@ -20,7 +19,7 @@ N21 = castelnuovo_count(21, 6, 24)
 
 
 def _rand_curve_class(rng) -> UniversalCurveClass:
-    base = make_class(M21, {sym: rand_fraction(rng) for sym in M21.basis()
+    base = DivisorClass(M21, {sym: rand_fraction(rng) for sym in M21.basis()
                             if rng.random() < 0.5})
     return UniversalCurveClass(rand_fraction(rng), rand_fraction(rng),
                                rand_fraction(rng), base)
@@ -28,18 +27,18 @@ def _rand_curve_class(rng) -> UniversalCurveClass:
 
 def test_line_bundle_square_pushes_to_known_class():
     line = genus2_line_bundle_class()
-    expected = make_class(M21, {LAMBDA: 12, delta(0): -1, PSI: -8})
+    expected = DivisorClass(M21, {LAMBDA: 12, delta(0): -1, PSI: -8})
     assert m21_push_product(line, line) == expected
 
 
 def test_mixed_product_pushes_to_same_class():
     line = genus2_line_bundle_class()
-    expected = make_class(M21, {LAMBDA: 12, delta(0): -1, PSI: -8})
+    expected = DivisorClass(M21, {LAMBDA: 12, delta(0): -1, PSI: -8})
     assert m21_push_product(line, genus2_dualizing_class()) == expected
 
 
 def test_pulled_back_squares_push_to_zero():
-    lam = UniversalCurveClass(base=DivisorClass.basis_vector(M21, LAMBDA))
+    lam = UniversalCurveClass(base=DivisorClass(M21, {LAMBDA: 1}))
     assert m21_push_product(lam, lam).is_zero()
 
 
@@ -106,7 +105,7 @@ def test_push_mogb_is_zero():
 
 def test_push_m21_beta_example():
     got = push_m21(4, 1, 3, ClassLabel.BETA)
-    assert got == make_class(M21, {LAMBDA: 2, delta(1): 2, PSI: -8})
+    assert got == DivisorClass(M21, {LAMBDA: 2, delta(1): 2, PSI: -8})
 
 
 def test_push_m21_gamma_rank_one():

@@ -7,7 +7,7 @@ from grdcalc.linalg import solve_unique
 from grdcalc.picard import (GENUS2_REDUCTION, GENUS2_RELATION, LAMBDA, PSI,
                             DivisorClass, PicSpace, compose, delta, epsilon,
                             epsilon_intersection_matrix, genus2_tail_rows,
-                            make_class, parse_class, pullback_i, pullback_j,
+                            parse_class, pullback_i, pullback_j,
                             pullback_k, reduce_m21, restrict)
 from conftest import rand_class, rand_fraction
 
@@ -22,34 +22,34 @@ def test_space_validation():
     with pytest.raises(PreconditionError):
         PicSpace.m0g(3)
     with pytest.raises(PreconditionError, match="^symbol 'delta_2' is not in the basis of m21$"):
-        make_class(PicSpace.m21(), {"delta_2": 1})
+        DivisorClass(PicSpace.m21(), {"delta_2": 1})
 
 
 def test_divisor_class_drops_zeros():
-    D = make_class(PicSpace.m21(), {LAMBDA: 0, PSI: Fraction(1, 2)})
+    D = DivisorClass(PicSpace.m21(), {LAMBDA: 0, PSI: Fraction(1, 2)})
     assert D.coeffs == {PSI: Fraction(1, 2)}
     assert D.get(LAMBDA) == 0
 
 
 def test_pullback_i_middle_deltas():
     g = 6
-    D = DivisorClass.basis_vector(PicSpace.mg1(g), delta(3))
-    assert pullback_i(g, D) == DivisorClass.basis_vector(PicSpace.m0g(g), epsilon(3))
+    D = DivisorClass(PicSpace.mg1(g), {delta(3): 1})
+    assert pullback_i(g, D) == DivisorClass(PicSpace.m0g(g), {epsilon(3): 1})
 
 
 def test_pullback_i_kills_lambda_psi_delta0():
     g = 7
     space = PicSpace.mg1(g)
     for sym in (LAMBDA, PSI, delta(0)):
-        assert pullback_i(g, DivisorClass.basis_vector(space, sym)).is_zero()
+        assert pullback_i(g, DivisorClass(space, {sym: 1})).is_zero()
 
 
 def test_pullback_i_boundary_delta_identity():
     # delta_1 + delta_{g-1} restricts to sum_i i(i-g)/(g-1) epsilon_i.
     for g in range(5, 12):
         space = PicSpace.mg1(g)
-        D = make_class(space, {delta(1): 1, delta(g - 1): 1})
-        expected = make_class(PicSpace.m0g(g), {
+        D = DivisorClass(space, {delta(1): 1, delta(g - 1): 1})
+        expected = DivisorClass(PicSpace.m0g(g), {
             epsilon(i): Fraction(i * (i - g), g - 1) for i in range(2, g - 1)})
         assert pullback_i(g, D) == expected
 
@@ -63,26 +63,26 @@ def test_pullback_j_mappings():
     g = 8
     space = PicSpace.mg1(g)
     m21 = PicSpace.m21()
-    assert pullback_j(g, DivisorClass.basis_vector(space, delta(g - 1))) \
-        == DivisorClass.basis_vector(m21, delta(1))
-    assert pullback_j(g, DivisorClass.basis_vector(space, PSI)).is_zero()
-    assert pullback_j(g, DivisorClass.basis_vector(space, delta(g - 2))) \
-        == DivisorClass.basis_vector(m21, PSI, -1)
-    mixed = make_class(space, {LAMBDA: 2, delta(g - 2): 3})
-    assert pullback_j(g, mixed) == make_class(m21, {LAMBDA: 2, PSI: -3})
+    assert pullback_j(g, DivisorClass(space, {delta(g - 1): 1})) \
+        == DivisorClass(m21, {delta(1): 1})
+    assert pullback_j(g, DivisorClass(space, {PSI: 1})).is_zero()
+    assert pullback_j(g, DivisorClass(space, {delta(g - 2): 1})) \
+        == DivisorClass(m21, {PSI: -1})
+    mixed = DivisorClass(space, {LAMBDA: 2, delta(g - 2): 3})
+    assert pullback_j(g, mixed) == DivisorClass(m21, {LAMBDA: 2, PSI: -3})
     for i in range(1, g - 2):
-        assert pullback_j(g, DivisorClass.basis_vector(space, delta(i))).is_zero()
+        assert pullback_j(g, DivisorClass(space, {delta(i): 1})).is_zero()
 
 
 def test_pullback_k_degrees():
     g = 8
     space = PicSpace.mg1(g)
-    assert pullback_k(g, 3, DivisorClass.basis_vector(space, PSI)) == 5
-    assert pullback_k(g, 3, DivisorClass.basis_vector(space, delta(3))) == -1
-    assert pullback_k(g, 3, DivisorClass.basis_vector(space, delta(5))) == 1
-    assert pullback_k(g, 3, DivisorClass.basis_vector(space, LAMBDA)) == 0
+    assert pullback_k(g, 3, DivisorClass(space, {PSI: 1})) == 5
+    assert pullback_k(g, 3, DivisorClass(space, {delta(3): 1})) == -1
+    assert pullback_k(g, 3, DivisorClass(space, {delta(5): 1})) == 1
+    assert pullback_k(g, 3, DivisorClass(space, {LAMBDA: 1})) == 0
     # Self-paired component genus: contributions on delta_{g/2} cancel.
-    assert pullback_k(g, 4, DivisorClass.basis_vector(space, delta(4))) == 0
+    assert pullback_k(g, 4, DivisorClass(space, {delta(4): 1})) == 0
     with pytest.raises(PreconditionError):
         pullback_k(g, 8, DivisorClass.zero(space))
 
@@ -144,11 +144,11 @@ def test_epsilon_matrix_requires_g_at_least_five():
 
 def test_reduce_m21_examples():
     m21 = PicSpace.m21()
-    D = make_class(m21, {LAMBDA: 12, delta(0): -1, PSI: -8})
-    assert reduce_m21(D) == make_class(m21, {LAMBDA: 2, delta(1): 2, PSI: -8})
-    assert reduce_m21(DivisorClass.basis_vector(m21, delta(0))) \
-        == make_class(m21, {LAMBDA: 10, delta(1): -2})
-    lam = DivisorClass.basis_vector(m21, LAMBDA)
+    D = DivisorClass(m21, {LAMBDA: 12, delta(0): -1, PSI: -8})
+    assert reduce_m21(D) == DivisorClass(m21, {LAMBDA: 2, delta(1): 2, PSI: -8})
+    assert reduce_m21(DivisorClass(m21, {delta(0): 1})) \
+        == DivisorClass(m21, {LAMBDA: 10, delta(1): -2})
+    lam = DivisorClass(m21, {LAMBDA: 1})
     assert reduce_m21(lam) == lam
 
 
@@ -193,7 +193,7 @@ def test_class_addition_requires_matching_space():
 def test_parse_class():
     space = PicSpace.mg1(8)
     D = parse_class(space, "delta_6:1, lambda:3/2")
-    assert D == make_class(space, {delta(6): 1, LAMBDA: Fraction(3, 2)})
+    assert D == DivisorClass(space, {delta(6): 1, LAMBDA: Fraction(3, 2)})
     with pytest.raises(PreconditionError):
         parse_class(space, "nonsense:1")
     with pytest.raises(PreconditionError):

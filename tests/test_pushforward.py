@@ -8,7 +8,7 @@ from grdcalc.errors import ConsistencyError, PreconditionError
 from grdcalc.families import ClassLabel, push_m21, push_marked
 from grdcalc.invariants import castelnuovo_count, rho_zero_triples
 from grdcalc.picard import (GENUS2_REDUCTION, LAMBDA, PSI, DivisorClass, PicSpace, delta,
-                            evaluate, make_class, pullback_i, pullback_j, pullback_k,
+                            evaluate, pullback_i, pullback_j, pullback_k,
                             reduce_m21)
 from grdcalc.pushforward import (alpha, beta, closed_form, combination, family_equations,
                                  gamma, solve_from_families)
@@ -58,7 +58,7 @@ def test_preconditions():
 
 
 def test_combination_quadric_coefficients():
-    hodge = DivisorClass.basis_vector(PicSpace.mg1(21), LAMBDA)
+    hodge = DivisorClass(PicSpace.mg1(21), {LAMBDA: 1})
     D = combination(21, 6, 24, 2, -1, -8, hodge)
     assert D.get(LAMBDA) == Fraction(2459, 95) * N21
     assert D.get(delta(0)) == Fraction(-377, 95) * N21
@@ -66,7 +66,7 @@ def test_combination_quadric_coefficients():
 
 
 def test_combination_pure_projection_formula():
-    hodge = DivisorClass.basis_vector(PicSpace.mg1(6), LAMBDA)
+    hodge = DivisorClass(PicSpace.mg1(6), {LAMBDA: 1})
     D = combination(6, 2, 6, 0, 0, 0, hodge)
     n = castelnuovo_count(6, 2, 6)
     assert D == hodge.scale(n)
@@ -202,7 +202,7 @@ def test_beta_reference_formula():
         value = 4 * (g - i) * (g - i - 1) * pref
         if value:
             expected[delta(i)] = value
-    assert beta(g, r, d) == make_class(PicSpace.mg1(g), expected)
+    assert beta(g, r, d) == DivisorClass(PicSpace.mg1(g), expected)
 
 
 def test_no_family_row_holds_a_zero_weight():

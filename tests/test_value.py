@@ -7,7 +7,7 @@ import pytest
 from grdcalc.errors import PreconditionError
 from grdcalc.families import UniversalCurveClass
 from grdcalc.invariants import GrdParams
-from grdcalc.picard import LAMBDA, DivisorClass, PicSpace, make_class
+from grdcalc.picard import LAMBDA, DivisorClass, PicSpace
 from grdcalc.schubert import GrassShape, check_partition
 from grdcalc.verify import CheckResult
 
@@ -26,9 +26,9 @@ def test_immutable_values_are_equal_by_fields_and_hash_alike(a, b, other, fields
 
 def test_mutable_values_are_equal_by_fields_and_unhashable():
     m21 = PicSpace.m21()
-    assert make_class(m21, {LAMBDA: 1}) == DivisorClass(m21, {LAMBDA: Fraction(1)})
-    assert make_class(m21, {LAMBDA: 1}) != make_class(m21, {LAMBDA: 2})
-    assert make_class(m21, {}) != DivisorClass.zero(PicSpace.mg1(2))
+    assert DivisorClass(m21, {LAMBDA: 1}) == DivisorClass(m21, {LAMBDA: Fraction(1)})
+    assert DivisorClass(m21, {LAMBDA: 1}) != DivisorClass(m21, {LAMBDA: 2})
+    assert DivisorClass(m21, {}) != DivisorClass.zero(PicSpace.mg1(2))
     assert CheckResult("c", True, "ok") == CheckResult("c", True, "ok")
     assert CheckResult("c", True, "ok") != CheckResult("c", False, "ok")
     for value in (DivisorClass.zero(m21), CheckResult("c", True, "ok")):

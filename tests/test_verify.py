@@ -66,7 +66,7 @@ def test_family_restrictions_name_the_family_a_slip_breaks(monkeypatch, symbol, 
     true_gamma = pushforward.gamma
 
     def slipped(g, r, d):
-        return true_gamma(g, r, d) + DivisorClass.basis_vector(PicSpace.mg1(g), symbol)
+        return true_gamma(g, r, d) + DivisorClass(PicSpace.mg1(g), {symbol: 1})
 
     monkeypatch.setitem(pushforward._CLOSED_FORMS, ClassLabel.GAMMA, slipped)
     result = verify.check_family_restrictions(5)
@@ -135,11 +135,11 @@ SLIPS = {
                          lambda true: lambda x, y: DivisorClass.zero(PicSpace.m21()))],
                        {"genus2-engine": "alpha DivisorClass(m21, 0), beta DivisorClass(m21, 0)"}),
     "closed-gamma-psi": ([(pushforward._CLOSED_FORMS, ClassLabel.GAMMA, _plus(
-        lambda g, r, d: DivisorClass.basis_vector(PicSpace.mg1(g), "psi")))], {
+        lambda g, r, d: DivisorClass(PicSpace.mg1(g), {"psi": 1})))], {
         "assembly-vs-closed-form": "(5,4,8) gamma: assembled DivisorClass(mg1(5), 1*lambda + -5*psi",
         "family-restrictions": "(5,4,8) gamma: marked-point degree mismatch"}),
     "pullback-i": ([(picard, "pullback_i", _plus(
-        lambda g, D: DivisorClass.basis_vector(PicSpace.m0g(g), picard.epsilon(2))))],
+        lambda g, D: DivisorClass(PicSpace.m0g(g), {picard.epsilon(2): 1})))],
                    {"delta-pullback-identity": "g=5: DivisorClass(m0g(5), 1/2*epsilon_2"}),
     "marked-gamma": ([(verify, "marked_per_n", _plus(lambda *args: 1))],
                      {"marked-gamma-identity": "(2,1,2), h=1: degrees disagree"}),
