@@ -54,10 +54,25 @@ class CliError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2 on usage errors; this tool reserves 2
-    for verification failures, so usage problems are rerouted to exit 1."""
+    for verification failures, so usage problems are rerouted to exit 1.
+
+    Prefix matching is off in every parser and subparser (argparse builds the
+    subparsers with this class): an option is read only by its full name, so
+    `--h` is not `--help` and `--form` is not `--format`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise CliError(message)
+
+
+class _AfterPullback(argparse.Action):
+    """Refuses an option of `picard pullback` given before `pullback`."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise CliError(f"{option_string} is an option of `picard pullback`: "
+                       "give it after `pullback`")
 
 
 def _emit(payload, fmt: str) -> None:
@@ -149,8 +164,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--b", required=True, help="comma-separated increasing index, e.g. 0,0")
     p.add_argument("--method", choices=["closed", "pieri", "both"], default="closed")
 
-    # `picard` only groups its maps: --format and --config go after `pullback`.
+    # `picard` only groups its maps: --format and --config go after `pullback`,
+    # and given before it they are refused by name (they are left out of its help).
     p = sub.add_parser("picard", help="pull-back maps on divisor classes")
+    for flag in ("--format", "--config"):
+        p.add_argument(flag, nargs="?", action=_AfterPullback, help=argparse.SUPPRESS)
     p = p.add_subparsers(dest="picard_command", required=True).add_parser(
         "pullback", parents=[common])
     p.add_argument("map", choices=["i", "j", "k"],

@@ -86,9 +86,17 @@ def genus2_dualizing_class() -> UniversalCurveClass:
     return UniversalCurveClass(1, 1, 0, DivisorClass.zero(_M21))
 
 
+# The two classes ``push_m21`` is written in: the Weierstrass class
+# W = 3*psi - lambda - delta_1 and T = lambda + delta_1 - 4*psi, the
+# per-sheet contribution of the degree-d-ramification sheets reduced modulo
+# the genus-2 relation.  Neither has a delta_0 term.
+_W = {PSI: 3, LAMBDA: -1, delta(1): -1}
+_T = {LAMBDA: 1, delta(1): 1, PSI: -4}
+
+
 def weierstrass_class() -> DivisorClass:
     """Class of the pointed-Weierstrass divisor on m21: 3*psi - lambda - delta_1."""
-    return DivisorClass(_M21, {PSI: 3, LAMBDA: -1, delta(1): -1})
+    return DivisorClass(_M21, _W)
 
 
 # Push-forwards of quadratic monomials along the universal genus-2 curve.
@@ -174,29 +182,34 @@ def push_mogb(g: int, label: ClassLabel) -> DivisorClass:
     return DivisorClass.zero(PicSpace.m0g(g))
 
 
-def push_m21(g: int, r: int, d: int, label: ClassLabel) -> DivisorClass:
-    """Push-forward over the genus-2-tail family, in the (lambda, delta_1, psi) basis.
+def m21_coefficients(g: int, r: int, d: int, label: ClassLabel) -> tuple[Fraction, Fraction]:
+    """The coefficients (a, b) of ``push_m21`` = a*W + b*T.
 
-    alpha:  2dN(d-2g+2)/(3(g-1)) * W + dN/(g-1) * T
-    beta:   dN/(g-1) * T
-    gamma:  -N*xi/(3(g-1)) * W
-    where W = 3*psi - lambda - delta_1 (Weierstrass class) and
-    T = lambda + delta_1 - 4*psi (per-sheet contribution of the
-    degree-d-ramification sheets, reduced modulo the genus-2 relation).
-    The coefficients of W are the closed Weierstrass-fiber totals.
+    alpha:  a = 2dN(d-2g+2)/(3(g-1)),  b = dN/(g-1)
+    beta:   a = 0,                     b = dN/(g-1)
+    gamma:  a = -N*xi/(3(g-1)),        b = 0
+    The coefficient a of W is the closed total over the Weierstrass fibers,
+    which ``verify`` compares with the Schubert totals.
     """
     GENUS2_TAIL.check(g, r, d)
     n = castelnuovo_count(g, r, d)
-    w = weierstrass_class()
-    t = DivisorClass(_M21, {LAMBDA: 1, delta(1): 1, PSI: -4})
     if label is ClassLabel.ALPHA:
-        return (w.scale(Fraction(2 * d * (d - 2 * g + 2), 3 * (g - 1)) * n)
-                + t.scale(Fraction(d, g - 1) * n))
+        return Fraction(2 * d * (d - 2 * g + 2), 3 * (g - 1)) * n, Fraction(d, g - 1) * n
     if label is ClassLabel.BETA:
-        return t.scale(Fraction(d, g - 1) * n)
+        return Fraction(0), Fraction(d, g - 1) * n
     if label is ClassLabel.GAMMA:
-        return w.scale(-Fraction(xi(g, r, d), 3 * (g - 1)) * n)
+        return -Fraction(xi(g, r, d), 3 * (g - 1)) * n, Fraction(0)
     raise PreconditionError("label must be a ClassLabel")
+
+
+def push_m21(g: int, r: int, d: int, label: ClassLabel) -> DivisorClass:
+    """Push-forward over the genus-2-tail family, in the (lambda, delta_1, psi) basis.
+
+    a*W + b*T with the coefficients of ``m21_coefficients``; it has no
+    delta_0 term, so it is already reduced modulo the genus-2 relation.
+    """
+    a, b = m21_coefficients(g, r, d, label)
+    return DivisorClass(_M21, {sym: a * _W[sym] + b * _T[sym] for sym in _W})
 
 
 def marked_per_n(g: int, r: int, d: int, h: int, label: ClassLabel) -> int:
@@ -213,7 +226,7 @@ def marked_per_n(g: int, r: int, d: int, h: int, label: ClassLabel) -> int:
     raise PreconditionError("label must be a ClassLabel")
 
 
-def push_marked(g: int, r: int, d: int, h: int, label: ClassLabel) -> Fraction:
+def push_marked(g: int, r: int, d: int, h: int, label: ClassLabel) -> int:
     """Degree of the push-forward over the moving-marked-point family.
 
     The marked point moves along the genus-h component; the cover is trivial

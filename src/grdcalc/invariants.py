@@ -80,7 +80,7 @@ TEST_FAMILIES = Domain("family assembly", min_g=5, why="the test-curve pull-back
 SLOPE = Domain("quadric slope", min_g=3, min_r=1, why="the alpha/gamma prefactor has a pole")
 
 
-def castelnuovo_count(g: int, r: int, d: int) -> Fraction:
+def castelnuovo_count(g: int, r: int, d: int) -> int:
     """Number of series of degree d and dimension r on a general genus-g curve.
 
     Defined when g >= 1, r >= 0 and rho = 0.  With s = g - d + r the count
@@ -93,15 +93,16 @@ def castelnuovo_count(g: int, r: int, d: int) -> Fraction:
     factorial quotient per row of the shorter side.
 
     The hook-length formula makes the quotient exact, so it is an integer
-    division, returned as a Fraction so that one scalar type flows through
-    every module.
+    division, and the count is returned as an int: its products with the
+    integer marked-point degrees stay ints, and it compares equal to, and
+    multiplies exactly with, the Fractions of the other layers.
     """
     COVER_DEGREE.check(g, r, d)
     rows, cols = sorted((r + 1, g - d + r))
     hooks = 1
     for i in range(rows):
         hooks *= factorial(cols + i) // factorial(i)
-    return Fraction(factorial(g) // hooks)
+    return factorial(g) // hooks
 
 
 def xi(g, r, d):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 
 Row = list[Fraction]
@@ -51,34 +52,43 @@ def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> Row:
     has more than one.
 
     The elimination is sparse and runs on integer rows.  Each augmented row
-    is cleared of denominators once and kept as a dict of its nonzero
+    is read once: ``compress(range(n), row)`` yields its nonzero columns, and
+    the row is cleared of denominators and kept as a dict of its nonzero
     entries, divided by their content.  A pivot p clears its column from a
     row below it whose entry there is t by replacing that row with
     row * (p/g) - pivot * (t/g), where g is gcd(p, t) with the sign of p,
     and dividing the result by its content; the update visits only the
-    nonzero columns of the pivot row.  Every integer row is a nonzero multiple of the row that rational
-    elimination would hold at the same step, and the row keeps that
-    multiple as its scale, so a contradiction reports the real value
-    (integer residue over scale) that the equation reduces to.  Back
-    substitution runs over one common integer denominator, and each
-    solution entry becomes a Fraction once.
+    nonzero columns of the pivot row.  Every integer row is a nonzero
+    multiple of the row that rational elimination would hold at the same
+    step, and the row keeps that multiple as its scale, so a contradiction
+    reports the real value (integer residue over scale) that the equation
+    reduces to.  Back substitution runs over one common integer
+    denominator, and each solution entry becomes a Fraction once.
 
-    Column by column, the pivot is the first row at or below the current
-    one with a nonzero entry there, so the row swaps, the witness equation
-    of a contradiction (with the value it reduces to) and the free columns
-    are those of dense Gauss-Jordan elimination.
+    A column index keeps, for each column, the set of rows not yet pivoted
+    that hold an entry there; a row swap, a fill-in and a cancellation
+    update it.  Column by column, the pivot is the smallest row in that set,
+    i.e. the first row at or below the current one with a nonzero entry
+    there, and the rest of the set are the rows it clears; no row without
+    an entry in the column is visited.  So the row swaps, the witness
+    equation of a contradiction (with the value it reduces to) and the free
+    columns are those of dense Gauss-Jordan elimination.
     """
     if len(rows) != len(rhs):
         raise ValueError("row/rhs length mismatch")
     if not rows:
         raise ValueError("empty system")
     n = len(rows[0])
+    columns = range(n)
     m: list[dict[int, int]] = []
     # Row i of m is scale_num[i] / scale_den[i] times its rational row.
     scale_num: list[int] = []
     scale_den: list[int] = []
-    for row, bv in zip(rows, rhs):
-        entries = {j: x.as_integer_ratio() for j, x in enumerate(row) if x}
+    # holders[j]: the rows not yet pivoted with an entry in column j; j = n
+    # is the rhs column.
+    holders: list[set[int]] = [set() for _ in range(n + 1)]
+    for i, (row, bv) in enumerate(zip(rows, rhs)):
+        entries = {j: row[j].as_integer_ratio() for j in compress(columns, row)}
         if bv:
             entries[n] = bv.as_integer_ratio()
         den = lcm(*[q for _, q in entries.values()])
@@ -86,6 +96,8 @@ def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> Row:
         content = gcd(*ints.values())
         if content > 1:
             ints = {j: v // content for j, v in ints.items()}
+        for j in ints:
+            holders[j].add(i)
         m.append(ints)
         scale_num.append(den)
         scale_den.append(max(content, 1))
@@ -93,22 +105,32 @@ def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> Row:
     pivots: list[int] = []
     r = 0
     for col in range(n + 1):
-        pivot = next((i for i in range(r, len(m)) if col in m[i]), None)
-        if pivot is None:
+        if not holders[col]:
             continue
-        for seq in (m, origin, scale_num, scale_den):
-            seq[r], seq[pivot] = seq[pivot], seq[r]
+        pivot = min(holders[col])
+        if pivot != r:
+            # Rows r and pivot trade places; a column both hold keeps both.
+            upper, lower = m[r], m[pivot]
+            for j in upper.keys() - lower.keys():
+                holders[j].remove(r)
+                holders[j].add(pivot)
+            for j in lower.keys() - upper.keys():
+                holders[j].remove(pivot)
+                holders[j].add(r)
+            for seq in (m, origin, scale_num, scale_den):
+                seq[r], seq[pivot] = seq[pivot], seq[r]
         lead = m[r][col]
         # A pivot in the rhs column is an equation reduced to 0 = lead.
         if col == n:
             raise InconsistentSystemError(
                 origin[r], Fraction(lead * scale_den[r], scale_num[r]))
-        prow = m[r].items()
-        for i in range(r + 1, len(m)):
+        for j in m[r]:
+            holders[j].remove(r)
+        targets, holders[col] = holders[col], set()
+        prow = [(j, v) for j, v in m[r].items() if j != col]
+        for i in targets:
             target = m[i]
-            t = target.get(col)
-            if t is None:
-                continue
+            t = target.pop(col)
             # With the sign of lead, a is positive and mostly 1: no rescale.
             g = gcd(lead, t) if lead > 0 else -gcd(lead, t)
             a, b = lead // g, t // g
@@ -118,8 +140,10 @@ def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> Row:
                 w = target.get(j, 0) - b * v
                 if w:
                     target[j] = w
+                    holders[j].add(i)
                 else:
                     del target[j]
+                    holders[j].remove(i)
             content = gcd(*target.values())
             if content > 1:
                 target = {j: v // content for j, v in target.items()}

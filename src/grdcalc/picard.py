@@ -144,8 +144,10 @@ def _require_space(D: DivisorClass, space: PicSpace, what: str) -> None:
 # Each test family's restriction is written once below, as sparse rows:
 # target coordinate -> {source basis symbol of mg1(g): weight}.  The
 # pull-backs evaluate these rows on a class; the push-forward assembly
-# reads the same rows as the coefficients of its unknowns.
-Row = dict[str, Fraction]
+# reads the same rows as the coefficients of its unknowns.  A weight that
+# is an integer is held as an int, which the elimination reads without a
+# Fraction method call; only the truly fractional weights are Fractions.
+Row = dict[str, int | Fraction]
 
 
 def evaluate(row: Row, D: DivisorClass) -> Fraction:
@@ -164,7 +166,7 @@ def elliptic_tail_rows(g: int) -> dict[str, Row]:
     epsilon_i, for 2 <= i <= g-2, reads delta_i minus the weights
     (g-i)(g-i-1)/((g-1)(g-2)) of delta_1 and (g-i)(i-1)/(g-2) of delta_{g-1}.
     """
-    return {epsilon(i): {delta(i): Fraction(1),
+    return {epsilon(i): {delta(i): 1,
                          delta(1): Fraction(-(g - i) * (g - i - 1), (g - 1) * (g - 2)),
                          delta(g - 1): Fraction(-(g - i) * (i - 1), g - 2)}
             for i in range(2, g - 1)}
@@ -172,8 +174,8 @@ def elliptic_tail_rows(g: int) -> dict[str, Row]:
 
 def genus2_tail_rows(g: int) -> dict[str, Row]:
     """Restriction of mg1(g) to the genus-2-tail family, onto the m21 basis."""
-    return {LAMBDA: {LAMBDA: Fraction(1)}, delta(0): {delta(0): Fraction(1)},
-            PSI: {delta(g - 2): Fraction(-1)}, delta(1): {delta(g - 1): Fraction(1)}}
+    return {LAMBDA: {LAMBDA: 1}, delta(0): {delta(0): 1},
+            PSI: {delta(g - 2): -1}, delta(1): {delta(g - 1): 1}}
 
 
 def marked_point_row(g: int, h: int) -> Row:
@@ -183,8 +185,8 @@ def marked_point_row(g: int, h: int) -> Row:
     2h = g the two delta weights land on the same symbol and cancel.
     """
     if 2 * h == g:
-        return {PSI: Fraction(2 * h - 1)}
-    return {PSI: Fraction(2 * h - 1), delta(h): Fraction(-1), delta(g - h): Fraction(1)}
+        return {PSI: 2 * h - 1}
+    return {PSI: 2 * h - 1, delta(h): -1, delta(g - h): 1}
 
 
 def pullback_i(g: int, D: DivisorClass) -> DivisorClass:

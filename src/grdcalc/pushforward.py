@@ -21,8 +21,7 @@ from .invariants import (ALPHA_GAMMA_PUSH, BETA_PUSH, COVER_DEGREE, TEST_FAMILIE
                          PerCoverDegree, alpha_per_n, beta_per_n, castelnuovo_count,
                          gamma_per_n)
 from .picard import (GENUS2_REDUCTION, LAMBDA, PSI, DivisorClass, PicSpace, Row, compose,
-                     delta, elliptic_tail_rows, genus2_tail_rows, marked_point_row,
-                     reduce_m21)
+                     delta, elliptic_tail_rows, genus2_tail_rows, marked_point_row)
 
 
 class PushforwardSolution:
@@ -96,7 +95,7 @@ def combination(g: int, r: int, d: int, c_alpha, c_beta, c_gamma,
 
 
 def family_equations(g: int, r: int, d: int,
-                     label: ClassLabel) -> list[tuple[str, Row, Fraction]]:
+                     label: ClassLabel) -> list[tuple[str, Row, int | Fraction]]:
     """The special-family data on the push-forward, one (family, row, value) per equation.
 
     The push-forward of ``label`` evaluates to ``value`` on each restriction
@@ -109,14 +108,15 @@ def family_equations(g: int, r: int, d: int,
     * ``genus-2``: the restriction to the genus-2-tail family matches
       ``push_m21``, compared in the reduced basis (lambda, delta_1, psi)
       because raw delta_0 coefficients are only defined modulo the genus-2
-      relation.
+      relation.  ``push_m21`` is a combination of two classes with no
+      delta_0 term, so it is read as it is: reducing it would return it.
     """
     TEST_FAMILIES.check(g, r, d)
     n = castelnuovo_count(g, r, d)
     equations = [("marked-point", marked_point_row(g, h), marked_per_n(g, r, d, h, label) * n)
                  for h in range(1, g)]
     equations += [("elliptic-tail", row, 0) for row in elliptic_tail_rows(g).values()]
-    target = reduce_m21(push_m21(g, r, d, label))
+    target = push_m21(g, r, d, label)
     equations += [("genus-2", row, target.get(sym))
                   for sym, row in compose(GENUS2_REDUCTION, genus2_tail_rows(g)).items()]
     return equations

@@ -17,7 +17,7 @@ from .exact import format_rational
 from .families import (ClassLabel, genus2_dualizing_class,
                        genus2_line_bundle_class, m21_push_product, marked_per_n,
                        push_m21, reconstruct_push_m21)
-from .picard import LAMBDA, PSI, DivisorClass, PicSpace, delta, epsilon
+from .picard import LAMBDA, DivisorClass, PicSpace, delta, epsilon
 from .slope import M_FAMILY_LIMIT
 from .value import Value
 
@@ -137,16 +137,15 @@ def check_count_m_family():
 def check_weierstrass_dual(g_max: int):
     """Schubert integrals vs. closed forms for the Weierstrass-fiber totals.
 
-    The closed total is the coefficient of W = 3*psi - lambda - delta_1 in
-    ``push_m21`` = A*W + B*(lambda + delta_1 - 4*psi), i.e. A = -(4*lambda + psi).
+    The closed total is the coefficient of the Weierstrass class W in
+    ``push_m21``, read from ``families.m21_coefficients``.
     """
     done = 0
     for t in _sweep_triples(g_max, invariants.WEIERSTRASS):
         for label, total in ((ClassLabel.ALPHA, families.weierstrass_alpha),
                              (ClassLabel.GAMMA, families.weierstrass_gamma)):
             schubert_total = total(t.g, t.r, t.d)
-            closed = push_m21(t.g, t.r, t.d, label)
-            closed_total = -(4 * closed.get(LAMBDA) + closed.get(PSI))
+            closed_total, _ = families.m21_coefficients(t.g, t.r, t.d, label)
             if schubert_total != closed_total:
                 return False, (f"({t.g},{t.r},{t.d}) {label.value}: "
                                f"schubert {schubert_total} != closed {closed_total}")

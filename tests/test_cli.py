@@ -285,11 +285,17 @@ def test_missing_subcommand_is_usage_error(capsys):
      "grdcalc.conf:2: unknown config key 'formt'"),
     (["verify"], "formt=tsv\n", 1, "grdcalc.conf:1: unknown config key 'formt'"),
     (["picard", "--format", "tsv", "pullback", "i", "--g", "5", "--class", "delta_2:1"], None, 1,
-     "invalid choice: 'tsv'"),
+     "--format is an option of `picard pullback`: give it after `pullback`"),
     (["picard", "--config", "CONFIG", "pullback", "i", "--g", "5", "--class", "lambda:1"], None, 1,
-     "invalid choice: "),
+     "--config is an option of `picard pullback`: give it after `pullback`"),
     (["picard", "--config", "CONFIG", "pullback", "i", "--g", "5", "--class", "lambda:1"],
-     "format=tsv\n", 1, "invalid choice: "),
+     "format=tsv\n", 1, "--config is an option of `picard pullback`: give it after `pullback`"),
+    (["picard", "--format", "pullback", "i", "--g", "5", "--class", "delta_2:1"], None, 1,
+     "--format is an option of `picard pullback`: give it after `pullback`"),
+    (["schubert", "--r", "1", "--d", "3", "--k", "4", "--b", "0,0", "--h", "2"], None, 1,
+     "unrecognized arguments: --h 2"),
+    (["invariants", "--g", "21", "--r", "6", "--d", "24", "--form", "tsv"], None, 1,
+     "unrecognized arguments: --form tsv"),
 ], ids=["class-coeff", "config-g-max", "config-m-max", "genus-zero", "unit-class-k",
         "pieri-unbounded", "genus-one-m21", "verify-g-max", "slope-stray-g", "mogb-rho",
         "m21-stray-h", "mogb-stray-h", "pullback-i-stray-h", "negative-index", "sweep-bound",
@@ -299,7 +305,8 @@ def test_missing_subcommand_is_usage_error(capsys):
         "pullback-huge-genus", "pieri-huge-box", "pieri-work-r10", "pieri-work-r30",
         "bad-index", "sweep-zero", "m-zero", "config-format", "config-unknown-key",
         "verify-config-unknown-key", "picard-level-format", "picard-level-config-missing",
-        "picard-level-config"])
+        "picard-level-config", "picard-level-format-no-value", "abbreviated-h",
+        "abbreviated-format"])
 def test_malformed_or_huge_input_ends_cleanly(tmp_path, capsys, argv, config, code, expected):
     # The config file is written only if the case gives its text; it goes
     # where the argv says CONFIG, or else at the end.

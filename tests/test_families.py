@@ -11,7 +11,7 @@ from grdcalc.families import (ClassLabel, UniversalCurveClass,
                               weierstrass_alpha, weierstrass_class,
                               weierstrass_gamma)
 from grdcalc.invariants import castelnuovo_count, rho_zero_triples, vanishing_sum, xi
-from grdcalc.picard import LAMBDA, PSI, DivisorClass, PicSpace, delta
+from grdcalc.picard import LAMBDA, PSI, DivisorClass, PicSpace, delta, reduce_m21
 from conftest import rand_fraction
 
 M21 = PicSpace.m21()
@@ -113,6 +113,18 @@ def test_push_m21_gamma_rank_one():
     n = castelnuovo_count(6, 1, 4)
     expected = weierstrass_class().scale(-n)
     assert push_m21(6, 1, 4, ClassLabel.GAMMA) == expected
+
+
+def test_push_m21_is_already_reduced():
+    # The family assembly reads push_m21 without reducing it modulo the
+    # genus-2 relation; that is sound only because it has no delta_0 term.
+    for t in rho_zero_triples(40):
+        if t.g < 5:
+            continue
+        for label in ClassLabel:
+            pushed = push_m21(t.g, t.r, t.d, label)
+            assert delta(0) not in pushed.coeffs, (t, label)
+            assert reduce_m21(pushed) == pushed, (t, label)
 
 
 def test_reconstruction_from_sheets_and_weierstrass_fibers():

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,23 @@ def test_castelnuovo_count_is_the_schubert_degree():
     for t in rho_zero_triples(120):
         assert castelnuovo_count(t.g, t.r, t.d) \
             == special_power_integral(GrassShape(t.r, t.d), t.g, (0,) * (t.r + 1)), t
+
+
+def _benchmark_reference():
+    # perfbench/reference.py restates the count without importing grdcalc.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_castelnuovo_count_is_an_int():
+    reference = _benchmark_reference()
+    for g, r, d in reference.rho_zero_triples(120):
+        n = castelnuovo_count(g, r, d)
+        assert type(n) is int and n == reference.castelnuovo(g, r, d), (g, r, d)
+    assert type(castelnuovo_count(7, 0, 0)) is int
 
 
 def test_canonical_series_count_is_quick(capsys):

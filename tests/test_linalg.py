@@ -138,6 +138,38 @@ def assert_matches_dense(rows, rhs):
     return type(expected)
 
 
+def _planted(rows, x):
+    return [sum(c * v for c, v in zip(row, x)) for row in rows]
+
+
+@pytest.mark.parametrize("rows", [
+    # Column 0: row 1 is the pivot and trades places with row 0, and the
+    # two share column 1.
+    [[0, 1, 1], [2, 1, 0], [1, 0, 1]],
+    # Column 0: row 0 clears row 1 and fills its column 1, where row 1 is
+    # then the pivot.
+    [[1, 1, 0], [1, 0, 1], [0, 0, 1]],
+    # Column 0: row 0 clears row 1 and cancels its column 1, so the pivot
+    # of column 1 is row 2.
+    [[1, 1, 1], [1, 1, 0], [0, 1, 0]],
+], ids=["swap-shared-columns", "fill-in", "cancellation"])
+def test_column_index_follows_swaps_fill_in_and_cancellation(rows):
+    x = [Fraction(1), Fraction(-2), Fraction(3, 2)]
+    assert assert_matches_dense(rows, _planted(rows, x)) is list
+    assert solve_unique(rows, _planted(rows, x)) == x
+
+
+def test_contradiction_after_rows_reduced_to_zero():
+    # Rows 2, 3 and 4 reduce to 0 = 0; row 5 reduces to 0 = 7/2.
+    rows = [[1, 0], [0, 1], [1, 1], [2, 0], [0, 0], [Fraction(1, 2), 1], [1, 1]]
+    rhs = _planted(rows, [1, 2])
+    rhs[5] += Fraction(7, 2)
+    assert assert_matches_dense(rows, rhs) is InconsistentSystemError
+    with pytest.raises(InconsistentSystemError) as info:
+        solve_unique(rows, rhs)
+    assert (info.value.witness, info.value.residue) == (5, Fraction(7, 2))
+
+
 def test_sparse_elimination_matches_dense_reference(rng):
     outcomes = {assert_matches_dense(*random_system(rng)) for _ in range(400)}
     assert outcomes == {list, InconsistentSystemError, RankDeficientError}

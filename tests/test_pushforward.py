@@ -93,7 +93,7 @@ def test_corrupted_family_datum_names_the_contradiction(monkeypatch):
 
     def corrupted(g, r, d, h, label):
         # Off by one in the degree itself, which is N times this value.
-        return marked_per_n(g, r, d, h, label) + (1 / n if h == 3 else 0)
+        return marked_per_n(g, r, d, h, label) + (Fraction(1, n) if h == 3 else 0)
 
     monkeypatch.setattr(pushforward, "marked_per_n", corrupted)
     with pytest.raises(ConsistencyError) as info:
