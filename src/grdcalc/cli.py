@@ -58,21 +58,29 @@ class _Parser(argparse.ArgumentParser):
 
     Prefix matching is off in every parser and subparser (argparse builds the
     subparsers with this class): an option is read only by its full name, so
-    `--h` is not `--help` and `--form` is not `--format`."""
+    `--h` is not `--help` and `--form` is not `--format`.
+
+    A group command (`picard`) takes no option but -h: an option given before
+    its subcommand ``leaf`` is refused by its name, not read as the value of
+    the token after it."""
+
+    leaf = None
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
+    def parse_known_args(self, args=None, namespace=None):
+        flag = args[0].partition("=")[0] if self.leaf and args else ""
+        if flag[:1] == "-" and flag.strip("-") and flag not in self._option_string_actions:
+            if flag in self.leaf._option_string_actions:
+                path = self.leaf.prog.partition(" ")[2]
+                raise CliError(f"{flag} is an option of `{path}`: "
+                               f"give it after `{path.rpartition(' ')[2]}`")
+            raise CliError(f"unrecognized arguments: {flag}")
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):
         raise CliError(message)
-
-
-class _AfterPullback(argparse.Action):
-    """Refuses an option of `picard pullback` given before `pullback`."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        raise CliError(f"{option_string} is an option of `picard pullback`: "
-                       "give it after `pullback`")
 
 
 def _emit(payload, fmt: str) -> None:
@@ -164,12 +172,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--b", required=True, help="comma-separated increasing index, e.g. 0,0")
     p.add_argument("--method", choices=["closed", "pieri", "both"], default="closed")
 
-    # `picard` only groups its maps: --format and --config go after `pullback`,
-    # and given before it they are refused by name (they are left out of its help).
-    p = sub.add_parser("picard", help="pull-back maps on divisor classes")
-    for flag in ("--format", "--config"):
-        p.add_argument(flag, nargs="?", action=_AfterPullback, help=argparse.SUPPRESS)
-    p = p.add_subparsers(dest="picard_command", required=True).add_parser(
+    # `picard` only groups its maps: every option goes after `pullback`.
+    group = sub.add_parser("picard", help="pull-back maps on divisor classes")
+    p = group.leaf = group.add_subparsers(dest="picard_command", required=True).add_parser(
         "pullback", parents=[common])
     p.add_argument("map", choices=["i", "j", "k"],
                    help="i: elliptic-tail family, j: genus-2-tail family, k: moving marked point")

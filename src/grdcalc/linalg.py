@@ -65,14 +65,18 @@ def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> Row:
     reduces to.  Back substitution runs over one common integer
     denominator, and each solution entry becomes a Fraction once.
 
-    A column index keeps, for each column, the set of rows not yet pivoted
-    that hold an entry there; a row swap, a fill-in and a cancellation
-    update it.  Column by column, the pivot is the smallest row in that set,
-    i.e. the first row at or below the current one with a nonzero entry
-    there, and the rest of the set are the rows it clears; no row without
-    an entry in the column is visited.  So the row swaps, the witness
-    equation of a contradiction (with the value it reduces to) and the free
-    columns are those of dense Gauss-Jordan elimination.
+    Rows stay where they are: row i is equation i for the whole
+    elimination, and two lists keep the place order of dense Gauss-Jordan
+    elimination (``at[k]`` is the row at place k, ``place[i]`` the place of
+    row i), so a row swap only exchanges two places.  A column index keeps,
+    for each column, the set of rows not yet pivoted that hold an entry
+    there; a fill-in and a cancellation update it.  Column by column, the
+    pivot is the row of that set with the smallest place, i.e. the first
+    row at or below the current place with a nonzero entry there, and the
+    rest of the set are the rows it clears; no row without an entry in the
+    column is visited.  So the pivots, the witness equation of a
+    contradiction (with the value it reduces to) and the free columns are
+    those of dense Gauss-Jordan elimination.
     """
     if len(rows) != len(rhs):
         raise ValueError("row/rhs length mismatch")
@@ -101,33 +105,27 @@ def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> Row:
         m.append(ints)
         scale_num.append(den)
         scale_den.append(max(content, 1))
-    origin = list(range(len(m)))
+    at = list(range(len(m)))
+    place = list(range(len(m)))
     pivots: list[int] = []
     r = 0
     for col in range(n + 1):
         if not holders[col]:
             continue
-        pivot = min(holders[col])
-        if pivot != r:
-            # Rows r and pivot trade places; a column both hold keeps both.
-            upper, lower = m[r], m[pivot]
-            for j in upper.keys() - lower.keys():
-                holders[j].remove(r)
-                holders[j].add(pivot)
-            for j in lower.keys() - upper.keys():
-                holders[j].remove(pivot)
-                holders[j].add(r)
-            for seq in (m, origin, scale_num, scale_den):
-                seq[r], seq[pivot] = seq[pivot], seq[r]
-        lead = m[r][col]
+        pivot = min(holders[col], key=place.__getitem__)
+        # The pivot row and the row at place r trade places.
+        other, k = at[r], place[pivot]
+        at[r], at[k] = pivot, other
+        place[pivot], place[other] = r, k
+        lead = m[pivot][col]
         # A pivot in the rhs column is an equation reduced to 0 = lead.
         if col == n:
             raise InconsistentSystemError(
-                origin[r], Fraction(lead * scale_den[r], scale_num[r]))
-        for j in m[r]:
-            holders[j].remove(r)
+                pivot, Fraction(lead * scale_den[pivot], scale_num[pivot]))
+        for j in m[pivot]:
+            holders[j].remove(pivot)
         targets, holders[col] = holders[col], set()
-        prow = [(j, v) for j, v in m[r].items() if j != col]
+        prow = [(j, v) for j, v in m[pivot].items() if j != col]
         for i in targets:
             target = m[i]
             t = target.pop(col)
@@ -156,13 +154,13 @@ def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> Row:
             break
     if len(pivots) < n:
         raise RankDeficientError([c for c in range(n) if c not in pivots])
-    # Every column has a pivot, so row i has its pivot in column i and
-    # nothing to the left of it.  Substitute back with x[j] = num[j] / den
-    # for every j already solved.
+    # Every column has a pivot, so the row at place i has its pivot in
+    # column i and nothing to the left of it.  Substitute back with
+    # x[j] = num[j] / den for every j already solved.
     num = [0] * n
     den = 1
     for i in reversed(range(n)):
-        row = m[i]
+        row = m[at[i]]
         lead = row[i]
         value = row.get(n, 0) * den - sum(v * num[j] for j, v in row.items() if i < j < n)
         if lead < 0:

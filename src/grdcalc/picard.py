@@ -76,8 +76,9 @@ class PicSpace(Value):
 class DivisorClass(Value):
     """Sparse rational coefficient vector over the basis of one space.
 
-    Treated as immutable: arithmetic returns new instances, zero coefficients
-    are never stored, and all symbols are validated against the basis.
+    Treated as immutable: arithmetic returns new instances, and the
+    constructor, the one place a class is built, validates every symbol
+    against the basis and drops zero coefficients.
     Equal by space and coefficients, and unhashable.
     """
 
@@ -110,17 +111,10 @@ class DivisorClass(Value):
             raise PreconditionError("cannot add classes on different spaces")
         out = dict(self.coeffs)
         for sym, c in other.coeffs.items():
-            v = out.get(sym, Fraction(0)) + c
-            if v == 0:
-                out.pop(sym, None)
-            else:
-                out[sym] = v
+            out[sym] = out.get(sym, 0) + c
         return DivisorClass(self.space, out)
 
     def scale(self, c) -> "DivisorClass":
-        c = Fraction(c)
-        if c == 0:
-            return DivisorClass.zero(self.space)
         return DivisorClass(self.space, {s: c * v for s, v in self.coeffs.items()})
 
     def sorted_items(self) -> list[tuple[str, Fraction]]:

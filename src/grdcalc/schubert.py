@@ -8,7 +8,9 @@ two independent routes:
 
 * a closed-form factorial evaluation (``special_power_integral``), and
 * full expansion in the Chow ring by iterating the dual Pieri rule
-  (``zeta_power_integral_pieri``).
+  (``zeta_power_integral_pieri``): a ``SchubertCombo`` holds the terms of
+  the product as one dict from index to integer coefficient, and the
+  integral is the coefficient of the point class (width, ..., width).
 
 Agreement of the two routes over an exhaustive family of small shapes is part
 of the package's verification suite.
@@ -69,48 +71,23 @@ def check_partition(shape: GrassShape, b: Sequence[int]) -> Index:
     return b
 
 
-def point_index(shape: GrassShape) -> Index:
-    return (shape.width,) * shape.rows
-
-
 class SchubertCombo:
-    """Finite formal rational combination of Schubert cycles on one shape.
+    """A finite combination of Schubert cycles on one shape.
 
-    Terms map increasing box indices to nonzero coefficients.  Coefficients
-    arising from Pieri multiplication stay plain integers.
+    ``terms`` maps weakly increasing box indices to their nonzero
+    coefficients, which the Pieri rule keeps as plain integers; the
+    constructor validates each index and drops zero coefficients.
     """
 
     __slots__ = ("shape", "terms")
 
-    def __init__(self, shape: GrassShape, terms: dict[Index, Fraction] | None = None):
+    def __init__(self, shape: GrassShape, terms: dict[Index, int] | None = None):
         self.shape = shape
-        self.terms: dict[Index, Fraction] = {}
-        if terms:
-            for b, c in terms.items():
-                if c == 0:
-                    continue
-                self.terms[check_partition(shape, b)] = c
-
-    @classmethod
-    def single(cls, shape: GrassShape, b: Sequence[int], coeff=1) -> "SchubertCombo":
-        return cls(shape, {tuple(b): coeff})
-
-    def coefficient(self, b: Sequence[int]) -> Fraction:
-        return Fraction(self.terms.get(tuple(b), 0))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SchubertCombo)
-                and self.shape == other.shape and self.terms == other.terms)
+        self.terms = ({check_partition(shape, b): c for b, c in terms.items() if c}
+                      if terms else {})
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    def __iter__(self) -> Iterator[tuple[Index, Fraction]]:
-        return iter(sorted(self.terms.items()))
-
-    def __repr__(self) -> str:
-        body = " + ".join(f"{c}*s{list(b)}" for b, c in self)
-        return f"SchubertCombo({self.shape}, {body or '0'})"
 
 
 def special_power_integral(shape: GrassShape, k: int, b: Sequence[int]) -> Fraction:
@@ -184,11 +161,6 @@ def pieri_multiply(combo: SchubertCombo, p: int) -> SchubertCombo:
     return out
 
 
-def integral(combo: SchubertCombo) -> Fraction:
-    """Degree map: the coefficient of the point class, zero if absent."""
-    return combo.coefficient(point_index(combo.shape))
-
-
 def zeta_power_integral_pieri(shape: GrassShape, k: int, b: Sequence[int]) -> Fraction:
     """Integral of zeta^k . sigma_b by iterated Pieri multiplications.
 
@@ -204,7 +176,7 @@ def zeta_power_integral_pieri(shape: GrassShape, k: int, b: Sequence[int]) -> Fr
     b = check_partition(shape, b)
     if k < 0:
         raise PreconditionError("power must be non-negative")
-    combo = SchubertCombo.single(shape, b)
+    combo = SchubertCombo(shape, {b: 1})
     width = shape.width
     work = 0
     for left in reversed(range(k if shape.r else 0)):
@@ -217,7 +189,7 @@ def zeta_power_integral_pieri(shape: GrassShape, k: int, b: Sequence[int]) -> Fr
                 "use the closed form (--method closed)")
         combo = pieri_multiply(combo, shape.r)
         combo.terms = {key: c for key, c in combo.terms.items() if width - key[0] <= left}
-    return integral(combo)
+    return Fraction(combo.terms.get((width,) * shape.rows, 0))
 
 
 def iter_box_indices(shape: GrassShape, max_weight: int | None = None) -> Iterator[Index]:

@@ -24,8 +24,8 @@ from .value import Value
 
 # The sizes of the verify sweeps: their defaults, and the largest accepted;
 # m_max shares its bound, slope.M_FAMILY_LIMIT, with `slope --sweep`.  At
-# g_max 60 and m_max 1000 the battery takes about 4.5 s, and
-# ``golden_payload`` another 0.5 s (Python 3.11, 2 vCPUs).
+# g_max 60 and m_max 1000 the battery takes about 3 s, and
+# ``golden_payload`` another 0.3 s (Python 3.11, 2 vCPUs).
 DEFAULT_G_MAX = 12
 DEFAULT_M_MAX = 15
 G_MAX_LIMIT = 60

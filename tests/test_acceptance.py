@@ -185,9 +185,9 @@ def test_criterion_8_property_suite():
             width = rng.randint(1, 5)
             shape = schubert.GrassShape(r, r + width)
             b = tuple(sorted(rng.randint(0, width) for _ in range(r + 1)))
-            combo = schubert.SchubertCombo.single(shape, b)
+            combo = schubert.SchubertCombo(shape, {b: 1})
             combo = schubert.pieri_multiply(combo, rng.randint(0, r + 1))
-            for idx, coeff in combo:
+            for idx, coeff in combo.terms.items():
                 schubert.check_partition(shape, idx)
                 assert isinstance(coeff, int) and coeff > 0
             cases += 1

@@ -292,6 +292,14 @@ def test_missing_subcommand_is_usage_error(capsys):
      "format=tsv\n", 1, "--config is an option of `picard pullback`: give it after `pullback`"),
     (["picard", "--format", "pullback", "i", "--g", "5", "--class", "delta_2:1"], None, 1,
      "--format is an option of `picard pullback`: give it after `pullback`"),
+    (["picard", "--format=tsv", "pullback", "i", "--g", "5", "--class", "delta_2:1"], None, 1,
+     "--format is an option of `picard pullback`: give it after `pullback`"),
+    (["picard", "--h", "3", "pullback", "k", "--g", "8", "--class", "psi:1"], None, 1,
+     "--h is an option of `picard pullback`: give it after `pullback`"),
+    (["picard", "--foo", "3", "pullback", "k", "--g", "8", "--class", "psi:1"], None, 1,
+     "unrecognized arguments: --foo"),
+    (["picard", "--form", "tsv", "pullback", "i", "--g", "5", "--class", "delta_2:1"], None, 1,
+     "unrecognized arguments: --form"),
     (["schubert", "--r", "1", "--d", "3", "--k", "4", "--b", "0,0", "--h", "2"], None, 1,
      "unrecognized arguments: --h 2"),
     (["invariants", "--g", "21", "--r", "6", "--d", "24", "--form", "tsv"], None, 1,
@@ -305,7 +313,8 @@ def test_missing_subcommand_is_usage_error(capsys):
         "pullback-huge-genus", "pieri-huge-box", "pieri-work-r10", "pieri-work-r30",
         "bad-index", "sweep-zero", "m-zero", "config-format", "config-unknown-key",
         "verify-config-unknown-key", "picard-level-format", "picard-level-config-missing",
-        "picard-level-config", "picard-level-format-no-value", "abbreviated-h",
+        "picard-level-config", "picard-level-format-no-value", "picard-level-format-equals",
+        "picard-level-h", "picard-level-unknown", "picard-level-abbreviated", "abbreviated-h",
         "abbreviated-format"])
 def test_malformed_or_huge_input_ends_cleanly(tmp_path, capsys, argv, config, code, expected):
     # The config file is written only if the case gives its text; it goes

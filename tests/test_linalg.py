@@ -170,6 +170,19 @@ def test_contradiction_after_rows_reduced_to_zero():
     assert (info.value.witness, info.value.residue) == (5, Fraction(7, 2))
 
 
+def test_pivot_is_chosen_by_place_not_by_row_index():
+    # Column 0's pivot is row 2, so row 0 moves to place 2.  Column 1 is
+    # held by rows 0 and 1, and row 1 now stands first: it is the pivot, and
+    # row 0 reduces to 0 = 1 - 2*2.  Pivoting on row 0, the smaller index,
+    # would report row 1 reducing to 0 = 2 - 1/2 instead.
+    rows = [[0, 2], [0, 1], [1, 0]]
+    rhs = [1, 2, 0]
+    assert assert_matches_dense(rows, rhs) is InconsistentSystemError
+    with pytest.raises(InconsistentSystemError) as info:
+        solve_unique(rows, rhs)
+    assert (info.value.witness, info.value.residue) == (0, -3)
+
+
 def test_sparse_elimination_matches_dense_reference(rng):
     outcomes = {assert_matches_dense(*random_system(rng)) for _ in range(400)}
     assert outcomes == {list, InconsistentSystemError, RankDeficientError}

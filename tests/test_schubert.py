@@ -7,8 +7,7 @@ from grdcalc import schubert
 from grdcalc.errors import PreconditionError
 from grdcalc.invariants import castelnuovo_count, rho_zero_triples
 from grdcalc.schubert import (GrassShape, SchubertCombo, check_partition,
-                              integral, iter_box_indices, pieri_multiply,
-                              point_index, special_power_integral,
+                              iter_box_indices, pieri_multiply, special_power_integral,
                               zeta_power_integral_pieri)
 
 
@@ -43,24 +42,22 @@ def test_invalid_partitions_rejected():
 
 def test_pieri_single_strip():
     shape = GrassShape(1, 3)
-    start = SchubertCombo.single(shape, (0, 0))
-    assert pieri_multiply(start, 1) == SchubertCombo.single(shape, (0, 1))
+    start = SchubertCombo(shape, {(0, 0): 1})
+    assert pieri_multiply(start, 1).terms == {(0, 1): 1}
 
 
 def test_pieri_two_term_branch():
     shape = GrassShape(1, 3)
-    start = SchubertCombo.single(shape, (0, 1))
-    expanded = pieri_multiply(start, 1)
-    expected = SchubertCombo(shape, {(1, 1): 1, (0, 2): 1})
-    assert expanded == expected
+    start = SchubertCombo(shape, {(0, 1): 1})
+    assert pieri_multiply(start, 1).terms == {(1, 1): 1, (0, 2): 1}
 
 
 def test_iterated_pieri_reaches_point_class():
     shape = GrassShape(1, 3)
-    combo = SchubertCombo.single(shape, (0, 0))
+    combo = SchubertCombo(shape, {(0, 0): 1})
     for _ in range(4):
         combo = pieri_multiply(combo, 1)
-    assert integral(combo) == 2
+    assert combo.terms == {(2, 2): 2}
 
 
 def test_degree_mismatch_gives_zero():
@@ -84,9 +81,20 @@ def test_five_series_count_both_routes():
 
 
 def test_integral_of_wrong_degree_class_is_zero():
+    # With no product, a class of the wrong degree integrates to zero and
+    # the point class to one.
     shape = GrassShape(2, 6)
-    assert integral(SchubertCombo.single(shape, (0, 0, 0))) == 0
-    assert integral(SchubertCombo.single(shape, point_index(shape), Fraction(5))) == 5
+    assert zeta_power_integral_pieri(shape, 0, (0, 0, 0)) == 0
+    assert zeta_power_integral_pieri(shape, 0, (4, 4, 4)) == 1
+    assert type(zeta_power_integral_pieri(shape, 6, (0, 0, 0))) is Fraction
+
+
+def test_combination_validates_indices_and_drops_zero_coefficients():
+    shape = GrassShape(2, 6)
+    assert SchubertCombo(shape, {(4, 4, 4): 5, (0, 1, 1): 0}).terms == {(4, 4, 4): 5}
+    assert len(SchubertCombo(shape)) == 0
+    with pytest.raises(PreconditionError, match="not weakly increasing"):
+        SchubertCombo(shape, {(1, 0, 0): 1})
 
 
 def test_pieri_output_stays_in_box_with_positive_integer_coefficients(rng):
@@ -95,11 +103,11 @@ def test_pieri_output_stays_in_box_with_positive_integer_coefficients(rng):
         width = rng.randint(1, 5)
         shape = GrassShape(r, r + width)
         b = sorted(rng.randint(0, width) for _ in range(r + 1))
-        combo = SchubertCombo.single(shape, tuple(b))
+        combo = SchubertCombo(shape, {tuple(b): 1})
         for _ in range(rng.randint(1, 3)):
             p = rng.randint(0, r + 1)
             combo = pieri_multiply(combo, p)
-        for idx, coeff in combo:
+        for idx, coeff in combo.terms.items():
             check_partition(shape, idx)
             assert isinstance(coeff, int) and coeff > 0
 
@@ -111,10 +119,10 @@ def test_pieri_strip_sizes_commute(rng):
         shape = GrassShape(r, r + width)
         b = tuple(sorted(rng.randint(0, width) for _ in range(r + 1)))
         p, q = rng.randint(0, r + 1), rng.randint(0, r + 1)
-        start = SchubertCombo.single(shape, b)
+        start = SchubertCombo(shape, {b: 1})
         one = pieri_multiply(pieri_multiply(start, p), q)
         other = pieri_multiply(pieri_multiply(start, q), p)
-        assert one == other
+        assert one.terms == other.terms
 
 
 def test_strip_products_and_box_indices_match_brute_force():
@@ -136,7 +144,7 @@ def test_strip_products_and_box_indices_match_brute_force():
                     expected = {mu: 1 for mu in box
                                 if all(m - x in (0, 1) for m, x in zip(mu, b))
                                 and sum(mu) - sum(b) == p}
-                    got = pieri_multiply(SchubertCombo.single(shape, b), p).terms
+                    got = pieri_multiply(SchubertCombo(shape, {b: 1}), p).terms
                     assert got == expected, (shape, b, p)
                     assert all(type(c) is int for c in got.values())
                     cases += 1
@@ -161,7 +169,7 @@ def test_strip_products_match_brute_force_on_long_runs_of_tied_rows():
                     expected = {mu: 1 for mu in box
                                 if all(m - x in (0, 1) for m, x in zip(mu, b))
                                 and sum(mu) - sum(b) == p}
-                    assert pieri_multiply(SchubertCombo.single(shape, b), p).terms \
+                    assert pieri_multiply(SchubertCombo(shape, {b: 1}), p).terms \
                         == expected, (shape, b, p)
                     cases += 1
     assert cases == 1767
@@ -244,6 +252,6 @@ def test_unit_class_routes_ignore_a_huge_power(monkeypatch):
     monkeypatch.setattr(schubert, "pieri_multiply", None)
     shape = GrassShape(0, 3)
     for b in iter_box_indices(shape):
-        expected = 1 if b == point_index(shape) else 0
+        expected = 1 if b == (shape.width,) * shape.rows else 0
         assert special_power_integral(shape, 10 ** 9, b) == expected
         assert zeta_power_integral_pieri(shape, 10 ** 9, b) == expected

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from grdcalc import families, invariants, picard, pushforward, schubert, slope, verify
+from grdcalc import families, invariants, linalg, picard, pushforward, schubert, slope, verify
 from grdcalc.errors import ConsistencyError
 from grdcalc.families import ClassLabel
 from grdcalc.picard import DivisorClass, PicSpace
@@ -102,6 +102,22 @@ def _gap_plus_one(true):
     return slipped
 
 
+def _x0_slip(true):
+    # 10^-6 on the first unknown, lambda, of every solved system.
+    def slipped(rows, rhs):
+        x = true(rows, rhs)
+        return [x[0] + Fraction(1, 10 ** 6), *x[1:]]
+    return slipped
+
+
+def _doubled_terms(true):
+    def slipped(combo, p):
+        out = true(combo, p)
+        out.terms = {key: 2 * c for key, c in out.terms.items()}
+        return out
+    return slipped
+
+
 def _plus(extra):
     """A wrap that adds extra(*args) to what the true function returns."""
     return lambda true: lambda *args: true(*args) + extra(*args)
@@ -131,6 +147,15 @@ SLIPS = {
     "large-pieri": ([(schubert, "zeta_power_integral_pieri", _plus(lambda shape, k, b: k > 30))],
                     {"count-m-family": "(36,8,40): count 177295473274920, "
                                       "zeta^36 integral 177295473274921"}),
+    # The two exact kernels: the elimination and one Pieri product.
+    "solve-x0": ([(linalg, "solve_unique", _x0_slip)], {
+        "assembly-vs-closed-form": "(5,4,8) alpha: assembled DivisorClass(mg1(5), "
+                                   "12000001/1000000*lambda",
+        "slope-vs-assembly": "(10,4,12): (lambda, delta_0) assembled (58799999/8400000, -1)"}),
+    "pieri-doubled": ([(schubert, "pieri_multiply", _doubled_terms)], {
+        "schubert-oracle": "shape (r=1, d=2), k=2, b=[0, 0]: closed 1 != pieri 4",
+        "count-vs-degree": "(2,1,2): count 1 != integral 4",
+        "count-m-family": "(21,6,24): count 1385670, zeta^21 integral 2905960611840"}),
     "genus2-product": ([(verify, "m21_push_product",
                          lambda true: lambda x, y: DivisorClass.zero(PicSpace.m21()))],
                        {"genus2-engine": "alpha DivisorClass(m21, 0), beta DivisorClass(m21, 0)"}),
