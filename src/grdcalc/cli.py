@@ -60,22 +60,28 @@ class _Parser(argparse.ArgumentParser):
     subparsers with this class): an option is read only by its full name, so
     `--h` is not `--help` and `--form` is not `--format`.
 
-    A group command (`picard`) takes no option but -h: an option given before
-    its subcommand ``leaf`` is refused by its name, not read as the value of
-    the token after it."""
+    A parser with subcommands (the top level, `picard`) takes no option but
+    -h: an option given before the subcommand is refused by its name, not
+    read as the value of the token after it.  ``leaves`` are the parsers
+    below it that take options; the message names those that have this one."""
 
-    leaf = None
+    leaves = ()
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def parse_known_args(self, args=None, namespace=None):
-        flag = args[0].partition("=")[0] if self.leaf and args else ""
+        args = sys.argv[1:] if args is None else list(args)
+        flag = args[0].partition("=")[0] if self.leaves and args else ""
         if flag[:1] == "-" and flag.strip("-") and flag not in self._option_string_actions:
-            if flag in self.leaf._option_string_actions:
-                path = self.leaf.prog.partition(" ")[2]
-                raise CliError(f"{flag} is an option of `{path}`: "
-                               f"give it after `{path.rpartition(' ')[2]}`")
+            paths = [leaf.prog.partition(" ")[2] for leaf in self.leaves
+                     if flag in leaf._option_string_actions]
+            if len(paths) == 1:
+                raise CliError(f"{flag} is an option of `{paths[0]}`: "
+                               f"give it after `{paths[0].rpartition(' ')[2]}`")
+            if paths:
+                raise CliError(f"{flag} is an option of `{'`, `'.join(paths)}`: "
+                               "give it after the subcommand")
             raise CliError(f"unrecognized arguments: {flag}")
         return super().parse_known_args(args, namespace)
 
@@ -174,8 +180,9 @@ def _build_parser() -> _Parser:
 
     # `picard` only groups its maps: every option goes after `pullback`.
     group = sub.add_parser("picard", help="pull-back maps on divisor classes")
-    p = group.leaf = group.add_subparsers(dest="picard_command", required=True).add_parser(
+    p = group.add_subparsers(dest="picard_command", required=True).add_parser(
         "pullback", parents=[common])
+    group.leaves = [p]
     p.add_argument("map", choices=["i", "j", "k"],
                    help="i: elliptic-tail family, j: genus-2-tail family, k: moving marked point")
     p.add_argument("--g", type=int, required=True)
@@ -207,6 +214,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--m-max", type=int, default=None)
     p.add_argument("--golden", default=None,
                    help="directory for golden-file regression (writes if absent, else compares)")
+    parser.leaves = [leaf for p in sub.choices.values() for leaf in p.leaves or [p]]
     return parser
 
 

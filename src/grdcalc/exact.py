@@ -25,9 +25,14 @@ from .errors import PreconditionError
 
 Scalar = int | Fraction
 
-def as_field(x):
-    """An int as a Fraction, so that / stays exact; Fractions and RatFuncs pass through."""
-    return Fraction(x) if isinstance(x, int) else x
+def quotient(num, den):
+    """num / den, divided once: a reduced Fraction for two ints, else in the operands' field.
+
+    An int numerator over a rational function becomes a Fraction first, so / stays exact.
+    """
+    if isinstance(num, int):
+        return Fraction(num, den) if isinstance(den, int) else Fraction(num) / den
+    return num / den
 
 
 def format_rational(x: Scalar) -> str:
@@ -118,6 +123,11 @@ class Poly:
         a, b = self.ints, other.ints
         if not a or not b:
             return Poly()
+        # RatFunc pairs every scalar with the denominator 1: skip those products.
+        if a == (1,) and self.denom == 1:
+            return other
+        if b == (1,) and other.denom == 1:
+            return self
         if len(a) > len(b):
             a, b = b, a
         out = [0] * (len(a) + len(b) - 1)

@@ -23,7 +23,8 @@ import enum
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .invariants import COVER_DEGREE, GENUS2_TAIL, WEIERSTRASS, castelnuovo_count, xi
+from .exact import quotient
+from .invariants import COVER_DEGREE, GENUS2_TAIL, WEIERSTRASS, castelnuovo_count, xi_parts
 from .picard import LAMBDA, PSI, DivisorClass, PicSpace, delta, reduce_m21
 from .schubert import GrassShape, special_power_integral
 
@@ -182,34 +183,36 @@ def push_mogb(g: int, label: ClassLabel) -> DivisorClass:
     return DivisorClass.zero(PicSpace.m0g(g))
 
 
-def m21_coefficients(g: int, r: int, d: int, label: ClassLabel) -> tuple[Fraction, Fraction]:
-    """The coefficients (a, b) of ``push_m21`` = a*W + b*T.
+def m21_per_n(g: int, r: int, d: int, label: ClassLabel) -> tuple[Fraction, Fraction]:
+    """The coefficients (a, b) of ``push_m21`` = N*(a*W + b*T), per cover degree N.
 
-    alpha:  a = 2dN(d-2g+2)/(3(g-1)),  b = dN/(g-1)
-    beta:   a = 0,                     b = dN/(g-1)
-    gamma:  a = -N*xi/(3(g-1)),        b = 0
-    The coefficient a of W is the closed total over the Weierstrass fibers,
-    which ``verify`` compares with the Schubert totals.
+    alpha:  a = 2d(d-2g+2)/(3(g-1)),  b = d/(g-1)
+    beta:   a = 0,                    b = d/(g-1)
+    gamma:  a = -xi/(3(g-1)),         b = 0,  with xi = num/e (``xi_parts``)
+    N times the coefficient a of W is the closed total over the Weierstrass
+    fibers, which ``verify`` compares with the Schubert totals.
     """
-    GENUS2_TAIL.check(g, r, d)
-    n = castelnuovo_count(g, r, d)
     if label is ClassLabel.ALPHA:
-        return Fraction(2 * d * (d - 2 * g + 2), 3 * (g - 1)) * n, Fraction(d, g - 1) * n
+        return quotient(2 * d * (d - 2 * g + 2), 3 * (g - 1)), quotient(d, g - 1)
     if label is ClassLabel.BETA:
-        return Fraction(0), Fraction(d, g - 1) * n
+        return Fraction(0), quotient(d, g - 1)
     if label is ClassLabel.GAMMA:
-        return -Fraction(xi(g, r, d), 3 * (g - 1)) * n, Fraction(0)
+        num, e = xi_parts(g, r, d)
+        return quotient(-num, 3 * (g - 1) * e), Fraction(0)
     raise PreconditionError("label must be a ClassLabel")
 
 
-def push_m21(g: int, r: int, d: int, label: ClassLabel) -> DivisorClass:
-    """Push-forward over the genus-2-tail family, in the (lambda, delta_1, psi) basis.
-
-    a*W + b*T with the coefficients of ``m21_coefficients``; it has no
-    delta_0 term, so it is already reduced modulo the genus-2 relation.
-    """
-    a, b = m21_coefficients(g, r, d, label)
+def m21_class(a, b) -> DivisorClass:
+    """a*W + b*T on m21: with no delta_0 term, it is reduced modulo the genus-2 relation."""
     return DivisorClass(_M21, {sym: a * _W[sym] + b * _T[sym] for sym in _W})
+
+
+def push_m21(g: int, r: int, d: int, label: ClassLabel) -> DivisorClass:
+    """Push-forward over the genus-2-tail family: ``m21_class`` of N times ``m21_per_n``."""
+    GENUS2_TAIL.check(g, r, d)
+    n = castelnuovo_count(g, r, d)
+    a, b = m21_per_n(g, r, d, label)
+    return m21_class(a * n, b * n)
 
 
 def marked_per_n(g: int, r: int, d: int, h: int, label: ClassLabel) -> int:

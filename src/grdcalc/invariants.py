@@ -14,11 +14,10 @@ the verification sweeps alike.
 from __future__ import annotations
 
 from collections.abc import Callable
-from fractions import Fraction
 from math import factorial
 
 from .errors import PreconditionError
-from .exact import as_field
+from .exact import quotient
 from .value import Value
 
 
@@ -105,25 +104,22 @@ def castelnuovo_count(g: int, r: int, d: int) -> int:
     return factorial(g) // hooks
 
 
-def xi(g, r, d):
-    """The constant 3(g-1) + (r-1)(g+r+1)(3g-2d+r-3) / (g-d+2r+1).
-
-    Works over any field: a Fraction for integer inputs, a rational function
-    for symbolic ones.
-    """
-    den = as_field(g - d + 2 * r + 1)
-    if den == 0:
+def xi_parts(g, r, d):
+    """(num, e) with xi = num/e: e = g-d+2r+1 and num = 3(g-1)e + (r-1)(g+r+1)(3g-2d+r-3)."""
+    e = g - d + 2 * r + 1
+    if e == 0:
         raise PreconditionError("xi undefined: g - d + 2r + 1 = 0")
-    return 3 * (g - 1) + (r - 1) * (g + r + 1) * (3 * g - 2 * d + r - 3) / den
+    return 3 * (g - 1) * e + (r - 1) * (g + r + 1) * (3 * g - 2 * d + r - 3), e
+
+
+def xi(g, r, d):
+    """The constant 3(g-1) + (r-1)(g+r+1)(3g-2d+r-3) / (g-d+2r+1), over any field."""
+    return quotient(*xi_parts(g, r, d))
 
 
 class PerCoverDegree:
-    """Coefficients of a push-forward divided by the cover degree N.
-
-    The entries lie in whatever field (g, r, d) lie in: Fractions for
-    integer inputs, rational functions for symbolic ones.  ``delta_i(i)``
-    gives the coefficient of delta_i for 1 <= i < g.
-    """
+    """Coefficients of a push-forward per cover degree N, each one ``quotient``; they lie in
+    the field of (g, r, d), Fractions for ints.  ``delta_i(i)`` is delta_i's, 1 <= i < g."""
 
     __slots__ = ("lam", "delta0", "psi", "delta_i")
 
@@ -136,28 +132,29 @@ def alpha_per_n(g, r, d) -> PerCoverDegree:
 
     d/(6(g-1)(g-2)) times
     [ 6(gd - 2g^2 + 8d - 8g + 4) lambda + (2g^2 - gd + 3g - 4d - 2) delta_0
-      + 6 sum_i (g-i)(gd + 2ig - 2id - 2d) delta_i - 6d(g-2) psi ].
+      + 6 sum_i (g-i)(gd + 2ig - 2id - 2d) delta_i - 6d(g-2) psi ];
+    the 6 cancels from lambda and delta_i, 6(g-2) from psi: -d^2/(g-1).
     """
-    pref = as_field(d) / (6 * (g - 1) * (g - 2))
+    den = (g - 1) * (g - 2)
     return PerCoverDegree(
-        lam=pref * 6 * (g * d - 2 * g * g + 8 * d - 8 * g + 4),
-        delta0=pref * (2 * g * g - g * d + 3 * g - 4 * d - 2),
-        psi=pref * (-6 * d * (g - 2)),
-        delta_i=lambda i: pref * 6 * (g - i) * (g * d + 2 * i * g - 2 * i * d - 2 * d))
+        lam=quotient(d * (g * d - 2 * g * g + 8 * d - 8 * g + 4), den),
+        delta0=quotient(d * (2 * g * g - g * d + 3 * g - 4 * d - 2), 6 * den),
+        psi=quotient(-d * d, g - 1),
+        delta_i=lambda i: quotient(d * (g - i) * (g * d + 2 * i * g - 2 * i * d - 2 * d), den))
 
 
 def beta_per_n(g, r, d) -> PerCoverDegree:
     """Push-forward of (line bundle class).(dualizing class), per cover degree.
 
     d/(2(g-1)) times
-    [ 12 lambda - delta_0 + 4 sum_i (g-i)(g-i-1) delta_i - 2(g-1) psi ].
+    [ 12 lambda - delta_0 + 4 sum_i (g-i)(g-i-1) delta_i - 2(g-1) psi ];
+    the 2 cancels from lambda and delta_i, 2(g-1) from psi: -d.
     """
-    pref = as_field(d) / (2 * (g - 1))
     return PerCoverDegree(
-        lam=pref * 12,
-        delta0=-pref,
-        psi=pref * (-2 * (g - 1)),
-        delta_i=lambda i: pref * 4 * (g - i) * (g - i - 1))
+        lam=quotient(6 * d, g - 1),
+        delta0=quotient(-d, 2 * (g - 1)),
+        psi=quotient(-d, 1),
+        delta_i=lambda i: quotient(2 * d * (g - i) * (g - i - 1), g - 1))
 
 
 def gamma_per_n(g, r, d) -> PerCoverDegree:
@@ -167,15 +164,16 @@ def gamma_per_n(g, r, d) -> PerCoverDegree:
     [ (-(g+3) xi + 5r(r+2)) lambda - d(r+1)(g-2) psi
       + (1/6)((g+1) xi - 3r(r+2)) delta_0
       + sum_i (g-i)(i xi + (g-i-2) r(r+2)) delta_i ].
+    With xi = num/e (``xi_parts``), e joins each denominator xi enters; g-2 cancels from psi.
     """
-    x = xi(g, r, d)
-    pref = 1 / as_field(2 * (g - 1) * (g - 2))
+    num, e = xi_parts(g, r, d)
     rr = r * (r + 2)
+    den = 2 * (g - 1) * (g - 2) * e
     return PerCoverDegree(
-        lam=pref * (-(g + 3) * x + 5 * rr),
-        delta0=pref * Fraction(1, 6) * ((g + 1) * x - 3 * rr),
-        psi=pref * (-d * (r + 1) * (g - 2)),
-        delta_i=lambda i: pref * (g - i) * (i * x + (g - i - 2) * rr))
+        lam=quotient(-(g + 3) * num + 5 * rr * e, den),
+        delta0=quotient((g + 1) * num - 3 * rr * e, 6 * den),
+        psi=quotient(-d * (r + 1), 2 * (g - 1)),
+        delta_i=lambda i: quotient((g - i) * (i * num + (g - i - 2) * rr * e), den))
 
 
 def vanishing_sum(h: int, r: int, d: int) -> int:

@@ -251,18 +251,15 @@ def epsilon_intersection_matrix(g: int) -> list[list[Fraction]]:
 # generators, 10*lambda = delta_0 + 2*delta_1 (Mumford).  The elimination
 # of delta_0 below is derived from it, and every consumer reduces through
 # ``reduce_m21``; the over-determined push-forward assembly cross-checks it.
-GENUS2_RELATION: dict[str, Fraction] = {
-    LAMBDA: Fraction(10),
-    delta(0): Fraction(-1),
-    delta(1): Fraction(-2),
-}
+GENUS2_RELATION: dict[str, int] = {LAMBDA: 10, delta(0): -1, delta(1): -2}
 
 # Rows of the reduced basis (lambda, delta_1, psi) over the m21 basis: the
 # weight of delta_0 on each symbol is read off the relation solved for delta_0,
-# and left out where it is zero (psi).
+# and left out where it is zero (psi).  The relation's delta_0 coefficient is
+# -1, so every weight is an integer and is held as an int.
 GENUS2_REDUCTION: dict[str, Row] = {
-    sym: {sym: Fraction(1), delta(0): -GENUS2_RELATION[sym] / GENUS2_RELATION[delta(0)]}
-    if sym in GENUS2_RELATION else {sym: Fraction(1)}
+    sym: {sym: 1, delta(0): -GENUS2_RELATION[sym] // GENUS2_RELATION[delta(0)]}
+    if sym in GENUS2_RELATION else {sym: 1}
     for sym in (LAMBDA, delta(1), PSI)
 }
 
@@ -274,7 +271,7 @@ def compose(outer: Mapping[str, Row], inner: Mapping[str, Row]) -> dict[str, Row
         acc: Row = {}
         for mid, w in row.items():
             for sym, v in inner[mid].items():
-                acc[sym] = acc.get(sym, Fraction(0)) + w * v
+                acc[sym] = acc.get(sym, 0) + w * v
         out[target] = {sym: w for sym, w in acc.items() if w}
     return out
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import ConsistencyError, PreconditionError
-from .families import ClassLabel, marked_per_n, push_m21
+from .families import ClassLabel, m21_class, m21_per_n, marked_per_n
 from .invariants import (ALPHA_GAMMA_PUSH, BETA_PUSH, COVER_DEGREE, TEST_FAMILIES,
                          PerCoverDegree, alpha_per_n, beta_per_n, castelnuovo_count,
                          gamma_per_n)
@@ -110,13 +110,17 @@ def family_equations(g: int, r: int, d: int,
       because raw delta_0 coefficients are only defined modulo the genus-2
       relation.  ``push_m21`` is a combination of two classes with no
       delta_0 term, so it is read as it is: reducing it would return it.
+
+    N is computed once: as in ``push_marked`` and ``push_m21``, the per-N
+    values (``marked_per_n``, ``m21_per_n``) are multiplied by it here.
     """
     TEST_FAMILIES.check(g, r, d)
     n = castelnuovo_count(g, r, d)
     equations = [("marked-point", marked_point_row(g, h), marked_per_n(g, r, d, h, label) * n)
                  for h in range(1, g)]
     equations += [("elliptic-tail", row, 0) for row in elliptic_tail_rows(g).values()]
-    target = push_m21(g, r, d, label)
+    a, b = m21_per_n(g, r, d, label)
+    target = m21_class(a * n, b * n)
     equations += [("genus-2", row, target.get(sym))
                   for sym, row in compose(GENUS2_REDUCTION, genus2_tail_rows(g)).items()]
     return equations

@@ -304,6 +304,16 @@ def test_missing_subcommand_is_usage_error(capsys):
      "unrecognized arguments: --h 2"),
     (["invariants", "--g", "21", "--r", "6", "--d", "24", "--form", "tsv"], None, 1,
      "unrecognized arguments: --form tsv"),
+    (["--format", "json", "invariants", "--g", "4", "--r", "1", "--d", "3"], None, 1,
+     "--format is an option of `invariants`, `schubert`, `picard pullback`, `families`, "
+     "`pushforward`, `slope`, `verify`: give it after the subcommand"),
+    (["--g", "4", "invariants", "--r", "1", "--d", "3"], None, 1,
+     "--g is an option of `invariants`, `picard pullback`, `families`, `pushforward`, "
+     "`slope`: give it after the subcommand"),
+    (["--k", "4", "schubert", "--r", "1", "--d", "3", "--b", "0,0"], None, 1,
+     "--k is an option of `schubert`: give it after `schubert`"),
+    (["--foo", "invariants", "--g", "4", "--r", "1", "--d", "3"], None, 1,
+     "unrecognized arguments: --foo"),
 ], ids=["class-coeff", "config-g-max", "config-m-max", "genus-zero", "unit-class-k",
         "pieri-unbounded", "genus-one-m21", "verify-g-max", "slope-stray-g", "mogb-rho",
         "m21-stray-h", "mogb-stray-h", "pullback-i-stray-h", "negative-index", "sweep-bound",
@@ -315,7 +325,8 @@ def test_missing_subcommand_is_usage_error(capsys):
         "verify-config-unknown-key", "picard-level-format", "picard-level-config-missing",
         "picard-level-config", "picard-level-format-no-value", "picard-level-format-equals",
         "picard-level-h", "picard-level-unknown", "picard-level-abbreviated", "abbreviated-h",
-        "abbreviated-format"])
+        "abbreviated-format", "top-level-format", "top-level-g", "top-level-one-owner",
+        "top-level-unknown"])
 def test_malformed_or_huge_input_ends_cleanly(tmp_path, capsys, argv, config, code, expected):
     # The config file is written only if the case gives its text; it goes
     # where the argv says CONFIG, or else at the end.

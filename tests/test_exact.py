@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from grdcalc.exact import Poly, RatFunc, format_rational, poly_gcd, ratfunc_equal
+from grdcalc.exact import Poly, RatFunc, format_rational, poly_gcd, quotient, ratfunc_equal
 from conftest import rand_fraction
 
 
@@ -17,6 +17,19 @@ def test_slope_margin_is_positive():
     got = 6 + Fraction(12, 22) - Fraction(2459, 377)
     assert got == margin
     assert got > 0
+
+
+def test_quotient_divides_once():
+    q = quotient(6, -4)
+    assert type(q) is Fraction and (q.numerator, q.denominator) == (-3, 2)
+    assert quotient(0, -7).denominator == 1
+    with pytest.raises(ZeroDivisionError):
+        quotient(1, 0)
+    m = RatFunc.variable()
+    for num, den, want in ((m * m - 1, m - 1, m + 1), (m, 3, m / 3), (3, m, 3 / m),
+                           (Fraction(1, 2), m, 1 / (2 * m))):
+        got = quotient(num, den)
+        assert isinstance(got, RatFunc) and ratfunc_equal(got, want), (num, den)
 
 
 def test_canonical_form_after_random_ops(rng):

@@ -1,14 +1,18 @@
 import importlib.util
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from grdcalc.cli import main
 from grdcalc.errors import PreconditionError
-from grdcalc.invariants import (GrdParams, castelnuovo_count, rho,
+from grdcalc.exact import RatFunc, ratfunc_equal
+from grdcalc.invariants import (GrdParams, alpha_per_n, beta_per_n, castelnuovo_count,
+                                gamma_per_n, rho,
                                 rho_zero_triples, vanishing_sum, xi)
 from grdcalc.schubert import GrassShape, special_power_integral
+from grdcalc.slope import m_family_triple
 
 # Fixed by the factorial formula 1! 2! 6! 21! / (3! 4! ... 9!); the Pieri
 # route re-derives it in the acceptance suite.
@@ -82,6 +86,56 @@ def test_xi_values():
 def test_xi_zero_denominator():
     with pytest.raises(PreconditionError):
         xi(1, 0, 2)
+
+
+def printed_per_n(g, r, d):
+    """The paper's printed forms, prefactor times bracket, as the docstrings give them.
+
+    Per class: (lambda, delta_0, psi, delta_i), over the field of g, r, d
+    (Fractions or rational functions); xi is written out here too, not read
+    from the library.
+    """
+    x = 3 * (g - 1) + (r - 1) * (g + r + 1) * (3 * g - 2 * d + r - 3) / (g - d + 2 * r + 1)
+    rr = r * (r + 2)
+    pa = d / (6 * (g - 1) * (g - 2))
+    pb = d / (2 * (g - 1))
+    pc = 1 / (2 * (g - 1) * (g - 2))
+    return {
+        alpha_per_n: (pa * 6 * (g * d - 2 * g * g + 8 * d - 8 * g + 4),
+                      pa * (2 * g * g - g * d + 3 * g - 4 * d - 2),
+                      pa * (-6 * d * (g - 2)),
+                      lambda i: pa * 6 * (g - i) * (g * d + 2 * i * g - 2 * i * d - 2 * d)),
+        beta_per_n: (pb * 12, -pb, pb * (-2 * (g - 1)),
+                     lambda i: pb * 4 * (g - i) * (g - i - 1)),
+        gamma_per_n: (pc * (-(g + 3) * x + 5 * rr),
+                      pc * ((g + 1) * x - 3 * rr) / 6,
+                      pc * (-d * (r + 1) * (g - 2)),
+                      lambda i: pc * (g - i) * (i * x + (g - i - 2) * rr)),
+    }
+
+
+def test_per_n_coefficients_equal_the_printed_prefactor_forms():
+    triples = [t for t in rho_zero_triples(60) if t.g >= 3]
+    assert {t.g for t in triples} >= {3, 60}
+    for t in triples:
+        printed = printed_per_n(Fraction(t.g), Fraction(t.r), Fraction(t.d))
+        for per_n, (lam, d0, psi, delta_i) in printed.items():
+            got = per_n(t.g, t.r, t.d)
+            coeffs = [got.lam, got.delta0, got.psi] + [got.delta_i(i) for i in range(1, t.g)]
+            assert coeffs == [lam, d0, psi] + [delta_i(i) for i in range(1, t.g)], (t, per_n)
+            assert all(type(c) is Fraction for c in coeffs), (t, per_n)
+
+
+def test_per_n_coefficients_equal_the_printed_forms_along_the_m_family():
+    # An identity of rational functions of m; delta_i at i near g too, as a
+    # function of m, since each form is polynomial in i.
+    g, r, d = m_family_triple(RatFunc.variable())
+    for per_n, (lam, d0, psi, delta_i) in printed_per_n(g, r, d).items():
+        got = per_n(g, r, d)
+        for i in (1, 2, 3, g - 2, g - 1):
+            assert ratfunc_equal(got.delta_i(i), delta_i(i)), (per_n, i)
+        for a, b in ((got.lam, lam), (got.delta0, d0), (got.psi, psi)):
+            assert isinstance(a, RatFunc) and ratfunc_equal(a, b), per_n
 
 
 def test_vanishing_sum_values():
