@@ -38,7 +38,7 @@ GOLDEN_NAME = "verify_golden.json"
 
 # The largest --g of any subcommand and --d of `schubert`: the count builds g!
 # and a class space g + 2 symbols, and the closed Schubert form grows about as
-# d^4 (0.3 s at d = 300).
+# d^4 (0.2-0.4 s at d = 300, r = d - 1, k = 1).
 G_LIMIT = 20000
 SCHUBERT_D_LIMIT = 300
 
@@ -273,15 +273,14 @@ def _cmd_picard(args) -> tuple[dict, int]:
 
 
 def _cmd_families(args) -> tuple[dict, int]:
-    from . import invariants
     from .families import ClassLabel, push_m21, push_marked, push_mogb
     g, r, d = args.g, args.r, args.d
     if args.family != "marked" and args.h is not None:
         raise CliError(f"the {args.family} family takes no --h "
                        "(component genus of the marked family only)")
     if args.family == "mogb":
-        invariants.COVER_DEGREE.check(g, r, d)
-        return {label.value: push_mogb(g, label).payload() for label in ClassLabel}, EXIT_OK
+        return {label.value: push_mogb(g, r, d, label).payload()
+                for label in ClassLabel}, EXIT_OK
     if args.family == "m21":
         return {label.value: push_m21(g, r, d, label).payload()
                 for label in ClassLabel}, EXIT_OK

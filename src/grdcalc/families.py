@@ -171,13 +171,14 @@ def weierstrass_gamma(g: int, r: int, d: int) -> Fraction:
     return -total
 
 
-def push_mogb(g: int, label: ClassLabel) -> DivisorClass:
+def push_mogb(g: int, r: int, d: int, label: ClassLabel) -> DivisorClass:
     """Push-forward over the elliptic-tail family: identically zero.
 
     Every limit series on such a curve is rigid with a fixed aspect on the
     tails, so alpha, beta and gamma all vanish; kept explicit so that family
     accounting always covers all three classes.
     """
+    COVER_DEGREE.check(g, r, d)
     if not isinstance(label, ClassLabel):
         raise PreconditionError("label must be a ClassLabel")
     return DivisorClass.zero(PicSpace.m0g(g))

@@ -21,6 +21,8 @@ assembly solves for exactly those coefficients, one unknown per basis symbol.
 
 from __future__ import annotations
 
+import re
+import sys
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -30,6 +32,7 @@ from .value import Value
 
 LAMBDA = "lambda"
 PSI = "psi"
+_ZERO = Fraction(0)  # one immutable zero for every absent coefficient
 
 
 def delta(i: int) -> str:
@@ -101,7 +104,7 @@ class DivisorClass(Value):
         return cls(space, {})
 
     def get(self, sym: str) -> Fraction:
-        return self.coeffs.get(sym, Fraction(0))
+        return self.coeffs.get(sym, _ZERO)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -247,10 +250,10 @@ def epsilon_intersection_matrix(g: int) -> list[list[Fraction]]:
     return rows
 
 
-# Rank-3 reduction on m21: the classical genus-2 relation among the
-# generators, 10*lambda = delta_0 + 2*delta_1 (Mumford).  The elimination
-# of delta_0 below is derived from it, and every consumer reduces through
-# ``reduce_m21``; the over-determined push-forward assembly cross-checks it.
+# Rank-3 reduction on m21: the classical genus-2 relation among the generators,
+# 10*lambda = delta_0 + 2*delta_1 (Mumford), solved below for delta_0.  Both
+# ``reduce_m21`` and ``pushforward.family_equations`` (on the genus-2-tail rows)
+# apply it; ``push_m21`` is built reduced.  The push-forward assembly cross-checks it.
 GENUS2_RELATION: dict[str, int] = {LAMBDA: 10, delta(0): -1, delta(1): -2}
 
 # Rows of the reduced basis (lambda, delta_1, psi) over the m21 basis: the
@@ -286,6 +289,24 @@ def reduce_m21(D: DivisorClass) -> DivisorClass:
     return DivisorClass(PicSpace.m21(), restrict(GENUS2_REDUCTION, D))
 
 
+def _coefficient(term: str, text: str) -> Fraction:
+    """The rational of one class term, refused if its numerator or denominator has
+    more digits than Python prints.  ``Fraction(text)`` builds 10**exponent first, so
+    an exponent past twice that limit is refused unbuilt: the mantissa has at most
+    limit digits each side of the point, so any nonzero such value has too many."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    exponent = re.search(r"e[-+]?([\d_]+)\s*$", text, re.IGNORECASE)
+    digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+    try:
+        huge = len(digits) > len(str(2 * limit)) or int(digits or 0) > 2 * limit
+        c = None if huge else Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise PreconditionError(f"bad coefficient in class term {term!r}, expected a rational")
+    if c is None or max(abs(c.numerator), c.denominator) >= 10 ** limit:
+        raise PreconditionError(f"coefficient in class term {term!r} has more than {limit} digits")
+    return c
+
+
 def parse_class(space: PicSpace, text: str) -> DivisorClass:
     """Parse ``symbol:coeff,symbol:coeff`` into a class on the given space."""
     items: dict[str, Fraction] = {}
@@ -296,10 +317,5 @@ def parse_class(space: PicSpace, text: str) -> DivisorClass:
                 raise PreconditionError(f"bad class term {chunk!r}, expected symbol:coeff")
             sym, val = chunk.split(":", 1)
             sym = sym.strip()
-            try:
-                c = Fraction(val.strip())
-            except (ValueError, ZeroDivisionError):
-                raise PreconditionError(
-                    f"bad coefficient in class term {chunk!r}, expected a rational")
-            items[sym] = items.get(sym, Fraction(0)) + c
+            items[sym] = items.get(sym, _ZERO) + _coefficient(chunk, val.strip())
     return DivisorClass(space, items)

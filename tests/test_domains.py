@@ -9,8 +9,9 @@ PreconditionError, never with another exception.
 import pytest
 
 from grdcalc.errors import PreconditionError
-from grdcalc.families import (ClassLabel, push_m21, push_marked, reconstruct_push_m21,
-                              sheet_counts, weierstrass_alpha, weierstrass_gamma)
+from grdcalc.families import (ClassLabel, push_m21, push_marked, push_mogb,
+                              reconstruct_push_m21, sheet_counts, weierstrass_alpha,
+                              weierstrass_gamma)
 from grdcalc.invariants import castelnuovo_count
 from grdcalc.pushforward import alpha, beta, combination, gamma, solve_from_families
 from grdcalc.slope import slope_report
@@ -22,6 +23,7 @@ RHO_ZERO = {(1, 0, 0), (2, 0, 0), (2, 1, 2), (3, 0, 0), (3, 2, 4), (4, 0, 0), (4
             (8, 0, 0), (8, 1, 5), (8, 3, 9)}
 FROM_GENUS_2 = RHO_ZERO - {(1, 0, 0)}
 FROM_GENUS_3 = FROM_GENUS_2 - {(2, 0, 0), (2, 1, 2)}
+FROM_GENUS_4 = FROM_GENUS_3 - {(3, 0, 0), (3, 2, 4)}
 SLOPED = {(3, 2, 4), (4, 1, 3), (4, 3, 6), (5, 4, 8), (6, 1, 4), (6, 2, 6), (8, 1, 5), (8, 3, 9)}
 WEIERSTRASS = {(4, 3, 6), (5, 4, 8), (6, 1, 4), (6, 2, 6), (8, 1, 5), (8, 3, 9)}
 ASSEMBLED = {(5, 0, 0), (5, 4, 8), (6, 0, 0), (6, 1, 4), (6, 2, 6), (7, 0, 0), (8, 0, 0),
@@ -37,6 +39,7 @@ ENTRY_POINTS = {
     "sheet_counts": (sheet_counts, FROM_GENUS_2),
     "push_m21": (lambda g, r, d: push_m21(g, r, d, ClassLabel.GAMMA), FROM_GENUS_2),
     "push_marked": (lambda g, r, d: push_marked(g, r, d, 1, ClassLabel.ALPHA), FROM_GENUS_2),
+    "push_mogb": (lambda g, r, d: push_mogb(g, r, d, ClassLabel.BETA), FROM_GENUS_4),
     "reconstruct_push_m21-beta":
         (lambda g, r, d: reconstruct_push_m21(g, r, d, ClassLabel.BETA), FROM_GENUS_2),
     "reconstruct_push_m21-alpha":

@@ -99,8 +99,8 @@ def test_weierstrass_dual_routes_agree_for_small_triples():
 
 def test_push_mogb_is_zero():
     for label in ClassLabel:
-        assert push_mogb(7, label).is_zero()
-        assert push_mogb(7, label).space == PicSpace.m0g(7)
+        assert push_mogb(7, 6, 12, label).is_zero()
+        assert push_mogb(7, 6, 12, label).space == PicSpace.m0g(7)
 
 
 def test_push_m21_beta_example():

@@ -127,10 +127,10 @@ def test_gap_identity_runs_no_polynomial_gcd(monkeypatch):
 def test_generic_coefficients_match_full_pushforward():
     # The family assembly shares none of the closed forms that
     # quadric_lambda_delta0 reads; the verify row compares the two routes.
-    result = check_slope_vs_assembly(12)
-    assert result.passed, result.detail
-    assert "(21,6,24) 2459/377" in result.detail
-    assert result.detail.endswith("4 pencils agree")
+    passed, detail = check_slope_vs_assembly(12)
+    assert passed, detail
+    assert "(21,6,24) 2459/377" in detail
+    assert detail.endswith("4 pencils agree")
 
 
 def test_generic_coefficients_work_symbolically():
