@@ -24,7 +24,8 @@ from fractions import Fraction
 
 from .errors import PreconditionError
 from .exact import quotient
-from .invariants import COVER_DEGREE, GENUS2_TAIL, WEIERSTRASS, castelnuovo_count, xi_parts
+from .invariants import (COVER_DEGREE, ELLIPTIC_TAIL, GENUS2_TAIL, WEIERSTRASS,
+                         castelnuovo_count, xi_parts)
 from .picard import LAMBDA, PSI, DivisorClass, PicSpace, delta, reduce_m21
 from .schubert import GrassShape, special_power_integral
 
@@ -178,7 +179,7 @@ def push_mogb(g: int, r: int, d: int, label: ClassLabel) -> DivisorClass:
     tails, so alpha, beta and gamma all vanish; kept explicit so that family
     accounting always covers all three classes.
     """
-    COVER_DEGREE.check(g, r, d)
+    ELLIPTIC_TAIL.check(g, r, d)
     if not isinstance(label, ClassLabel):
         raise PreconditionError("label must be a ClassLabel")
     return DivisorClass.zero(PicSpace.m0g(g))

@@ -71,6 +71,8 @@ class Domain:
 
 COVER_DEGREE = Domain("cover degree")
 GENUS2_TAIL = Domain("genus-2-tail family", min_g=2, why="its sheet counts divide by 2(g-1)")
+ELLIPTIC_TAIL = Domain("elliptic-tail family", min_g=4,
+                       why="its base m0g(g) has an empty basis below g = 4")
 BETA_PUSH = Domain("beta push-forward", min_g=2, why="the prefactor 1/(g-1) has a pole")
 ALPHA_GAMMA_PUSH = Domain("alpha/gamma push-forward", min_g=3,
                           why="the prefactor 1/((g-1)(g-2)) has a pole")
@@ -118,13 +120,19 @@ def xi(g, r, d):
 
 
 class PerCoverDegree:
-    """Coefficients of a push-forward per cover degree N, each one ``quotient``; they lie in
-    the field of (g, r, d), Fractions for ints.  ``delta_i(i)`` is delta_i's, 1 <= i < g."""
+    """Coefficients of a push-forward per cover degree N, as numerators over one ``den``.
 
-    __slots__ = ("lam", "delta0", "psi", "delta_i")
+    ``lam``, ``delta0`` and ``psi`` are numerators, and ``delta_i(i)`` gives delta_i's,
+    1 <= i < g; each coefficient is ``quotient(numerator, den)``, divided once when read.
+    Numerators and ``den`` lie in the ring of (g, r, d): ints for ints, so nothing is
+    reduced until a caller divides.  ``den`` is the paper's prefactor denominator and
+    each numerator its prefactor numerator times the bracket's coefficient.
+    """
 
-    def __init__(self, lam, delta0, psi, delta_i: Callable[[int], object]):
-        self.lam, self.delta0, self.psi, self.delta_i = lam, delta0, psi, delta_i
+    __slots__ = ("den", "lam", "delta0", "psi", "delta_i")
+
+    def __init__(self, den, lam, delta0, psi, delta_i: Callable[[int], object]):
+        self.den, self.lam, self.delta0, self.psi, self.delta_i = den, lam, delta0, psi, delta_i
 
 
 def alpha_per_n(g, r, d) -> PerCoverDegree:
@@ -132,29 +140,28 @@ def alpha_per_n(g, r, d) -> PerCoverDegree:
 
     d/(6(g-1)(g-2)) times
     [ 6(gd - 2g^2 + 8d - 8g + 4) lambda + (2g^2 - gd + 3g - 4d - 2) delta_0
-      + 6 sum_i (g-i)(gd + 2ig - 2id - 2d) delta_i - 6d(g-2) psi ];
-    the 6 cancels from lambda and delta_i, 6(g-2) from psi: -d^2/(g-1).
+      + 6 sum_i (g-i)(gd + 2ig - 2id - 2d) delta_i - 6d(g-2) psi ].
     """
-    den = (g - 1) * (g - 2)
     return PerCoverDegree(
-        lam=quotient(d * (g * d - 2 * g * g + 8 * d - 8 * g + 4), den),
-        delta0=quotient(d * (2 * g * g - g * d + 3 * g - 4 * d - 2), 6 * den),
-        psi=quotient(-d * d, g - 1),
-        delta_i=lambda i: quotient(d * (g - i) * (g * d + 2 * i * g - 2 * i * d - 2 * d), den))
+        den=6 * (g - 1) * (g - 2),
+        lam=d * 6 * (g * d - 2 * g * g + 8 * d - 8 * g + 4),
+        delta0=d * (2 * g * g - g * d + 3 * g - 4 * d - 2),
+        psi=d * -6 * d * (g - 2),
+        delta_i=lambda i: d * 6 * (g - i) * (g * d + 2 * i * g - 2 * i * d - 2 * d))
 
 
 def beta_per_n(g, r, d) -> PerCoverDegree:
     """Push-forward of (line bundle class).(dualizing class), per cover degree.
 
     d/(2(g-1)) times
-    [ 12 lambda - delta_0 + 4 sum_i (g-i)(g-i-1) delta_i - 2(g-1) psi ];
-    the 2 cancels from lambda and delta_i, 2(g-1) from psi: -d.
+    [ 12 lambda - delta_0 + 4 sum_i (g-i)(g-i-1) delta_i - 2(g-1) psi ].
     """
     return PerCoverDegree(
-        lam=quotient(6 * d, g - 1),
-        delta0=quotient(-d, 2 * (g - 1)),
-        psi=quotient(-d, 1),
-        delta_i=lambda i: quotient(2 * d * (g - i) * (g - i - 1), g - 1))
+        den=2 * (g - 1),
+        lam=d * 12,
+        delta0=-d,
+        psi=d * -2 * (g - 1),
+        delta_i=lambda i: d * 4 * (g - i) * (g - i - 1))
 
 
 def gamma_per_n(g, r, d) -> PerCoverDegree:
@@ -164,16 +171,16 @@ def gamma_per_n(g, r, d) -> PerCoverDegree:
     [ (-(g+3) xi + 5r(r+2)) lambda - d(r+1)(g-2) psi
       + (1/6)((g+1) xi - 3r(r+2)) delta_0
       + sum_i (g-i)(i xi + (g-i-2) r(r+2)) delta_i ].
-    With xi = num/e (``xi_parts``), e joins each denominator xi enters; g-2 cancels from psi.
+    With xi = num/e (``xi_parts``), the 6 and e join the denominator 2(g-1)(g-2).
     """
     num, e = xi_parts(g, r, d)
     rr = r * (r + 2)
-    den = 2 * (g - 1) * (g - 2) * e
     return PerCoverDegree(
-        lam=quotient(-(g + 3) * num + 5 * rr * e, den),
-        delta0=quotient((g + 1) * num - 3 * rr * e, 6 * den),
-        psi=quotient(-d * (r + 1), 2 * (g - 1)),
-        delta_i=lambda i: quotient((g - i) * (i * num + (g - i - 2) * rr * e), den))
+        den=12 * (g - 1) * (g - 2) * e,
+        lam=6 * (-(g + 3) * num + 5 * rr * e),
+        delta0=(g + 1) * num - 3 * rr * e,
+        psi=-6 * d * (r + 1) * (g - 2) * e,
+        delta_i=lambda i: 6 * (g - i) * (i * num + (g - i - 2) * rr * e))
 
 
 def vanishing_sum(h: int, r: int, d: int) -> int:

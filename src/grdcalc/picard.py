@@ -289,21 +289,30 @@ def reduce_m21(D: DivisorClass) -> DivisorClass:
     return DivisorClass(PicSpace.m21(), restrict(GENUS2_REDUCTION, D))
 
 
+def _shown(term: str) -> str:
+    """The term quoted for a message; a term past 40 characters is cut there."""
+    return repr(term) if len(term) <= 40 else f"{term[:40]!r}... ({len(term)} characters)"
+
+
 def _coefficient(term: str, text: str) -> Fraction:
     """The rational of one class term, refused if its numerator or denominator has
-    more digits than Python prints.  ``Fraction(text)`` builds 10**exponent first, so
-    an exponent past twice that limit is refused unbuilt: the mantissa has at most
-    limit digits each side of the point, so any nonzero such value has too many."""
+    more digits than Python prints.  A digit string longer than that is refused
+    unread, and so is an exponent past twice the limit, since ``Fraction(text)``
+    builds 10**exponent first: the mantissa has at most limit digits each side of
+    the point, so any nonzero such value has too many."""
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    longest = max((len(run.replace("_", "")) for run in re.findall(r"[\d_]+", text)), default=0)
     exponent = re.search(r"e[-+]?([\d_]+)\s*$", text, re.IGNORECASE)
     digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
     try:
-        huge = len(digits) > len(str(2 * limit)) or int(digits or 0) > 2 * limit
+        huge = longest > limit or int(digits or 0) > 2 * limit
         c = None if huge else Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise PreconditionError(f"bad coefficient in class term {term!r}, expected a rational")
+        raise PreconditionError(
+            f"bad coefficient in class term {_shown(term)}, expected a rational")
     if c is None or max(abs(c.numerator), c.denominator) >= 10 ** limit:
-        raise PreconditionError(f"coefficient in class term {term!r} has more than {limit} digits")
+        raise PreconditionError(
+            f"coefficient in class term {_shown(term)} has more than {limit} digits")
     return c
 
 
@@ -314,7 +323,7 @@ def parse_class(space: PicSpace, text: str) -> DivisorClass:
     if text:
         for chunk in text.split(","):
             if ":" not in chunk:
-                raise PreconditionError(f"bad class term {chunk!r}, expected symbol:coeff")
+                raise PreconditionError(f"bad class term {_shown(chunk)}, expected symbol:coeff")
             sym, val = chunk.split(":", 1)
             sym = sym.strip()
             items[sym] = items.get(sym, _ZERO) + _coefficient(chunk, val.strip())

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import ConsistencyError, PreconditionError
+from .exact import quotient
 from .families import ClassLabel, m21_class, m21_per_n, marked_per_n
 from .invariants import (ALPHA_GAMMA_PUSH, BETA_PUSH, COVER_DEGREE, TEST_FAMILIES,
                          PerCoverDegree, alpha_per_n, beta_per_n, castelnuovo_count,
@@ -39,12 +40,12 @@ class PushforwardSolution:
 
 
 def _times_cover_degree(g: int, r: int, d: int, per_n: PerCoverDegree) -> DivisorClass:
-    """The class on mg1(g) whose coefficients are N times those of per_n."""
-    n = castelnuovo_count(g, r, d)
-    items: dict[str, Fraction] = {LAMBDA: per_n.lam * n, delta(0): per_n.delta0 * n,
-                                  PSI: per_n.psi * n}
+    """The class on mg1(g) whose coefficients are N times those of per_n, one quotient each."""
+    n, den = castelnuovo_count(g, r, d), per_n.den
+    items = {LAMBDA: quotient(per_n.lam * n, den), delta(0): quotient(per_n.delta0 * n, den),
+             PSI: quotient(per_n.psi * n, den)}
     for i in range(1, g):
-        items[delta(i)] = per_n.delta_i(i) * n
+        items[delta(i)] = quotient(per_n.delta_i(i) * n, den)
     return DivisorClass(PicSpace.mg1(g), items)
 
 

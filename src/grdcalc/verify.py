@@ -260,12 +260,12 @@ def check_genus10_slope():
 def quadric_from_families(g: int, r: int, d: int):
     """``slope.quadric_lambda_delta0`` from the family assembly alone.
 
-    ``slope.quadric_per_n`` of the lambda and delta_0 coefficients per cover
-    degree N of the three assembled classes.
+    ``slope.quadric_per_n`` of the three assembled classes' lambda and delta_0
+    coefficients, each over the cover degree N.
     """
     n = invariants.castelnuovo_count(g, r, d)
     solved = (pushforward.solve_from_families(g, r, d, label).coeffs for label in ClassLabel)
-    return slope.quadric_per_n(r, *((c[LAMBDA] / n, c[delta(0)] / n) for c in solved))
+    return slope.quadric_per_n(r, *((c[LAMBDA], c[delta(0)], n) for c in solved))
 
 
 def check_slope_vs_assembly(g_max: int):

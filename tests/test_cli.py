@@ -318,6 +318,8 @@ def test_missing_subcommand_is_usage_error(capsys):
      "class term 'psi:1e100000000' has more than 4300 digits"),
     (["picard", "pullback", "i", "--g", "5", "--class", "lambda:1,psi:-2e-100000000"], None, 1,
      "class term 'psi:-2e-100000000' has more than 4300 digits"),
+    (["picard", "pullback", "i", "--g", "5", "--class", "delta_2:1/" + "7" * 4301], None, 1,
+     "class term 'delta_2:1/" + "7" * 30 + "'... (4311 characters) has more than 4300 digits"),
 ], ids=["class-coeff", "config-g-max", "config-m-max", "genus-zero", "unit-class-k",
         "pieri-unbounded", "genus-one-m21", "verify-g-max", "slope-stray-g", "mogb-rho",
         "m21-stray-h", "mogb-stray-h", "pullback-i-stray-h", "negative-index", "sweep-bound",
@@ -330,7 +332,8 @@ def test_missing_subcommand_is_usage_error(capsys):
         "picard-level-config", "picard-level-format-no-value", "picard-level-format-equals",
         "picard-level-h", "picard-level-unknown", "picard-level-abbreviated", "abbreviated-h",
         "abbreviated-format", "top-level-format", "top-level-g", "top-level-one-owner",
-        "top-level-unknown", "class-coeff-huge-exponent", "class-coeff-huge-negative-exponent"])
+        "top-level-unknown", "class-coeff-huge-exponent", "class-coeff-huge-negative-exponent",
+        "class-coeff-long-digit-string"])
 def test_malformed_or_huge_input_ends_cleanly(tmp_path, capsys, argv, config, code, expected):
     # The config file is written only if the case gives its text; it goes
     # where the argv says CONFIG, or else at the end.

@@ -75,6 +75,8 @@ def test_guards_name_the_first_bound_that_fails():
         (weierstrass_alpha, (2, 1, 2), "need g >= 3, got g=2"),
         (weierstrass_gamma, (4, 1, 3), "need box width d-r >= 3, got 2"),
         (sheet_counts, (1, 0, 0), "genus-2-tail family: need g >= 2, got g=1"),
+        (lambda g, r, d: push_mogb(g, r, d, ClassLabel.ALPHA), (3, 2, 4),
+         "elliptic-tail family: need g >= 4, got g=3"),
     ]
     for label in ClassLabel:
         cases.append((lambda g, r, d, label=label: push_m21(g, r, d, label),

@@ -1,13 +1,11 @@
-import importlib.util
 import json
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from grdcalc.cli import main
 from grdcalc.errors import PreconditionError
-from grdcalc.exact import RatFunc, ratfunc_equal
+from grdcalc.exact import RatFunc, quotient, ratfunc_equal
 from grdcalc.invariants import (GrdParams, alpha_per_n, beta_per_n, castelnuovo_count,
                                 gamma_per_n, rho,
                                 rho_zero_triples, vanishing_sum, xi)
@@ -38,17 +36,7 @@ def test_castelnuovo_count_is_the_schubert_degree():
             == special_power_integral(GrassShape(t.r, t.d), t.g, (0,) * (t.r + 1)), t
 
 
-def _benchmark_reference():
-    # perfbench/reference.py restates the count without importing grdcalc.
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
-    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_castelnuovo_count_is_an_int():
-    reference = _benchmark_reference()
+def test_castelnuovo_count_is_an_int(reference):
     for g, r, d in reference.rho_zero_triples(120):
         n = castelnuovo_count(g, r, d)
         assert type(n) is int and n == reference.castelnuovo(g, r, d), (g, r, d)
@@ -121,7 +109,10 @@ def test_per_n_coefficients_equal_the_printed_prefactor_forms():
         printed = printed_per_n(Fraction(t.g), Fraction(t.r), Fraction(t.d))
         for per_n, (lam, d0, psi, delta_i) in printed.items():
             got = per_n(t.g, t.r, t.d)
-            coeffs = [got.lam, got.delta0, got.psi] + [got.delta_i(i) for i in range(1, t.g)]
+            nums = [got.lam, got.delta0, got.psi] + [got.delta_i(i) for i in range(1, t.g)]
+            # Nothing is divided before a value is read: ints over a positive int den.
+            assert all(type(x) is int for x in [got.den, *nums]) and got.den > 0, (t, per_n)
+            coeffs = [quotient(num, got.den) for num in nums]
             assert coeffs == [lam, d0, psi] + [delta_i(i) for i in range(1, t.g)], (t, per_n)
             assert all(type(c) is Fraction for c in coeffs), (t, per_n)
 
@@ -133,8 +124,9 @@ def test_per_n_coefficients_equal_the_printed_forms_along_the_m_family():
     for per_n, (lam, d0, psi, delta_i) in printed_per_n(g, r, d).items():
         got = per_n(g, r, d)
         for i in (1, 2, 3, g - 2, g - 1):
-            assert ratfunc_equal(got.delta_i(i), delta_i(i)), (per_n, i)
-        for a, b in ((got.lam, lam), (got.delta0, d0), (got.psi, psi)):
+            assert ratfunc_equal(quotient(got.delta_i(i), got.den), delta_i(i)), (per_n, i)
+        for num, b in ((got.lam, lam), (got.delta0, d0), (got.psi, psi)):
+            a = quotient(num, got.den)
             assert isinstance(a, RatFunc) and ratfunc_equal(a, b), per_n
 
 

@@ -206,7 +206,8 @@ def test_parse_class():
 
 def test_parse_class_refuses_a_coefficient_with_more_digits_than_python_prints():
     # 10^4299 and 10^-4299 print with 4300 digits, the default limit; one more
-    # is refused, and an exponent past twice the limit is refused unbuilt.
+    # is refused, and an exponent past twice the limit is refused unbuilt, as
+    # is a digit string longer than int() reads, with the term cut in the message.
     # 25e-4300 is 1/(4*10^4298) in lowest terms.
     space = PicSpace.mg1(5)
     for text in ("psi:1e4299", "psi:1e-4299", "psi:25e-4300", "psi:1e3", "delta_0:1/2",
@@ -214,6 +215,8 @@ def test_parse_class_refuses_a_coefficient_with_more_digits_than_python_prints()
         coeff = Fraction(text.partition(":")[2])
         assert parse_class(space, text).get(text.partition(":")[0]) == coeff
     for text in ("psi:1e4300", "psi:1e-4300", "psi:3e-4300", "psi:1e8601",
-                 "psi:-3e100000000", "psi:1e-1000000000000", "psi:1e" + "9" * 5000):
-        with pytest.raises(PreconditionError, match="has more than 4300 digits"):
+                 "psi:-3e100000000", "psi:1e-1000000000000", "psi:1e" + "9" * 5000,
+                 "psi:" + "7" * 4301, "psi:1/" + "7" * 4301, "psi:0." + "7" * 4301):
+        with pytest.raises(PreconditionError, match="has more than 4300 digits") as info:
             parse_class(space, "lambda:1," + text)
+        assert len(str(info.value)) < 120, text

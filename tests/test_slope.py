@@ -6,6 +6,7 @@ import pytest
 from grdcalc import exact
 from grdcalc.errors import PreconditionError
 from grdcalc.exact import RatFunc, ratfunc_equal
+from grdcalc.invariants import SLOPE, GrdParams
 from grdcalc.slope import (family_gap_function, family_gap_symbolic,
                            m_family_gap_identity, m_family_report, m_family_reports,
                            m_family_triple, quadric_lambda_delta0,
@@ -141,3 +142,21 @@ def test_generic_coefficients_work_symbolically():
         lam_num, d0_num = quadric_lambda_delta0(g, r, d)
         assert lam.eval(mv) == lam_num
         assert d0.eval(mv) == d0_num
+
+
+def test_slope_reports_equal_the_independent_reference(reference):
+    # Every field of every admitted report up to g = 200 against the paper's
+    # forms as perfbench/reference.py restates them; a zero delta_0 is refused.
+    triples = [t for t in reference.rho_zero_triples(200, g_min=3)
+               if SLOPE.admits(GrdParams(*t))]
+    assert len(triples) > 800
+    for t in triples:
+        if reference.quadric_slope(*t)[1] == 0:
+            with pytest.raises(PreconditionError, match="slope undefined"):
+                slope_report(*t)
+            continue
+        rep = slope_report(*t)
+        for field, value in reference.slope_expected(*t).items():
+            assert getattr(rep, field) == value, (t, field)
+    for m in range(1, 61):
+        assert m_family_report(m).gap == reference.m_family_gap(m), m

@@ -46,7 +46,8 @@ def test_slope_vs_assembly_catches_a_closed_form_slip(monkeypatch):
 
     def off(g, r, d):
         c = true_gamma(g, r, d)
-        return invariants.PerCoverDegree(c.lam, c.delta0 + Fraction(1, 10 ** 6), c.psi, c.delta_i)
+        c.delta0 += Fraction(1, 10 ** 6) * c.den
+        return c
 
     monkeypatch.setattr(slope, "gamma_per_n", off)
     results = {rs.name: rs for rs in verify.run_checks(5, 3)}
@@ -133,11 +134,12 @@ _TINY = Fraction(1, 10 ** 6)
 
 
 def _per_n_slip(field):
-    # 10^-6 on one coefficient of a closed push-forward per cover degree.
+    # 10^-6 on one coefficient of a closed push-forward per cover degree:
+    # 10^-6 * den on its numerator.
     def wrap(true):
         def slipped(g, r, d):
             c = true(g, r, d)
-            setattr(c, field, getattr(c, field) + _TINY)
+            setattr(c, field, getattr(c, field) + _TINY * c.den)
             return c
         return slipped
     return wrap
