@@ -302,6 +302,9 @@ class RatFunc:
         return None
 
     def __add__(self, other):
+        if isinstance(other, int):  # a constant c adds c * den to the numerator
+            d = self._den
+            return RatFunc(self._num + _over([other * x for x in d.ints], d.denom), d)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -325,6 +328,8 @@ class RatFunc:
         return o - self
 
     def __mul__(self, other):
+        if isinstance(other, int):  # a constant only scales the numerator
+            return RatFunc(_over([other * x for x in self._num.ints], self._num.denom), self._den)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

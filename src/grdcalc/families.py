@@ -204,9 +204,14 @@ def m21_per_n(g: int, r: int, d: int, label: ClassLabel) -> tuple[Fraction, Frac
     raise PreconditionError("label must be a ClassLabel")
 
 
+def m21_coefficient(a, b, sym: str):
+    """The coefficient of sym (lambda, delta_1 or psi) in a*W + b*T."""
+    return a * _W[sym] + b * _T[sym]
+
+
 def m21_class(a, b) -> DivisorClass:
     """a*W + b*T on m21: with no delta_0 term, it is reduced modulo the genus-2 relation."""
-    return DivisorClass(_M21, {sym: a * _W[sym] + b * _T[sym] for sym in _W})
+    return DivisorClass(_M21, {sym: m21_coefficient(a, b, sym) for sym in _W})
 
 
 def push_m21(g: int, r: int, d: int, label: ClassLabel) -> DivisorClass:

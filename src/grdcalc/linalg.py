@@ -52,18 +52,19 @@ def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> Row:
     has more than one.
 
     The elimination is sparse and runs on integer rows.  Each augmented row
-    is read once: ``compress(range(n), row)`` yields its nonzero columns, and
-    the row is cleared of denominators and kept as a dict of its nonzero
-    entries, divided by their content.  A pivot p clears its column from a
-    row below it whose entry there is t by replacing that row with
-    row * (p/g) - pivot * (t/g), where g is gcd(p, t) with the sign of p,
-    and dividing the result by its content; the update visits only the
-    nonzero columns of the pivot row.  Every integer row is a nonzero
-    multiple of the row that rational elimination would hold at the same
-    step, and the row keeps that multiple as its scale, so a contradiction
-    reports the real value (integer residue over scale) that the equation
-    reduces to.  Back substitution runs over one common integer
-    denominator, and each solution entry becomes a Fraction once.
+    is read once: ``compress(range(n), row)`` yields its nonzero columns, the
+    entries that are not ints are cleared of denominators, and the row is kept
+    as a dict of its nonzero entries, divided by their content.  A pivot p
+    clears its column from a row below it whose entry there is t by
+    replacing that row with row * (p/g) - pivot * (t/g), where g is
+    gcd(p, t) with the sign of p, and dividing the result by its content;
+    the update visits only the nonzero columns of the pivot row.  Every
+    integer row is a nonzero multiple of the row that rational elimination
+    would hold at the same step, and the row keeps that multiple as its
+    scale, so a contradiction reports the real value (integer residue over
+    scale) that the equation reduces to.  Back substitution runs over one
+    common integer denominator, and each solution entry becomes a Fraction
+    once.
 
     Rows stay where they are: row i is equation i for the whole
     elimination, and two lists keep the place order of dense Gauss-Jordan
@@ -92,11 +93,14 @@ def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> Row:
     # is the rhs column.
     holders: list[set[int]] = [set() for _ in range(n + 1)]
     for i, (row, bv) in enumerate(zip(rows, rhs)):
-        entries = {j: row[j].as_integer_ratio() for j in compress(columns, row)}
+        ints = {j: row[j] for j in compress(columns, row)}
         if bv:
-            entries[n] = bv.as_integer_ratio()
-        den = lcm(*[q for _, q in entries.values()])
-        ints = {j: p * (den // q) for j, (p, q) in entries.items()}
+            ints[n] = bv
+        ratios = {j: v.as_integer_ratio() for j, v in ints.items() if not isinstance(v, int)}
+        den = lcm(*[q for _, q in ratios.values()])
+        if ratios:
+            ints = {j: v * den for j, v in ints.items() if j not in ratios}
+            ints.update((j, p * (den // q)) for j, (p, q) in ratios.items())
         content = gcd(*ints.values())
         if content > 1:
             ints = {j: v // content for j, v in ints.items()}

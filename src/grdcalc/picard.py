@@ -15,8 +15,9 @@ genus-g curves: attaching g fixed elliptic tails to a pointed rational curve
 genus-2 curve (``pullback_j``), and moving the marked point along one
 component of a fixed two-component curve (``pullback_k``).
 
-A divisor class stores its literal signed coefficients, and the push-forward
-assembly solves for exactly those coefficients, one unknown per basis symbol.
+A divisor class keeps its signed coefficients as integer numerators over one
+positive denominator, and the push-forward assembly solves for exactly those
+coefficients, one unknown per basis symbol.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import re
 import sys
 from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import PreconditionError
 from .exact import format_rational
@@ -79,46 +81,59 @@ class PicSpace(Value):
 class DivisorClass(Value):
     """Sparse rational coefficient vector over the basis of one space.
 
-    Treated as immutable: arithmetic returns new instances, and the
-    constructor, the one place a class is built, validates every symbol
-    against the basis and drops zero coefficients.
-    Equal by space and coefficients, and unhashable.
+    ``DivisorClass(space, coeffs, den)`` has coefficient coeffs[sym] / den on
+    sym.  It is stored as ``nums``, an int numerator per symbol with a nonzero
+    coefficient, over ``den``, a positive int coprime to them all, so each
+    class has one stored form; ``coeffs``, ``get``, ``payload`` and ``repr``
+    make ``Fraction``s only when read.  Treated as immutable: arithmetic
+    returns new instances, and the constructor, the one place a class is
+    built, validates every symbol against the basis.  Equal by space and
+    coefficients, and unhashable.
     """
 
-    __slots__ = ("space", "coeffs")
+    __slots__ = ("space", "nums", "den")
     __hash__ = None
 
-    def __init__(self, space: PicSpace, coeffs: Mapping[str, object] | None = None):
+    def __init__(self, space: PicSpace, coeffs: Mapping[str, object] | None = None, den=1):
         allowed = set(space.basis())
-        clean: dict[str, Fraction] = {}
+        ratios = {}
         for sym, c in (coeffs or {}).items():
             if sym not in allowed:
                 raise PreconditionError(f"symbol {sym!r} is not in the basis of {space}")
-            c = Fraction(c)
-            if c != 0:
-                clean[sym] = c
-        self.space, self.coeffs = space, clean
+            ratios[sym] = (c, 1) if isinstance(c, int) else Fraction(c).as_integer_ratio()
+        common = lcm(*[q for _, q in ratios.values()])
+        nums = {sym: p * (common // q) for sym, (p, q) in ratios.items() if p}
+        common *= den
+        g = gcd(common, *nums.values()) * (-1 if common < 0 else 1)
+        self.space, self.den = space, common // g
+        self.nums = nums if g == 1 else {sym: v // g for sym, v in nums.items()}
 
     @classmethod
     def zero(cls, space: PicSpace) -> "DivisorClass":
         return cls(space, {})
 
+    coeffs = property(lambda self: {s: Fraction(v, self.den) for s, v in self.nums.items()},
+                      doc="The nonzero coefficients as Fractions, keyed by symbol.")
+
     def get(self, sym: str) -> Fraction:
-        return self.coeffs.get(sym, _ZERO)
+        v = self.nums.get(sym)
+        return Fraction(v, self.den) if v else _ZERO
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if self.space != other.space:
             raise PreconditionError("cannot add classes on different spaces")
-        out = dict(self.coeffs)
-        for sym, c in other.coeffs.items():
-            out[sym] = out.get(sym, 0) + c
-        return DivisorClass(self.space, out)
+        den = lcm(self.den, other.den)
+        out = {sym: v * (den // self.den) for sym, v in self.nums.items()}
+        for sym, v in other.nums.items():
+            out[sym] = out.get(sym, 0) + v * (den // other.den)
+        return DivisorClass(self.space, out, den)
 
     def scale(self, c) -> "DivisorClass":
-        return DivisorClass(self.space, {s: c * v for s, v in self.coeffs.items()})
+        p, q = (c, 1) if isinstance(c, int) else Fraction(c).as_integer_ratio()
+        return DivisorClass(self.space, {s: p * v for s, v in self.nums.items()}, q * self.den)
 
     def sorted_items(self) -> list[tuple[str, Fraction]]:
         order = {sym: i for i, sym in enumerate(self.space.basis())}
@@ -141,15 +156,15 @@ def _require_space(D: DivisorClass, space: PicSpace, what: str) -> None:
 # Each test family's restriction is written once below, as sparse rows:
 # target coordinate -> {source basis symbol of mg1(g): weight}.  The
 # pull-backs evaluate these rows on a class; the push-forward assembly
-# reads the same rows as the coefficients of its unknowns.  A weight that
-# is an integer is held as an int, which the elimination reads without a
-# Fraction method call; only the truly fractional weights are Fractions.
+# reads the same rows as the coefficients of its unknowns.  Every weight
+# is an int, which the elimination reads as it is.
 Row = dict[str, int | Fraction]
 
 
 def evaluate(row: Row, D: DivisorClass) -> Fraction:
-    """Value of one restriction row on a class."""
-    return sum((w * D.get(sym) for sym, w in row.items()), Fraction(0))
+    """Value of one restriction row on a class: a sum over its numerators, divided once."""
+    nums = D.nums
+    return Fraction(sum(w * nums.get(sym, 0) for sym, w in row.items()), D.den)
 
 
 def restrict(rows: Mapping[str, Row], D: DivisorClass) -> dict[str, Fraction]:
@@ -158,14 +173,15 @@ def restrict(rows: Mapping[str, Row], D: DivisorClass) -> dict[str, Fraction]:
 
 
 def elliptic_tail_rows(g: int) -> dict[str, Row]:
-    """Restriction of mg1(g) to the elliptic-tail family, for g >= 5.
+    """Restriction of mg1(g) to the elliptic-tail family, for g >= 5, times (g-1)(g-2).
 
     epsilon_i, for 2 <= i <= g-2, reads delta_i minus the weights
-    (g-i)(g-i-1)/((g-1)(g-2)) of delta_1 and (g-i)(i-1)/(g-2) of delta_{g-1}.
+    (g-i)(g-i-1)/((g-1)(g-2)) of delta_1 and (g-i)(i-1)/(g-2) of delta_{g-1};
+    each row holds their integer numerators over the one denominator (g-1)(g-2).
     """
-    return {epsilon(i): {delta(i): 1,
-                         delta(1): Fraction(-(g - i) * (g - i - 1), (g - 1) * (g - 2)),
-                         delta(g - 1): Fraction(-(g - i) * (i - 1), g - 2)}
+    den = (g - 1) * (g - 2)
+    return {epsilon(i): {delta(i): den, delta(1): -(g - i) * (g - i - 1),
+                         delta(g - 1): -(g - i) * (i - 1) * (g - 1)}
             for i in range(2, g - 1)}
 
 
@@ -192,12 +208,13 @@ def pullback_i(g: int, D: DivisorClass) -> DivisorClass:
     The family attaches g fixed elliptic tails to a varying stable g-pointed
     rational curve.  lambda, psi and delta_0 die; delta_i restricts to
     epsilon_i in the middle range, while delta_1 and delta_{g-1} restrict to
-    explicit negative combinations of the epsilon_i (``elliptic_tail_rows``).
+    explicit negative combinations of the epsilon_i (``elliptic_tail_rows``,
+    whose numerators are divided here by (g-1)(g-2)).
     """
     if g < 5:
         raise PreconditionError("pullback_i needs g >= 5")
     _require_space(D, PicSpace.mg1(g), "pullback_i")
-    return DivisorClass(PicSpace.m0g(g), restrict(elliptic_tail_rows(g), D))
+    return DivisorClass(PicSpace.m0g(g), restrict(elliptic_tail_rows(g), D), (g - 1) * (g - 2))
 
 
 def pullback_j(g: int, D: DivisorClass) -> DivisorClass:

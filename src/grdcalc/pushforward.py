@@ -16,8 +16,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import ConsistencyError, PreconditionError
-from .exact import quotient
-from .families import ClassLabel, m21_class, m21_per_n, marked_per_n
+from .families import ClassLabel, m21_coefficient, m21_per_n, marked_per_n
 from .invariants import (ALPHA_GAMMA_PUSH, BETA_PUSH, COVER_DEGREE, TEST_FAMILIES,
                          PerCoverDegree, alpha_per_n, beta_per_n, castelnuovo_count,
                          gamma_per_n)
@@ -40,13 +39,12 @@ class PushforwardSolution:
 
 
 def _times_cover_degree(g: int, r: int, d: int, per_n: PerCoverDegree) -> DivisorClass:
-    """The class on mg1(g) whose coefficients are N times those of per_n, one quotient each."""
-    n, den = castelnuovo_count(g, r, d), per_n.den
-    items = {LAMBDA: quotient(per_n.lam * n, den), delta(0): quotient(per_n.delta0 * n, den),
-             PSI: quotient(per_n.psi * n, den)}
+    """The class on mg1(g) with N times the numerators of per_n, over its one denominator."""
+    n = castelnuovo_count(g, r, d)
+    items = {LAMBDA: per_n.lam * n, delta(0): per_n.delta0 * n, PSI: per_n.psi * n}
     for i in range(1, g):
-        items[delta(i)] = quotient(per_n.delta_i(i) * n, den)
-    return DivisorClass(PicSpace.mg1(g), items)
+        items[delta(i)] = per_n.delta_i(i) * n
+    return DivisorClass(PicSpace.mg1(g), items, per_n.den)
 
 
 def alpha(g: int, r: int, d: int) -> DivisorClass:
@@ -105,12 +103,13 @@ def family_equations(g: int, r: int, d: int,
     * ``marked-point``, one per h in 1..g-1: the degree on the moving-point
       family is N times ``marked_per_n`` (for even g the h = g/2 row is
       (g-1)*psi alone, kept since it still pins psi);
-    * ``elliptic-tail``, one per epsilon_i, i in 2..g-2: the restriction vanishes;
+    * ``elliptic-tail``, one per epsilon_i, i in 2..g-2: the restriction vanishes,
+      so its integer rows (times (g-1)(g-2), ``elliptic_tail_rows``) serve as they are;
     * ``genus-2``: the restriction to the genus-2-tail family matches
       ``push_m21``, compared in the reduced basis (lambda, delta_1, psi)
       because raw delta_0 coefficients are only defined modulo the genus-2
       relation.  ``push_m21`` is a combination of two classes with no
-      delta_0 term, so it is read as it is: reducing it would return it.
+      delta_0 term, so ``m21_coefficient`` reads it as it is: reducing it would return it.
 
     N is computed once: as in ``push_marked`` and ``push_m21``, the per-N
     values (``marked_per_n``, ``m21_per_n``) are multiplied by it here.
@@ -121,8 +120,7 @@ def family_equations(g: int, r: int, d: int,
                  for h in range(1, g)]
     equations += [("elliptic-tail", row, 0) for row in elliptic_tail_rows(g).values()]
     a, b = m21_per_n(g, r, d, label)
-    target = m21_class(a * n, b * n)
-    equations += [("genus-2", row, target.get(sym))
+    equations += [("genus-2", row, m21_coefficient(a * n, b * n, sym))
                   for sym, row in compose(GENUS2_REDUCTION, genus2_tail_rows(g)).items()]
     return equations
 

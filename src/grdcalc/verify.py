@@ -23,7 +23,7 @@ from .value import Value
 
 # The sizes of the verify sweeps: their defaults, and the largest accepted;
 # m_max shares its bound, slope.M_FAMILY_LIMIT, with `slope --sweep`.  At
-# g_max 60 and m_max 1000 the battery takes about 2 s as a process, and
+# g_max 60 and m_max 1000 the battery takes about 1.2 s as a process, and
 # ``golden_payload`` another 0.1-0.4 s (Python 3.11, 2 vCPUs).
 DEFAULT_G_MAX = 12
 DEFAULT_M_MAX = 15
@@ -181,7 +181,10 @@ _FAMILY_MISMATCH = {"elliptic-tail": "elliptic-tail restriction nonzero",
 
 
 def check_family_restrictions(g_max: int):
-    """Closed forms satisfy every equation of ``pushforward.family_equations``."""
+    """Closed forms satisfy every equation of ``pushforward.family_equations``.
+
+    Implied by ``assembly-vs-closed-form``, since ``solve_unique`` requires every
+    redundant equation to hold; this row names the family that a slip breaks."""
     done = 0
     for t in _sweep_triples(g_max, invariants.TEST_FAMILIES):
         for label in ClassLabel:

@@ -98,10 +98,11 @@ def dense_outcomes(rows, rhss):
     return outcomes
 
 
-def random_system(rng, entry=lambda rng: rand_fraction(rng, 9)):
+def random_system(rng, entry=lambda rng: rand_fraction(rng, 9), value=rand_fraction):
     """A sparse over-determined system with a planted solution; some get a
     perturbed right-hand side, some a column that depends on the others.
-    ``entry`` draws each nonzero coefficient."""
+    ``entry`` draws each nonzero coefficient, and ``value(rng, span)`` each
+    entry of the planted solution and the scale of a dependent column."""
     n = rng.randint(1, 6)
     n_rows = rng.randint(n, 2 * n + 2)
     rows = [[entry(rng) if rng.random() < 0.35 else 0 for _ in range(n)]
@@ -109,10 +110,10 @@ def random_system(rng, entry=lambda rng: rand_fraction(rng, 9)):
     kind = rng.choice(["planted", "perturbed", "deficient"])
     if kind == "deficient" and n > 1:
         a, b = rng.sample(range(n), 2)
-        scale = rand_fraction(rng, 5)
+        scale = value(rng, 5)
         for row in rows:
             row[a] = scale * row[b]
-    x = [rand_fraction(rng) for _ in range(n)]
+    x = [value(rng, 40) for _ in range(n)]
     rhs = [sum(c * xi for c, xi in zip(row, x)) for row in rows]
     if kind == "perturbed":
         i = rng.randrange(n_rows)
@@ -203,6 +204,19 @@ ENTRIES = {
 @pytest.mark.parametrize("kind", ENTRIES)
 def test_integer_elimination_matches_dense_reference(rng, kind):
     outcomes = {assert_matches_dense(*random_system(rng, ENTRIES[kind])) for _ in range(300)}
+    assert outcomes == {list, InconsistentSystemError, RankDeficientError}
+
+
+@pytest.mark.parametrize("span", [9, 2**130], ids=["small", "big"])
+def test_int_only_systems_match_dense_reference(rng, span):
+    # Every entry and every right-hand side is a plain int, which
+    # solve_unique reads as it is: no entry passes through a Fraction.
+    def draw(rng, _=None):
+        return rng.randint(-span, span)
+
+    systems = [random_system(rng, draw, draw) for _ in range(300)]
+    assert all(type(v) is int for rows, rhs in systems for v in (*sum(rows, []), *rhs))
+    outcomes = {assert_matches_dense(rows, rhs) for rows, rhs in systems}
     assert outcomes == {list, InconsistentSystemError, RankDeficientError}
 
 

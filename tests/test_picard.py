@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from math import gcd
+
 from grdcalc.errors import PreconditionError
 from grdcalc.linalg import solve_unique
 from grdcalc.picard import (GENUS2_REDUCTION, GENUS2_RELATION, LAMBDA, PSI,
                             DivisorClass, PicSpace, compose, delta, epsilon,
-                            epsilon_intersection_matrix, genus2_tail_rows,
+                            epsilon_intersection_matrix, evaluate, genus2_tail_rows,
                             parse_class, pullback_i, pullback_j,
                             pullback_k, reduce_m21, restrict)
 from conftest import rand_class, rand_fraction
@@ -172,6 +174,60 @@ def test_reduced_genus2_rows_compose_pullback_and_reduction(rng):
         for _ in range(20):
             D = rand_class(rng, PicSpace.mg1(g))
             assert DivisorClass(PicSpace.m21(), restrict(rows, D)) == reduce_m21(pullback_j(g, D))
+
+
+def _canonical(D):
+    """The stored form: a positive denominator coprime to nonzero int numerators."""
+    assert type(D.den) is int and D.den > 0
+    assert all(type(v) is int and v for v in D.nums.values())
+    assert gcd(D.den, *D.nums.values()) == 1
+    return D
+
+
+def _ref_coeffs(rng, space):
+    """A plain symbol -> Fraction reference, zeros and large denominators included."""
+    draw = [lambda: 0, lambda: rng.randint(-9, 9), lambda: rand_fraction(rng),
+            lambda: Fraction(rng.randint(-2**70, 2**70), rng.randint(1, 2**40))]
+    return {sym: rng.choice(draw)() for sym in space.basis() if rng.random() < 0.6}
+
+
+def _ref_payload(space, ref):
+    return {sym: str(ref[sym]) for sym in space.basis() if ref.get(sym)}
+
+
+SPACES = [PicSpace.m21(), *(PicSpace.mg1(g) for g in (2, 5, 9)),
+          *(PicSpace.m0g(g) for g in (4, 7))]
+
+
+@pytest.mark.parametrize("space", SPACES, ids=str)
+def test_integer_class_matches_a_fraction_dict_reference(rng, space):
+    basis = space.basis()
+    for _ in range(60):
+        a, b = _ref_coeffs(rng, space), _ref_coeffs(rng, space)
+        A, B = _canonical(DivisorClass(space, a)), _canonical(DivisorClass(space, b))
+        assert A.coeffs == {s: Fraction(c) for s, c in a.items() if c}
+        assert [A.get(s) for s in basis] == [Fraction(a.get(s, 0)) for s in basis]
+        assert A.payload() == _ref_payload(space, a)
+        body = " + ".join(f"{Fraction(a[s])}*{s}" for s in basis if a.get(s))
+        assert repr(A) == f"DivisorClass({space}, {body or '0'})"
+        total = {s: a.get(s, 0) + b.get(s, 0) for s in basis}
+        assert _canonical(A + B).coeffs == {s: c for s, c in total.items() if c}
+        t = rng.choice([0, rng.randint(-5, 5), rand_fraction(rng)])
+        assert _canonical(A.scale(t)).coeffs == {s: t * c for s, c in a.items() if t * c}
+        # The same class from numerators over any nonzero denominator, a negative one too.
+        k = rng.choice([-1, 1]) * rng.randint(1, 10**6)
+        assert _canonical(DivisorClass(space, {s: c * k for s, c in a.items()}, k)) == A
+        assert (A == B) == (A.coeffs == B.coeffs)
+        if a:
+            sym = rng.choice(list(a))
+            assert DivisorClass(space, {**a, sym: a[sym] + Fraction(1, 3)}) != A
+        rows = {f"t{i}": {s: rng.choice([rng.randint(-9, 9) or 1, rand_fraction(rng) or 1])
+                          for s in rng.sample(basis, rng.randint(1, len(basis)))}
+                for i in range(3)}
+        expected = {t: sum((w * a.get(s, 0) for s, w in row.items()), Fraction(0))
+                    for t, row in rows.items()}
+        assert restrict(rows, A) == expected
+        assert all(evaluate(row, A) == expected[t] for t, row in rows.items())
 
 
 def test_wrong_space_rejected():

@@ -147,8 +147,9 @@ REDUCED_M21 = (LAMBDA, delta(1), PSI)
 @pytest.mark.parametrize("g", range(5, 13))
 def test_family_equations_read_the_pullbacks(rng, g):
     # The rows are the pull-backs: on random classes they evaluate to
-    # pullback_k for each h, to the epsilon coefficients of pullback_i and to
-    # the reduced coefficients of pullback_j.
+    # pullback_k for each h, to (g-1)(g-2) times the epsilon coefficients of
+    # pullback_i (the integer rows' one denominator) and to the reduced
+    # coefficients of pullback_j.
     triples = [t for t in rho_zero_triples(g) if t.g == g]
     for t in triples:
         for label in ClassLabel:
@@ -160,7 +161,8 @@ def test_family_equations_read_the_pullbacks(rng, g):
                     == [pullback_k(g, h, D) for h in range(1, g)]
                 restricted = pullback_i(g, D)
                 assert [evaluate(row, D) for row, _ in eqs["elliptic-tail"]] \
-                    == [restricted.get(sym) for sym in restricted.space.basis()]
+                    == [(g - 1) * (g - 2) * restricted.get(sym)
+                        for sym in restricted.space.basis()]
                 reduced = reduce_m21(pullback_j(g, D))
                 assert [evaluate(row, D) for row, _ in eqs["genus-2"]] \
                     == [reduced.get(sym) for sym in REDUCED_M21]

@@ -150,10 +150,12 @@ def _sheets_slip(true):
 
 
 def _elliptic_delta1_slip(true):
+    # 10^-6 on every delta_1 weight of the restriction: 10^-6 * (g-1)(g-2)
+    # on the numerator over the rows' one denominator (g-1)(g-2).
     def slipped(g):
         rows = true(g)
         for row in rows.values():
-            row[picard.delta(1)] += _TINY
+            row[picard.delta(1)] += _TINY * (g - 1) * (g - 2)
         return rows
     return slipped
 
@@ -221,6 +223,12 @@ SLIPS = {
     # The shared primitives below are patched in every module that binds them.
     # In each of these rows family-restrictions fails exactly when
     # assembly-vs-closed-form does.
+    "special-power-integral": ([(module, "special_power_integral",
+                                 lambda true: lambda *args: true(*args) * (1 + _TINY))
+                                for module in (schubert, families)], {
+        "schubert-oracle": "shape (r=0, d=0), k=0, b=[0]: closed 1000001/1000000 != pieri 1",
+        "weierstrass-dual": "(4,3,6) gamma: schubert -1000001/1000000 != closed -1",
+        "genus2-reconstruction": "(4,3,6) gamma: DivisorClass(m21, 1000001/1000000*lambda"}),
     "castelnuovo-count": ([(module, "castelnuovo_count", _plus(lambda g, r, d: 1))
                            for module in (invariants, families, pushforward)], {
         "count-vs-degree": "(2,1,2): count 2 != integral 1",
