@@ -36,11 +36,14 @@ EXIT_VERIFY = 2
 
 GOLDEN_NAME = "verify_golden.json"
 
-# The largest --g of any subcommand and --d of `schubert`: the count builds g!
-# and a class space g + 2 symbols, and the closed Schubert form grows about as
-# d^4 (0.2-0.4 s at d = 300, r = d - 1, k = 1).
+# The largest --g of any subcommand, --d of `schubert` and --g of the family
+# assembly (`pushforward --method assembled|both`): the count builds g! and a
+# class space g + 2 symbols, the closed Schubert form grows about as d^4
+# (0.2-0.4 s at d = 300, r = d - 1, k = 1), and the assembly's 2g - 1 dense
+# rows of g + 2 entries as g^2 (about 85 MB at g = 2000, 0.7 GB at g = 6400).
 G_LIMIT = 20000
 SCHUBERT_D_LIMIT = 300
+ASSEMBLY_G_LIMIT = 2000
 
 FORMATS = ("json", "tsv", "pretty")
 # The keys a --config file may hold, each the dest of the flag whose default
@@ -294,6 +297,9 @@ def _cmd_pushforward(args) -> tuple[dict, int]:
     from . import pushforward
     from .families import ClassLabel
     g, r, d = args.g, args.r, args.d
+    if args.method != "closed" and g > ASSEMBLY_G_LIMIT:
+        raise CliError(f"--method {args.method} needs --g at most {ASSEMBLY_G_LIMIT}; "
+                       "use --method closed")
     label = ClassLabel(args.class_name)
     payload: dict = {"g": g, "r": r, "d": d, "class": label.value, "method": args.method}
     if args.method != "assembled":

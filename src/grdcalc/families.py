@@ -10,11 +10,11 @@ fibers explicit, and the push-forwards of
     class),  gamma = first Chern class of the section bundle
 
 become computable.  The genus-2 family needs an intersection calculus on the
-universal genus-2 curve plus Schubert integrals for the fibers over
-Weierstrass points.  Each quantity is computed here along one route: the
-closed push-forwards in ``push_m21``, the raw family data (sheet counts,
-product table, Schubert totals over the Weierstrass fibers) in the other
-functions.  ``verify`` compares the two.
+universal genus-2 curve, whose classes live on ``PicSpace.c21()``, plus
+Schubert integrals for the fibers over Weierstrass points.  Each quantity is
+computed here along one route: the closed push-forwards in ``push_m21``, the
+raw family data (sheet counts, product table, Schubert totals over the
+Weierstrass fibers) in the other functions.  ``verify`` compares the two.
 """
 
 from __future__ import annotations
@@ -39,53 +39,22 @@ class ClassLabel(enum.Enum):
 
 
 _M21 = PicSpace.m21()
+_C21 = PicSpace.c21()
 
 
-class UniversalCurveClass:
-    """Degree-1 class on the universal pointed genus-2 curve.
-
-    Combination of omega (relative dualizing class), sigma (marked section),
-    delta (pulled-back divisor of two elliptic components with the marked
-    points split), plus the pull-back of a class from the base.
-    """
-
-    __slots__ = ("omega", "sigma", "delta", "base")
-
-    def __init__(self, omega=0, sigma=0, delta=0, base: DivisorClass | None = None):
-        self.omega, self.sigma, self.delta = Fraction(omega), Fraction(sigma), Fraction(delta)
-        if base is None:
-            base = DivisorClass.zero(_M21)
-        elif base.space != _M21:
-            raise PreconditionError("base part must live on m21")
-        self.base = base
-
-    def fiber_degree(self) -> Fraction:
-        """Push-forward to the base: omega has fiber degree 2, sigma 1, delta 0."""
-        return 2 * self.omega + self.sigma
-
-    def __add__(self, other: "UniversalCurveClass") -> "UniversalCurveClass":
-        return UniversalCurveClass(self.omega + other.omega, self.sigma + other.sigma,
-                                   self.delta + other.delta, self.base + other.base)
-
-    def scale(self, c) -> "UniversalCurveClass":
-        c = Fraction(c)
-        return UniversalCurveClass(c * self.omega, c * self.sigma, c * self.delta,
-                                   self.base.scale(c))
-
-
-def genus2_line_bundle_class() -> UniversalCurveClass:
+def genus2_line_bundle_class() -> DivisorClass:
     """First Chern class of the universal bundle on a non-Weierstrass sheet.
 
     The bundle is the twist of the relative dualizing sheaf that has the
     right degrees on all components and is trivial along the marked section:
     omega - 2*sigma + delta - 3*psi pulled back.
     """
-    return UniversalCurveClass(1, -2, 1, DivisorClass(_M21, {PSI: -3}))
+    return DivisorClass(_C21, {"omega": 1, "sigma": -2, "delta": 1, PSI: -3})
 
 
-def genus2_dualizing_class() -> UniversalCurveClass:
+def genus2_dualizing_class() -> DivisorClass:
     """Relative dualizing class of the glued family on the genus-2 component."""
-    return UniversalCurveClass(1, 1, 0, DivisorClass.zero(_M21))
+    return DivisorClass(_C21, {"omega": 1, "sigma": 1})
 
 
 # The two classes ``push_m21`` is written in: the Weierstrass class
@@ -112,22 +81,23 @@ _PAIR_PUSH = {
 }
 
 
-def m21_push_product(x: UniversalCurveClass, y: UniversalCurveClass) -> DivisorClass:
-    """Push the product of two degree-1 classes down to m21.
+def m21_push_product(x: DivisorClass, y: DivisorClass) -> DivisorClass:
+    """Push the product of two degree-1 classes on c21 down to m21.
 
     Bilinear expansion over the monomial table plus the projection formula
-    for the pulled-back parts; the product of two pull-backs pushes to zero.
+    for the pulled-back parts, each weighted by the other class's fiber
+    degree 2*omega + sigma; the product of two pull-backs pushes to zero.
     """
-    parts = {"omega": (x.omega, y.omega), "sigma": (x.sigma, y.sigma),
-             "delta": (x.delta, y.delta)}
-    out = DivisorClass.zero(_M21)
+    if x.space != _C21 or y.space != _C21:
+        raise PreconditionError(f"m21_push_product expects classes on {_C21}, "
+                                f"got {x.space} and {y.space}")
+    fx, fy = (2 * c.get("omega") + c.get("sigma") for c in (x, y))
+    out = {sym: fx * y.get(sym) + fy * x.get(sym) for sym in _M21.basis()}
     for (s, t), image in _PAIR_PUSH.items():
-        cs, ct = parts[s], parts[t]
-        weight = cs[0] * ct[1] + (ct[0] * cs[1] if s != t else 0)
-        if weight != 0 and image:
-            out = out + DivisorClass(_M21, image).scale(weight)
-    out = out + y.base.scale(x.fiber_degree()) + x.base.scale(y.fiber_degree())
-    return out
+        weight = x.get(s) * y.get(t) + (x.get(t) * y.get(s) if s != t else 0)
+        for sym, w in image.items():
+            out[sym] += weight * w
+    return DivisorClass(_M21, out)
 
 
 def sheet_counts(g: int, r: int, d: int) -> tuple[Fraction, Fraction]:

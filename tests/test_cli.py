@@ -270,6 +270,9 @@ def test_missing_subcommand_is_usage_error(capsys):
      "--g must be at most 20000"),
     (["picard", "pullback", "k", "--g", "1000000", "--h", "1", "--class", "psi:1"], None, 1,
      "--g must be at most 20000"),
+    (["pushforward", "--g", "20000", "--r", "19999", "--d", "39998", "--class", "beta",
+      "--method", "assembled"], None, 1, "--method assembled needs --g at most 2000; "
+     "use --method closed"),
     (["schubert", "--r", "1", "--d", "100000", "--k", "199998", "--b", "0,0", "--method",
       "pieri"], None, 1, "--d must be at most 300"),
     (["schubert", "--r", "10", "--d", "290", "--k", "308", "--b", ",".join("0" * 11),
@@ -326,7 +329,7 @@ def test_missing_subcommand_is_usage_error(capsys):
         "m-max-bound", "g-max-bound", "config-g-max-bound", "config-m-max-bound",
         "count-too-long", "marked-too-long", "count-factorial-overflow",
         "schubert-factorial-overflow", "count-huge-genus", "marked-huge-genus", "mogb-huge-genus",
-        "pullback-huge-genus", "pieri-huge-box", "pieri-work-r10", "pieri-work-r30",
+        "pullback-huge-genus", "assembly-huge-genus", "pieri-huge-box", "pieri-work-r10", "pieri-work-r30",
         "bad-index", "sweep-zero", "m-zero", "config-format", "config-unknown-key",
         "verify-config-unknown-key", "picard-level-format", "picard-level-config-missing",
         "picard-level-config", "picard-level-format-no-value", "picard-level-format-equals",

@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 
 from grdcalc.errors import PreconditionError
-from grdcalc.families import (ClassLabel, UniversalCurveClass,
-                              genus2_dualizing_class,
+from grdcalc.families import (ClassLabel, genus2_dualizing_class,
                               genus2_line_bundle_class, m21_push_product,
                               marked_per_n, push_m21, push_marked, push_mogb,
                               reconstruct_push_m21, sheet_counts,
@@ -12,17 +11,11 @@ from grdcalc.families import (ClassLabel, UniversalCurveClass,
                               weierstrass_gamma)
 from grdcalc.invariants import castelnuovo_count, rho_zero_triples, vanishing_sum, xi
 from grdcalc.picard import LAMBDA, PSI, DivisorClass, PicSpace, delta, reduce_m21
-from conftest import rand_fraction
+from conftest import rand_class, rand_fraction
 
 M21 = PicSpace.m21()
+C21 = PicSpace.c21()
 N21 = castelnuovo_count(21, 6, 24)
-
-
-def _rand_curve_class(rng) -> UniversalCurveClass:
-    base = DivisorClass(M21, {sym: rand_fraction(rng) for sym in M21.basis()
-                            if rng.random() < 0.5})
-    return UniversalCurveClass(rand_fraction(rng), rand_fraction(rng),
-                               rand_fraction(rng), base)
 
 
 def test_line_bundle_square_pushes_to_known_class():
@@ -38,13 +31,13 @@ def test_mixed_product_pushes_to_same_class():
 
 
 def test_pulled_back_squares_push_to_zero():
-    lam = UniversalCurveClass(base=DivisorClass(M21, {LAMBDA: 1}))
+    lam = DivisorClass(C21, {LAMBDA: 1})
     assert m21_push_product(lam, lam).is_zero()
 
 
 def test_push_product_symmetric_bilinear(rng):
     for _ in range(120):
-        x, y, z = (_rand_curve_class(rng) for _ in range(3))
+        x, y, z = (rand_class(rng, C21) for _ in range(3))
         assert m21_push_product(x, y) == m21_push_product(y, x)
         a = rand_fraction(rng)
         lhs = m21_push_product(x.scale(a) + y, z)
@@ -166,6 +159,7 @@ def test_push_marked_domain():
         push_marked(5, 1, 3, 1, ClassLabel.ALPHA)  # rho != 0
 
 
-def test_curve_class_base_space_checked():
-    with pytest.raises(PreconditionError, match="^base part must live on m21$"):
-        UniversalCurveClass(base=DivisorClass.zero(PicSpace.mg1(3)))
+def test_push_product_refuses_a_class_on_another_space():
+    with pytest.raises(PreconditionError,
+                       match="^m21_push_product expects classes on c21, got m21 and c21$"):
+        m21_push_product(DivisorClass(M21, {LAMBDA: 1}), genus2_dualizing_class())

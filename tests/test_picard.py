@@ -18,6 +18,8 @@ def test_bases():
     assert PicSpace.mg1(4).basis() == (LAMBDA, PSI, "delta_0", "delta_1", "delta_2", "delta_3")
     assert PicSpace.m21().basis() == (LAMBDA, PSI, "delta_0", "delta_1")
     assert PicSpace.m0g(6).basis() == ("epsilon_2", "epsilon_3", "epsilon_4")
+    assert PicSpace.c21().basis() == ("omega", "sigma", "delta", LAMBDA, PSI,
+                                      "delta_0", "delta_1")
 
 
 def test_space_validation():
@@ -195,7 +197,7 @@ def _ref_payload(space, ref):
     return {sym: str(ref[sym]) for sym in space.basis() if ref.get(sym)}
 
 
-SPACES = [PicSpace.m21(), *(PicSpace.mg1(g) for g in (2, 5, 9)),
+SPACES = [PicSpace.m21(), PicSpace.c21(), *(PicSpace.mg1(g) for g in (2, 5, 9)),
           *(PicSpace.m0g(g) for g in (4, 7))]
 
 

@@ -9,7 +9,7 @@ from grdcalc.exact import RatFunc, ratfunc_equal
 from grdcalc.invariants import SLOPE, GrdParams
 from grdcalc.slope import (family_gap_function, family_gap_symbolic,
                            m_family_gap_identity, m_family_report, m_family_reports,
-                           m_family_triple, quadric_lambda_delta0,
+                           m_family_triple, quadric_lambda_delta0, ratio_bound_gap,
                            slope_report, symbolic_gap_identity)
 from grdcalc.verify import check_slope_vs_assembly, quadric_from_families
 
@@ -53,6 +53,33 @@ def test_slope_report_small_triple_pinned():
     assert rep.bound == Fraction(42, 5)
     assert not rep.violates
     assert rep.conjectural
+
+
+# The slopes 17/2 at (4,1,3) (above), 47/6 at (6,1,4) and 9 at (3,2,4), the
+# m = 1 member (``test_m_family_reports``), are the ones that ROADMAP.md
+# attributes to classical divisors: Teixidor's theta-null divisor at g = 4,
+# Eisenbud and Harris's Gieseker-Petri divisor for the pencils, and the
+# hyperelliptic locus of M_3.  The tests pin what the code computes; they do
+# not check those sources.
+def test_slope_report_genus6_pencil_pinned():
+    rep = slope_report(6, 1, 4)
+    assert (rep.lambda_coeff, rep.delta0_coeff) == (Fraction(-94, 5), Fraction(12, 5))
+    assert rep.ratio == Fraction(47, 6)
+    assert not rep.violates
+
+
+def test_pencil_quadric_class_symbolically():
+    # The pencils (g, r, d) = (2s, 1, s + 1), with k = s + 1: per cover degree,
+    # (lambda, delta_0) = (-(6k^2 + k - 6), k(k - 1)) / (g - 1).  delta_0 > 0,
+    # so no pencil violates, and the ratio sits above the bound by
+    # 2(g - 1)(g - 2) / (g(g + 1)(g + 2)).
+    s = RatFunc.variable()
+    k, g = s + 1, 2 * s
+    lam, d0 = quadric_lambda_delta0(g, 1, k)
+    assert ratfunc_equal(lam, -(6 * k * k + k - 6) / (g - 1))
+    assert ratfunc_equal(d0, k * (k - 1) / (g - 1))
+    gap = ratio_bound_gap(g, lam, d0)[2]
+    assert ratfunc_equal(gap, -2 * (g - 1) * (g - 2) / (g * (g + 1) * (g + 2)))
 
 
 def test_slope_report_requires_rho_zero():

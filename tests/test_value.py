@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from grdcalc.errors import PreconditionError
-from grdcalc.families import UniversalCurveClass
 from grdcalc.invariants import GrdParams
 from grdcalc.picard import LAMBDA, DivisorClass, PicSpace
 from grdcalc.schubert import GrassShape, check_partition
@@ -42,10 +41,3 @@ def test_reprs_name_the_fields():
     with pytest.raises(PreconditionError,
                        match=r"^index needs 2 entries for GrassShape\(r=1, d=3\), got 1$"):
         check_partition(GrassShape(1, 3), (0,))
-
-
-def test_curve_class_coerces_to_fractions_and_defaults_its_base():
-    c = UniversalCurveClass(1, 2.5)
-    assert (c.omega, c.sigma, c.delta) == (1, Fraction(5, 2), 0)
-    assert all(type(x) is Fraction for x in (c.omega, c.sigma, c.delta))
-    assert c.base == DivisorClass.zero(PicSpace.m21())

@@ -211,6 +211,22 @@ SLIPS = {
     "genus2-product": ([(verify, "m21_push_product",
                          lambda true: lambda x, y: DivisorClass.zero(PicSpace.m21()))],
                        {"genus2-engine": "alpha DivisorClass(m21, 0), beta DivisorClass(m21, 0)"}),
+    # The universal-curve engine: its product table, and the line bundle that
+    # both rows square.  The line bundle has fiber degree 0, so a psi slip of it
+    # moves only the mixed product, that is beta.
+    "pair-push-omega-omega": ([(families._PAIR_PUSH, ("omega", "omega"),
+                                lambda image: {**image, picard.LAMBDA: 12 + _TINY})], {
+        "genus2-engine": "alpha DivisorClass(m21, 12000001/1000000*lambda + -8*psi + "
+                         "-1*delta_0), beta DivisorClass(m21, 12000001/1000000*lambda",
+        "genus2-reconstruction": "(4,3,6) alpha: DivisorClass(m21, 2000001/1000000*lambda "
+                                 "+ -8*psi + 2*delta_1) != DivisorClass(m21, 2*lambda"}),
+    "line-bundle-psi": ([(module, "genus2_line_bundle_class", _plus(
+        lambda: DivisorClass(PicSpace.c21(), {picard.PSI: _TINY})))
+                         for module in (families, verify)], {
+        "genus2-engine": "alpha DivisorClass(m21, 12*lambda + -8*psi + -1*delta_0), "
+                         "beta DivisorClass(m21, 12*lambda + -7999997/1000000*psi",
+        "genus2-reconstruction": "(4,3,6) beta: DivisorClass(m21, 2*lambda + "
+                                 "-7999997/1000000*psi + 2*delta_1) != DivisorClass(m21"}),
     "closed-gamma-psi": ([(pushforward._CLOSED_FORMS, ClassLabel.GAMMA, _plus(
         lambda g, r, d: DivisorClass(PicSpace.mg1(g), {"psi": 1})))], {
         "assembly-vs-closed-form": "(5,4,8) gamma: assembled DivisorClass(mg1(5), 1*lambda + -5*psi",
