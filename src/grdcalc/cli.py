@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Sequence
 from pathlib import Path
@@ -387,7 +388,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         if getattr(args, "g", None) is not None and args.g > G_LIMIT:
             raise CliError(f"--g must be at most {G_LIMIT}")
         payload, code = _HANDLERS[args.command](args)
-        _emit(payload, args.format or "json")
+        try:
+            _emit(payload, args.format or "json")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # Later writes, and the flush at exit, go nowhere instead of raising again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise CliError("standard output was closed before all of the output was written")
         return code
     except CliError as exc:
         print(f"grdcalc: error: {exc}", file=sys.stderr)

@@ -85,6 +85,21 @@ class PicSpace(Value):
             return ("omega", "sigma", "delta") + PicSpace.m21().basis()
         return tuple(epsilon(i) for i in range(2, self.g - 1))
 
+    def __contains__(self, sym) -> bool:
+        """Whether sym is a basis symbol, read from its name without building the basis."""
+        if self.kind == "c21" and sym in ("omega", "sigma", "delta"):
+            return True
+        if self.kind == "m0g":
+            prefix, low, high = "epsilon_", 2, self.g - 2
+        elif sym == LAMBDA or sym == PSI:
+            return True
+        else:
+            prefix, low, high = "delta_", 0, self.g - 1
+        index = sym[len(prefix):] if isinstance(sym, str) and sym.startswith(prefix) else ""
+        # Digits as delta(i) or epsilon(i) print them: ASCII, no leading zero.
+        return (index.isascii() and index.isdigit() and (index[0] != "0" or index == "0")
+                and len(index) <= len(str(high)) and low <= int(index) <= high)
+
     def __str__(self) -> str:
         return self.kind if self.kind in ("m21", "c21") else f"{self.kind}({self.g})"
 
@@ -97,8 +112,9 @@ class DivisorClass(Value):
     coefficient, over ``den``, a positive int coprime to them all, so each
     class has one stored form; ``coeffs``, ``get``, ``payload`` and ``repr``
     make ``Fraction``s only when read.  Treated as immutable: arithmetic
-    returns new instances, and the constructor, the one place a class is
-    built, validates every symbol against the basis.  Equal by space and
+    returns new instances.  The constructor validates every symbol against
+    the basis by its name (``sym in space``); ``unchecked`` builds the classes
+    whose symbols are already known to be basis symbols.  Equal by space and
     coefficients, and unhashable.
     """
 
@@ -106,12 +122,22 @@ class DivisorClass(Value):
     __hash__ = None
 
     def __init__(self, space: PicSpace, coeffs: Mapping[str, object] | None = None, den=1):
-        allowed = set(space.basis())
-        ratios = {}
-        for sym, c in (coeffs or {}).items():
-            if sym not in allowed:
+        for sym in coeffs or ():
+            if sym not in space:
                 raise PreconditionError(f"symbol {sym!r} is not in the basis of {space}")
-            ratios[sym] = (c, 1) if isinstance(c, int) else Fraction(c).as_integer_ratio()
+        self._store(space, coeffs or {}, den)
+
+    @classmethod
+    def unchecked(cls, space: PicSpace, coeffs: Mapping[str, object], den=1) -> "DivisorClass":
+        """``DivisorClass(space, coeffs, den)`` for symbols known to be in the basis
+        (read from a class on space, or named as the basis names them), unchecked."""
+        out = cls.__new__(cls)
+        out._store(space, coeffs, den)
+        return out
+
+    def _store(self, space: PicSpace, coeffs: Mapping[str, object], den) -> None:
+        ratios = {sym: (c, 1) if isinstance(c, int) else Fraction(c).as_integer_ratio()
+                  for sym, c in coeffs.items()}
         common = lcm(*[q for _, q in ratios.values()])
         nums = {sym: p * (common // q) for sym, (p, q) in ratios.items() if p}
         common *= den
@@ -140,11 +166,12 @@ class DivisorClass(Value):
         out = {sym: v * (den // self.den) for sym, v in self.nums.items()}
         for sym, v in other.nums.items():
             out[sym] = out.get(sym, 0) + v * (den // other.den)
-        return DivisorClass(self.space, out, den)
+        return DivisorClass.unchecked(self.space, out, den)
 
     def scale(self, c) -> "DivisorClass":
         p, q = (c, 1) if isinstance(c, int) else Fraction(c).as_integer_ratio()
-        return DivisorClass(self.space, {s: p * v for s, v in self.nums.items()}, q * self.den)
+        return DivisorClass.unchecked(self.space, {s: p * v for s, v in self.nums.items()},
+                                      q * self.den)
 
     def sorted_items(self) -> list[tuple[str, Fraction]]:
         order = {sym: i for i, sym in enumerate(self.space.basis())}

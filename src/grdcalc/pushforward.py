@@ -44,7 +44,7 @@ def _times_cover_degree(g: int, r: int, d: int, per_n: PerCoverDegree) -> Diviso
     items = {LAMBDA: per_n.lam * n, delta(0): per_n.delta0 * n, PSI: per_n.psi * n}
     for i in range(1, g):
         items[delta(i)] = per_n.delta_i(i) * n
-    return DivisorClass(PicSpace.mg1(g), items, per_n.den)
+    return DivisorClass.unchecked(PicSpace.mg1(g), items, per_n.den)
 
 
 def alpha(g: int, r: int, d: int) -> DivisorClass:

@@ -16,7 +16,6 @@ and as a symbolic rational-function identity.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 
 from .errors import PreconditionError
 from .invariants import SLOPE, alpha_per_n, beta_per_n, gamma_per_n
@@ -30,18 +29,19 @@ PROVEN_DIVISOR_TRIPLES = {(21, 6, 24)}
 class SlopeReport:
     """Slope data of the pushed-forward quadric class, normalized per cover degree.
 
-    Every field past the (lambda, delta_0) pair is derived here: ratio, bound
-    and gap by ``ratio_bound_gap``, ``violates`` and ``conjectural`` below.
+    Built from ``quadric_per_n``'s (lambda, delta_0) numerators over ``den`` > 0:
+    each coefficient is one quotient, ratio, bound and gap are ``ratio_bound_gap``
+    of the numerators, and ``violates`` reads the sign of the delta_0 numerator.
     """
 
     __slots__ = ("g", "r", "d", "lambda_coeff", "delta0_coeff", "ratio", "bound", "gap",
                  "violates", "conjectural")
 
-    def __init__(self, g: int, r: int, d: int, lambda_coeff: Fraction, delta0_coeff: Fraction):
+    def __init__(self, g: int, r: int, d: int, lam: int, d0: int, den: int):
         self.g, self.r, self.d = g, r, d
-        self.lambda_coeff, self.delta0_coeff = lambda_coeff, delta0_coeff
-        self.ratio, self.bound, self.gap = ratio_bound_gap(g, lambda_coeff, delta0_coeff)
-        self.violates = self.ratio < self.bound and delta0_coeff < 0
+        self.lambda_coeff, self.delta0_coeff = quotient(lam, den), quotient(d0, den)
+        self.ratio, self.bound, self.gap = ratio_bound_gap(g, lam, d0)
+        self.violates = d0 < 0 and self.ratio < self.bound
         self.conjectural = (g, r, d) not in PROVEN_DIVISOR_TRIPLES
 
     def payload(self) -> dict:
@@ -59,54 +59,50 @@ class SlopeReport:
 
 
 def quadric_per_n(r, alpha, beta, gamma):
-    """(lambda, delta_0) per cover degree N of 2*alpha - beta - (r+2)*gamma + lambda.
+    """(lambda, delta_0, den) per cover degree N of 2*alpha - beta - (r+2)*gamma + lambda.
 
     Each argument is that push-forward's (lambda numerator, delta_0 numerator,
-    denominator) per N.  They are combined over the product of the three
-    denominators and divided once each, by ``quotient``; the pulled-back lambda
-    adds 1 per N (projection formula).  Any field: ints give Fractions.
+    denominator) per N; the result's numerators lie over the product of the three,
+    undivided.  The pulled-back lambda adds 1 per N (projection formula).  Any ring.
     """
     (a_lam, a_d0, a_den), (b_lam, b_d0, b_den), (c_lam, c_d0, c_den) = alpha, beta, gamma
-    ab = a_den * b_den
-    den = ab * c_den
+    den = a_den * b_den * c_den
     # Over den, each class's numerator is weighted by its factor and the other two denominators.
-    wa, wb, wc = 2 * b_den * c_den, a_den * c_den, (r + 2) * ab
-    return (quotient(wa * a_lam - wb * b_lam - wc * c_lam + den, den),
-            quotient(wa * a_d0 - wb * b_d0 - wc * c_d0, den))
+    wa, wb, wc = 2 * b_den * c_den, a_den * c_den, (r + 2) * a_den * b_den
+    return (wa * a_lam - wb * b_lam - wc * c_lam + den, wa * a_d0 - wb * b_d0 - wc * c_d0, den)
 
 
 def ratio_bound_gap(g, lam, d0):
     """ratio = lambda/(-delta_0), bound = 6 + 12/(g+1), gap = bound - ratio; any field.
 
-    The bound is one quotient, (6g + 18)/(g + 1).
+    Homogeneous of degree 0 in (lam, d0), so numerators over one denominator give
+    the coefficients' triple.  One quotient each: bound = (6g + 18)/(g + 1) and
+    gap = (-(6g + 18)*d0 - (g + 1)*lam)/(-(g + 1)*d0).
     """
-    ratio = lam / -d0
-    bound = quotient(6 * g + 18, g + 1)
-    return ratio, bound, bound - ratio
+    return (quotient(lam, -d0), quotient(6 * g + 18, g + 1),
+            quotient(-(6 * g + 18) * d0 - (g + 1) * lam, -(g + 1) * d0))
 
 
 def slope_report(g: int, r: int, d: int) -> SlopeReport:
     """Slope of the quadric divisor against the conjectured bound 6 + 12/(g+1).
 
-    The slope is taken as the ratio of the lambda coefficient to the negated
-    delta_0 coefficient; classes on the interior plus the irreducible-nodal
-    locus are governed by this pair alone, so coefficients of psi and of
-    delta_i for i >= 1 play no role here.  ``violates`` additionally
-    requires the delta_0 coefficient to sit on the effective side (positive
-    b_0, that is a negative coefficient here).  A pencil (r = 1, g = 2k - 2)
-    has delta_0 coefficient k(k-1)/(g-1) > 0, so no pencil violates.
+    The slope is the lambda coefficient over the negated delta_0 coefficient; on
+    the interior plus the irreducible-nodal locus a class is governed by this
+    pair alone, so psi and delta_i, i >= 1, play no role.  ``violates`` also
+    requires the delta_0 coefficient on the effective side (negative here); a
+    pencil (r = 1, g = 2k - 2) has k(k-1)/(g-1) > 0 there, so none violates.
 
-    ``violates`` is not gated by the condition (r+1)(r+2)/2 = 2d - g + 1
-    under which the quadric locus is expected to be a divisor:
-    ``slope --g 40 --r 39 --d 78`` reports ratio -28 with ``violates`` true.
-    The gate flips 17 answers of ``perfbench/cli_reference.json``, so it
-    waits for a change that may regenerate that file.
+    ``violates`` is not gated by the condition (r+1)(r+2)/2 = 2d - g + 1 under
+    which the quadric locus is expected to be a divisor: ``slope --g 40 --r 39
+    --d 78`` reports ratio -28 with ``violates`` true.  The gate flips 17 answers
+    of ``perfbench/cli_reference.json``, so it waits for a change that may
+    regenerate that file.
     """
     SLOPE.check(g, r, d)
-    lam, d0 = quadric_lambda_delta0(g, r, d)
+    lam, d0, den = quadric_numerators(g, r, d)
     if d0 == 0:
         raise PreconditionError(f"slope undefined: delta_0 coefficient vanishes for ({g},{r},{d})")
-    return SlopeReport(g, r, d, lam, d0)
+    return SlopeReport(g, r, d, lam, d0, den)
 
 
 def m_family_triple(m):
@@ -122,7 +118,7 @@ def m_family_report(m: int) -> SlopeReport:
 
 
 # The largest m-family sweep accepted, by `slope --sweep` and `verify --m-max`;
-# its 1000 reports take about 13 ms in-process (Python 3.11, 2 vCPUs).
+# its 1000 reports take about 10 ms in-process (Python 3.11, 2 vCPUs).
 M_FAMILY_LIMIT = 1000
 
 
@@ -144,22 +140,26 @@ def family_gap_function() -> RatFunc:
     return RatFunc(num, den)
 
 
-def quadric_lambda_delta0(g, r, d):
-    """(lambda, delta_0) coefficients of the quadric divisor per cover degree.
-
-    The closed route: ``quadric_per_n`` of ``alpha_per_n``, ``beta_per_n``
-    and ``gamma_per_n``.  Works over any field containing the rationals:
-    integer inputs give Fractions, rational functions of m give the m-family
-    symbolically.  Unlike ``slope_report`` it checks no preconditions.
-    """
+def quadric_numerators(g, r, d):
+    """The closed route: ``quadric_per_n`` of ``alpha_per_n``, ``beta_per_n`` and
+    ``gamma_per_n``, in the ring of (g, r, d); den > 0 on the ``SLOPE`` domain."""
     classes = alpha_per_n(g, r, d), beta_per_n(g, r, d), gamma_per_n(g, r, d)
     return quadric_per_n(r, *((c.lam, c.delta0, c.den) for c in classes))
+
+
+def quadric_lambda_delta0(g, r, d):
+    """(lambda, delta_0) of the quadric divisor per N: ``quadric_numerators`` divided once each.
+
+    Any field: ints give Fractions, rational functions of m the m-family; no preconditions.
+    """
+    lam, d0, den = quadric_numerators(g, r, d)
+    return quotient(lam, den), quotient(d0, den)
 
 
 def family_gap_symbolic() -> RatFunc:
     """The gap of ``ratio_bound_gap`` at ``m_family_triple(RatFunc.variable())``."""
     g, r, d = m_family_triple(RatFunc.variable())
-    return ratio_bound_gap(g, *quadric_lambda_delta0(g, r, d))[2]
+    return ratio_bound_gap(g, *quadric_numerators(g, r, d)[:2])[2]
 
 
 def m_family_gap_identity(reports: Sequence[SlopeReport]) -> bool:

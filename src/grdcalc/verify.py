@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import families, invariants, linalg, picard, pushforward, schubert, slope
 from .errors import PreconditionError
-from .exact import format_rational
+from .exact import format_rational, quotient
 from .families import (ClassLabel, genus2_dualizing_class,
                        genus2_line_bundle_class, m21_push_product, marked_per_n,
                        push_m21, reconstruct_push_m21)
@@ -264,11 +264,12 @@ def quadric_from_families(g: int, r: int, d: int):
     """``slope.quadric_lambda_delta0`` from the family assembly alone.
 
     ``slope.quadric_per_n`` of the three assembled classes' lambda and delta_0
-    coefficients, each over the cover degree N.
+    coefficients, each over the cover degree N, divided once each.
     """
     n = invariants.castelnuovo_count(g, r, d)
     solved = (pushforward.solve_from_families(g, r, d, label).coeffs for label in ClassLabel)
-    return slope.quadric_per_n(r, *((c[LAMBDA], c[delta(0)], n) for c in solved))
+    lam, d0, den = slope.quadric_per_n(r, *((c[LAMBDA], c[delta(0)], n) for c in solved))
+    return quotient(lam, den), quotient(d0, den)
 
 
 def check_slope_vs_assembly(g_max: int):

@@ -568,3 +568,19 @@ def test_python_m_grdcalc_runs_the_cli(capsys):
     code, out, _ = run_cli(capsys, *argv)
     assert proc.returncode == code == 0
     assert proc.stdout == out
+
+
+def test_a_reader_that_stops_early_gets_one_error_line():
+    # The sweep prints about 360 kB, more than a pipe holds, so the writer is
+    # still printing when the reader closes the pipe after one line.
+    src = str(Path(grdcalc.__file__).resolve().parent.parent)
+    with subprocess.Popen([sys.executable, "-m", "grdcalc", "slope", "--sweep", "1000"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env=dict(os.environ, PYTHONPATH=src)) as proc:
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    assert err.splitlines() == [
+        "grdcalc: error: standard output was closed before all of the output was written"]

@@ -29,6 +29,19 @@ def test_space_validation():
         DivisorClass(PicSpace.m21(), {"delta_2": 1})
 
 
+def test_a_space_holds_exactly_its_basis_symbols():
+    # Membership reads the name; it must agree with the basis on near misses.
+    near = {"delta_", "delta_-1", "delta_01", "delta_00", "delta_+1", "delta_1 ", "delta_1_0",
+            "delta_\u0663", "delta_\u00b2", "delta_" + "1" * 5000, "epsilon_", "epsilon_02",
+            "omega", "sigma", "delta", "Lambda", "", 1, None}
+    near |= {f"{name}_{i}" for name in ("delta", "epsilon") for i in range(14)}
+    for space in (PicSpace.mg1(2), PicSpace.mg1(12), PicSpace.m21(), PicSpace.c21(),
+                  PicSpace.m0g(4), PicSpace.m0g(12)):
+        basis = set(space.basis())
+        assert all(sym in space for sym in basis)
+        assert {sym for sym in near if sym in space} == basis & near, space
+
+
 def test_divisor_class_drops_zeros():
     D = DivisorClass(PicSpace.m21(), {LAMBDA: 0, PSI: Fraction(1, 2)})
     assert D.coeffs == {PSI: Fraction(1, 2)}

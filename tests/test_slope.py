@@ -9,8 +9,8 @@ from grdcalc.exact import RatFunc, ratfunc_equal
 from grdcalc.invariants import SLOPE, GrdParams
 from grdcalc.slope import (family_gap_function, family_gap_symbolic,
                            m_family_gap_identity, m_family_report, m_family_reports,
-                           m_family_triple, quadric_lambda_delta0, ratio_bound_gap,
-                           slope_report, symbolic_gap_identity)
+                           m_family_triple, quadric_lambda_delta0, quadric_numerators,
+                           ratio_bound_gap, slope_report, symbolic_gap_identity)
 from grdcalc.verify import check_slope_vs_assembly, quadric_from_families
 
 
@@ -174,10 +174,13 @@ def test_generic_coefficients_work_symbolically():
 def test_slope_reports_equal_the_independent_reference(reference):
     # Every field of every admitted report up to g = 200 against the paper's
     # forms as perfbench/reference.py restates them; a zero delta_0 is refused.
+    # violates reads the sign of the delta_0 numerator, which is the sign of
+    # the coefficient because den > 0 on the whole SLOPE domain.
     triples = [t for t in reference.rho_zero_triples(200, g_min=3)
                if SLOPE.admits(GrdParams(*t))]
     assert len(triples) > 800
     for t in triples:
+        assert quadric_numerators(*t)[2] > 0, t
         if reference.quadric_slope(*t)[1] == 0:
             with pytest.raises(PreconditionError, match="slope undefined"):
                 slope_report(*t)
@@ -185,5 +188,21 @@ def test_slope_reports_equal_the_independent_reference(reference):
         rep = slope_report(*t)
         for field, value in reference.slope_expected(*t).items():
             assert getattr(rep, field) == value, (t, field)
+        assert rep.violates == (rep.ratio < rep.bound and rep.delta0_coeff < 0), t
     for m in range(1, 61):
         assert m_family_report(m).gap == reference.m_family_gap(m), m
+
+
+def test_ratio_bound_gap_reads_numerators_and_coefficients_alike():
+    # Homogeneous of degree 0 in (lambda, delta_0): any common factor cancels.
+    m = RatFunc.variable()
+    for g, r, d in [(21, 6, 24), (10, 4, 12), (4, 1, 3), (6, 1, 4)]:
+        lam, d0, den = quadric_numerators(g, r, d)
+        triple = ratio_bound_gap(g, lam, d0)
+        assert triple == ratio_bound_gap(g, *quadric_lambda_delta0(g, r, d))
+        for c in (7, -3, Fraction(5, 11)):
+            assert ratio_bound_gap(g, c * lam, c * d0) == triple
+        # Over Q(m) the ratio and gap are RatFuncs; the bound reads g alone.
+        ratio, bound, gap = ratio_bound_gap(g, (m + 2) * lam, (m + 2) * d0)
+        assert ratfunc_equal(ratio, RatFunc(triple[0])) and ratfunc_equal(gap, RatFunc(triple[2]))
+        assert bound == triple[1]

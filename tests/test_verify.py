@@ -87,10 +87,11 @@ def test_a_singular_boundary_matrix_fails_epsilon_nonsingular(monkeypatch):
 
 
 def _class_slip(true):
-    # 10^-6 on the lambda entry of the quadric class that every route shares.
+    # 10^-6 per N on the lambda entry of the quadric class that every route shares:
+    # 10^-6 * den on its numerator.
     def slipped(r, alpha, beta, gamma):
-        lam, d0 = true(r, alpha, beta, gamma)
-        return lam + Fraction(1, 10 ** 6), d0
+        lam, d0, den = true(r, alpha, beta, gamma)
+        return lam + Fraction(den, 10 ** 6), d0, den
     return slipped
 
 
@@ -325,3 +326,13 @@ def test_a_slip_fails_only_the_rows_that_read_it(monkeypatch, patches, failed):
     assert set(got) == set(failed)
     for name, prefix in failed.items():
         assert got[name].startswith(prefix), got[name]
+
+
+def test_assembly_check_builds_no_basis(monkeypatch):
+    # A class checks its symbols by name, and arithmetic and the closed forms
+    # reuse symbols already known to be in the basis: no basis tuple is built.
+    calls = []
+    basis = PicSpace.basis
+    monkeypatch.setattr(PicSpace, "basis", lambda space: calls.append(1) or basis(space))
+    assert verify.check_assembly(12)[0]
+    assert len(calls) == 0
