@@ -7,10 +7,11 @@ the sum of the entries, and the special cycle zeta of codimension r has index
 two independent routes:
 
 * a closed-form factorial evaluation (``special_power_integral``), and
-* full expansion in the Chow ring by iterating the dual Pieri rule
-  (``zeta_power_integral_pieri``): a ``SchubertCombo`` holds the terms of
-  the product as one dict from index to integer coefficient, and the
-  integral is the coefficient of the point class (width, ..., width).
+* full expansion in the Chow ring by repeated products with zeta under
+  the dual Pieri rule (``zeta_power_integral_pieri``): a ``SchubertCombo``
+  holds the terms of the product as one dict from index to integer
+  coefficient, and the integral is the coefficient of the point class
+  (width, ..., width).
 
 Agreement of the two routes over an exhaustive family of small shapes is part
 of the package's verification suite.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import factorial
 
 from .errors import PreconditionError
@@ -30,7 +31,7 @@ Index = tuple[int, ...]
 
 # The most work one Pieri integral may do, counted at each product as the
 # terms of the combination times the rows.  The largest integral of `verify`
-# at g_max 60, at (g, r, d) = (60, 9, 63), counts about 80k; a refusal at
+# at g_max 60, at (g, r, d) = (60, 9, 63), counts 80 070; a refusal at
 # the limit takes well under half a second on a 2-vCPU machine.
 PIERI_WORK_LIMIT = 3 * 10 ** 5
 
@@ -120,44 +121,33 @@ def special_power_integral(shape: GrassShape, k: int, b: Sequence[int]) -> Fract
     return Fraction(num, den)
 
 
-def pieri_multiply(combo: SchubertCombo, p: int) -> SchubertCombo:
-    """Multiply a combination by the vertical-strip class sigma_{1^p}.
+def pieri_multiply(combo: SchubertCombo) -> SchubertCombo:
+    """Multiply a combination by zeta = sigma_{1^r}.
 
-    Dual Pieri rule: each term b gains one box in each of p distinct rows
-    (every row but the rows - p that stay).  A set of staying rows is taken
-    only if the result is an index: a row i > 0 with b[i-1] == b[i] stays
-    only if row i - 1 stays too, and the last row grows only if
-    b[-1] < width.  Only those results are built.  Coefficients that cancel
-    are dropped.  p = 0 is the identity, p may not exceed the row count.
+    Dual Pieri rule: each term b gains one box in every row but one.  The
+    result is an index exactly when the staying row i is the first of its
+    run of equal entries, and when b[-1] == width it must be the last row,
+    so each result is b + 1 with entry i left at b[i].  Coefficients that
+    cancel are dropped.  For r = 0 the product is the identity.
     """
     shape = combo.shape
-    if not 0 <= p <= shape.rows:
-        raise PreconditionError(f"strip size {p} not in 0..{shape.rows}")
     out = SchubertCombo(shape)
     terms = out.terms
     width = shape.width
     last = shape.rows - 1
     for b, c in combo.terms.items():
-        grown = [x + 1 for x in b]
+        grown = tuple([x + 1 for x in b])
         full = b[-1] == width
-        for stay in combinations(range(shape.rows), shape.rows - p):
-            if full and last not in stay:
-                continue
-            below = -1
-            for i in stay:
-                if i and b[i - 1] == b[i] and below != i - 1:
-                    break
-                below = i
-            else:
-                mu = grown.copy()
-                for i in stay:
-                    mu[i] -= 1
-                key = tuple(mu)
+        prev = -1
+        for i, x in enumerate(b):
+            if x != prev and (not full or i == last):
+                key = grown[:i] + (x,) + grown[i + 1:]
                 v = terms.get(key, 0) + c
-                if v == 0:
-                    terms.pop(key, None)
-                else:
+                if v:
                     terms[key] = v
+                else:
+                    del terms[key]
+            prev = x
     return out
 
 
@@ -166,12 +156,12 @@ def zeta_power_integral_pieri(shape: GrassShape, k: int, b: Sequence[int]) -> Fr
 
     Fully independent of the closed form: expands the product in the Chow
     ring and reads off the point-class coefficient.  For r = 0 zeta is the
-    unit class and no product is taken.  Otherwise a strip adds at most one
-    box per row, so after each product a term whose first row is more boxes
-    short of the width than there are products left cannot reach the point
-    class and is dropped.  The rule reads only the box.  Each product adds
-    r boxes, so the loop stops once the combination is empty, after at most
-    (dim - |b|) // r + 1 products.  Past ``PIERI_WORK_LIMIT`` it refuses.
+    unit class and no product is taken.  Otherwise a product adds at most
+    one box per row, so after each product a term whose first row is more
+    boxes short of the width than there are products left cannot reach the
+    point class and is dropped.  The rule reads only the box.  Each product
+    adds r boxes, so the loop stops once the combination is empty, after at
+    most (dim - |b|) // r + 1 products.  Past ``PIERI_WORK_LIMIT`` it refuses.
     """
     b = check_partition(shape, b)
     if k < 0:
@@ -187,8 +177,9 @@ def zeta_power_integral_pieri(shape: GrassShape, k: int, b: Sequence[int]) -> Fr
             raise PreconditionError(
                 f"Pieri expansion needs more than {PIERI_WORK_LIMIT} term-rows of work; "
                 "use the closed form (--method closed)")
-        combo = pieri_multiply(combo, shape.r)
-        combo.terms = {key: c for key, c in combo.terms.items() if width - key[0] <= left}
+        combo = pieri_multiply(combo)
+        floor = width - left
+        combo.terms = {key: c for key, c in combo.terms.items() if key[0] >= floor}
     return Fraction(combo.terms.get((width,) * shape.rows, 0))
 
 

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -43,20 +43,20 @@ def test_invalid_partitions_rejected():
 def test_pieri_single_strip():
     shape = GrassShape(1, 3)
     start = SchubertCombo(shape, {(0, 0): 1})
-    assert pieri_multiply(start, 1).terms == {(0, 1): 1}
+    assert pieri_multiply(start).terms == {(0, 1): 1}
 
 
 def test_pieri_two_term_branch():
     shape = GrassShape(1, 3)
     start = SchubertCombo(shape, {(0, 1): 1})
-    assert pieri_multiply(start, 1).terms == {(1, 1): 1, (0, 2): 1}
+    assert pieri_multiply(start).terms == {(1, 1): 1, (0, 2): 1}
 
 
 def test_iterated_pieri_reaches_point_class():
     shape = GrassShape(1, 3)
     combo = SchubertCombo(shape, {(0, 0): 1})
     for _ in range(4):
-        combo = pieri_multiply(combo, 1)
+        combo = pieri_multiply(combo)
     assert combo.terms == {(2, 2): 2}
 
 
@@ -105,33 +105,30 @@ def test_pieri_output_stays_in_box_with_positive_integer_coefficients(rng):
         b = sorted(rng.randint(0, width) for _ in range(r + 1))
         combo = SchubertCombo(shape, {tuple(b): 1})
         for _ in range(rng.randint(1, 3)):
-            p = rng.randint(0, r + 1)
-            combo = pieri_multiply(combo, p)
+            combo = pieri_multiply(combo)
         for idx, coeff in combo.terms.items():
             check_partition(shape, idx)
             assert isinstance(coeff, int) and coeff > 0
 
 
-def test_pieri_strip_sizes_commute(rng):
-    for _ in range(40):
-        r = rng.randint(1, 4)
-        width = rng.randint(1, 4)
-        shape = GrassShape(r, r + width)
-        b = tuple(sorted(rng.randint(0, width) for _ in range(r + 1)))
-        p, q = rng.randint(0, r + 1), rng.randint(0, r + 1)
-        start = SchubertCombo(shape, {b: 1})
-        one = pieri_multiply(pieri_multiply(start, p), q)
-        other = pieri_multiply(pieri_multiply(start, q), p)
-        assert one.terms == other.terms
+def _zeta_brute_force(shape, b):
+    # b + e over every e in {0,1}^rows with |e| = r, kept if it is an index
+    # of the box; each kept e counts once.
+    out = {}
+    for grow in combinations(range(shape.rows), shape.r):
+        mu = tuple(x + (i in grow) for i, x in enumerate(b))
+        if list(mu) == sorted(mu) and mu[-1] <= shape.width:
+            out[mu] = out.get(mu, 0) + 1
+    return out
 
 
 def test_strip_products_and_box_indices_match_brute_force():
-    # Every index of every box with r <= 4 and width <= 4, against filters
-    # over all tuples of the box: iter_box_indices keeps the lexicographic
-    # order, and a strip of p boxes adds 0 or 1 to each entry, p in all.
+    # Every index of every box with r <= 5 and width <= 6: iter_box_indices
+    # keeps the lexicographic order of a filter over all tuples of the box,
+    # and the product by zeta matches the brute force above.
     cases = 0
-    for r in range(5):
-        for width in range(5):
+    for r in range(6):
+        for width in range(7):
             shape = GrassShape(r, r + width)
             box = [b for b in product(range(width + 1), repeat=shape.rows)
                    if list(b) == sorted(b)]
@@ -140,39 +137,29 @@ def test_strip_products_and_box_indices_match_brute_force():
                 assert list(iter_box_indices(shape, max_weight)) \
                     == [b for b in box if sum(b) <= max_weight]
             for b in box:
-                for p in range(shape.rows + 1):
-                    expected = {mu: 1 for mu in box
-                                if all(m - x in (0, 1) for m, x in zip(mu, b))
-                                and sum(mu) - sum(b) == p}
-                    got = pieri_multiply(SchubertCombo(shape, {b: 1}), p).terms
-                    assert got == expected, (shape, b, p)
-                    assert all(type(c) is int for c in got.values())
-                    cases += 1
-    assert cases == 2305
+                got = pieri_multiply(SchubertCombo(shape, {b: 1})).terms
+                assert got == _zeta_brute_force(shape, b), (shape, b)
+                assert all(type(c) is int for c in got.values())
+                cases += 1
+    assert cases == 3424
     # Coefficients of opposite sign that meet on one index cancel.
     shape = GrassShape(1, 3)
     mixed = SchubertCombo(shape, {(0, 2): 1, (1, 1): -1})
-    assert pieri_multiply(mixed, 1).terms == {}
+    assert pieri_multiply(mixed).terms == {}
 
 
 def test_strip_products_match_brute_force_on_long_runs_of_tied_rows():
-    # Every index of every box with r = 5..8 and width <= 2, so an index has
-    # runs of up to 9 equal rows, against the same filter over all tuples.
+    # Every index of every box with r = 5..10 and width <= 3, so an index has
+    # runs of up to 11 equal rows, against the same brute force.
     cases = 0
-    for r in range(5, 9):
-        for width in range(3):
+    for r in range(5, 11):
+        for width in range(4):
             shape = GrassShape(r, r + width)
-            box = [b for b in product(range(width + 1), repeat=shape.rows)
-                   if list(b) == sorted(b)]
-            for b in box:
-                for p in range(shape.rows + 1):
-                    expected = {mu: 1 for mu in box
-                                if all(m - x in (0, 1) for m, x in zip(mu, b))
-                                and sum(mu) - sum(b) == p}
-                    assert pieri_multiply(SchubertCombo(shape, {b: 1}), p).terms \
-                        == expected, (shape, b, p)
-                    cases += 1
-    assert cases == 1767
+            for b in iter_box_indices(shape):
+                assert pieri_multiply(SchubertCombo(shape, {b: 1})).terms \
+                    == _zeta_brute_force(shape, b), (shape, b)
+                cases += 1
+    assert cases == 1610
 
 
 def _oracle_cases(max_dim, max_weight):
@@ -231,12 +218,29 @@ def test_work_limit_admits_the_largest_integral_of_the_battery():
         == castelnuovo_count(60, 9, 63)
 
 
+def test_pieri_work_is_pinned_at_the_largest_integrals(monkeypatch):
+    # The work that PIERI_WORK_LIMIT bounds, at the largest integral of
+    # verify and at the genus-55 count: products made, and terms times rows
+    # summed over them.
+    for (g, r, d), products, work in [((60, 9, 63), 60, 80070), ((55, 10, 60), 55, 48037)]:
+        seen = []
+
+        def counting(combo):
+            seen.append(len(combo) * combo.shape.rows)
+            return pieri_multiply(combo)
+
+        monkeypatch.setattr(schubert, "pieri_multiply", counting)
+        zeta_power_integral_pieri(GrassShape(r, d), g, (0,) * (r + 1))
+        assert (len(seen), sum(seen)) == (products, work)
+        assert work < schubert.PIERI_WORK_LIMIT
+
+
 def test_pieri_route_stops_once_the_combination_is_empty(monkeypatch):
     calls = []
 
-    def counting(combo, p):
-        calls.append(p)
-        return pieri_multiply(combo, p)
+    def counting(combo):
+        calls.append(combo)
+        return pieri_multiply(combo)
 
     monkeypatch.setattr(schubert, "pieri_multiply", counting)
     shape = GrassShape(1, 3)
