@@ -20,8 +20,10 @@ genus-g curves: attaching g fixed elliptic tails to a pointed rational curve
 genus-2 curve (``pullback_j``), and moving the marked point along one
 component of a fixed two-component curve (``pullback_k``).
 
-A divisor class keeps its signed coefficients as integer numerators over one
-positive denominator, and the push-forward assembly solves for exactly those
+Each space states its basis once, in ``PicSpace.basis``; a divisor class is
+built by one constructor, which checks its symbols against that basis.  It
+keeps its signed coefficients as integer numerators over one positive
+denominator, and the push-forward assembly solves for exactly those
 coefficients, one unknown per basis symbol.
 """
 
@@ -85,21 +87,6 @@ class PicSpace(Value):
             return ("omega", "sigma", "delta") + PicSpace.m21().basis()
         return tuple(epsilon(i) for i in range(2, self.g - 1))
 
-    def __contains__(self, sym) -> bool:
-        """Whether sym is a basis symbol, read from its name without building the basis."""
-        if self.kind == "c21" and sym in ("omega", "sigma", "delta"):
-            return True
-        if self.kind == "m0g":
-            prefix, low, high = "epsilon_", 2, self.g - 2
-        elif sym == LAMBDA or sym == PSI:
-            return True
-        else:
-            prefix, low, high = "delta_", 0, self.g - 1
-        index = sym[len(prefix):] if isinstance(sym, str) and sym.startswith(prefix) else ""
-        # Digits as delta(i) or epsilon(i) print them: ASCII, no leading zero.
-        return (index.isascii() and index.isdigit() and (index[0] != "0" or index == "0")
-                and len(index) <= len(str(high)) and low <= int(index) <= high)
-
     def __str__(self) -> str:
         return self.kind if self.kind in ("m21", "c21") else f"{self.kind}({self.g})"
 
@@ -112,30 +99,22 @@ class DivisorClass(Value):
     coefficient, over ``den``, a positive int coprime to them all, so each
     class has one stored form; ``coeffs``, ``get``, ``payload`` and ``repr``
     make ``Fraction``s only when read.  Treated as immutable: arithmetic
-    returns new instances.  The constructor validates every symbol against
-    the basis by its name (``sym in space``); ``unchecked`` builds the classes
-    whose symbols are already known to be basis symbols.  Equal by space and
-    coefficients, and unhashable.
+    returns new instances, and the constructor, the one place a class is
+    built, checks every symbol against ``space.basis()`` and refuses a zero
+    ``den``.  Equal by space and coefficients, and unhashable.
     """
 
     __slots__ = ("space", "nums", "den")
     __hash__ = None
 
     def __init__(self, space: PicSpace, coeffs: Mapping[str, object] | None = None, den=1):
-        for sym in coeffs or ():
-            if sym not in space:
+        if not den:
+            raise PreconditionError(f"a class needs a nonzero denominator, got {den}")
+        coeffs = coeffs or {}
+        allowed = set(space.basis()) if coeffs else ()
+        for sym in coeffs:
+            if sym not in allowed:
                 raise PreconditionError(f"symbol {sym!r} is not in the basis of {space}")
-        self._store(space, coeffs or {}, den)
-
-    @classmethod
-    def unchecked(cls, space: PicSpace, coeffs: Mapping[str, object], den=1) -> "DivisorClass":
-        """``DivisorClass(space, coeffs, den)`` for symbols known to be in the basis
-        (read from a class on space, or named as the basis names them), unchecked."""
-        out = cls.__new__(cls)
-        out._store(space, coeffs, den)
-        return out
-
-    def _store(self, space: PicSpace, coeffs: Mapping[str, object], den) -> None:
         ratios = {sym: (c, 1) if isinstance(c, int) else Fraction(c).as_integer_ratio()
                   for sym, c in coeffs.items()}
         common = lcm(*[q for _, q in ratios.values()])
@@ -166,12 +145,11 @@ class DivisorClass(Value):
         out = {sym: v * (den // self.den) for sym, v in self.nums.items()}
         for sym, v in other.nums.items():
             out[sym] = out.get(sym, 0) + v * (den // other.den)
-        return DivisorClass.unchecked(self.space, out, den)
+        return DivisorClass(self.space, out, den)
 
     def scale(self, c) -> "DivisorClass":
         p, q = (c, 1) if isinstance(c, int) else Fraction(c).as_integer_ratio()
-        return DivisorClass.unchecked(self.space, {s: p * v for s, v in self.nums.items()},
-                                      q * self.den)
+        return DivisorClass(self.space, {s: p * v for s, v in self.nums.items()}, q * self.den)
 
     def sorted_items(self) -> list[tuple[str, Fraction]]:
         order = {sym: i for i, sym in enumerate(self.space.basis())}

@@ -30,7 +30,7 @@ def test_space_validation():
 
 
 def test_a_space_holds_exactly_its_basis_symbols():
-    # Membership reads the name; it must agree with the basis on near misses.
+    # The constructor checks symbols against the basis; near misses are refused.
     near = {"delta_", "delta_-1", "delta_01", "delta_00", "delta_+1", "delta_1 ", "delta_1_0",
             "delta_\u0663", "delta_\u00b2", "delta_" + "1" * 5000, "epsilon_", "epsilon_02",
             "omega", "sigma", "delta", "Lambda", "", 1, None}
@@ -38,8 +38,19 @@ def test_a_space_holds_exactly_its_basis_symbols():
     for space in (PicSpace.mg1(2), PicSpace.mg1(12), PicSpace.m21(), PicSpace.c21(),
                   PicSpace.m0g(4), PicSpace.m0g(12)):
         basis = set(space.basis())
-        assert all(sym in space for sym in basis)
-        assert {sym for sym in near if sym in space} == basis & near, space
+        for sym in basis | near:
+            if sym in basis:
+                assert DivisorClass(space, {sym: 1}).nums == {sym: 1}
+            else:
+                with pytest.raises(PreconditionError) as err:
+                    DivisorClass(space, {sym: 1})
+                assert str(err.value) == f"symbol {sym!r} is not in the basis of {space}"
+
+
+def test_a_class_refuses_a_zero_denominator():
+    for coeffs in ({PSI: 1}, {}):
+        with pytest.raises(PreconditionError, match="^a class needs a nonzero denominator, got 0$"):
+            DivisorClass(PicSpace.m21(), coeffs, 0)
 
 
 def test_divisor_class_drops_zeros():
@@ -273,6 +284,15 @@ def test_parse_class():
         parse_class(space, "lambda:1,psi:abc")
     with pytest.raises(PreconditionError, match="psi:1/0"):
         parse_class(space, "psi:1/0")
+
+
+def test_parse_class_reports_a_bad_coefficient_before_an_unknown_symbol():
+    # Every coefficient is read before the class checks its symbols.
+    space = PicSpace.mg1(5)
+    for text in ("psi:x,delta_9:1", "delta_9:1,psi:x"):
+        with pytest.raises(PreconditionError,
+                           match="^bad coefficient in class term 'psi:x', expected a rational$"):
+            parse_class(space, text)
 
 
 def test_parse_class_refuses_a_coefficient_with_more_digits_than_python_prints():

@@ -326,13 +326,3 @@ def test_a_slip_fails_only_the_rows_that_read_it(monkeypatch, patches, failed):
     assert set(got) == set(failed)
     for name, prefix in failed.items():
         assert got[name].startswith(prefix), got[name]
-
-
-def test_assembly_check_builds_no_basis(monkeypatch):
-    # A class checks its symbols by name, and arithmetic and the closed forms
-    # reuse symbols already known to be in the basis: no basis tuple is built.
-    calls = []
-    basis = PicSpace.basis
-    monkeypatch.setattr(PicSpace, "basis", lambda space: calls.append(1) or basis(space))
-    assert verify.check_assembly(12)[0]
-    assert len(calls) == 0
