@@ -1,4 +1,4 @@
-"""Exact Gaussian elimination over the rationals.
+"""Exact Gaussian elimination of integer systems with rational right-hand sides.
 
 Solves possibly over-determined systems, demanding both full column rank and
 consistency of every redundant equation; failure modes are reported as typed
@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import compress
-from math import gcd, lcm
+from math import gcd
 
 Row = list[Fraction]
 
@@ -47,14 +47,16 @@ class RankDeficientError(LinearSystemError):
 def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> Row:
     """Solve A x = b, requiring a unique solution satisfying every equation.
 
-    Entries are ints or Fractions.  Raises InconsistentSystemError if the
-    (over-determined) system has no solution and RankDeficientError if it
-    has more than one.
+    Every row has len(rows[0]) entries, and the coefficients are ints; a
+    right-hand side entry is an int or a Fraction.  Raises ValueError for a
+    row of another length, InconsistentSystemError if the (over-determined)
+    system has no solution and RankDeficientError if it has more than one.
 
     The elimination is sparse and runs on integer rows.  Each augmented row
-    is read once: ``compress(range(n), row)`` yields its nonzero columns, the
-    entries that are not ints are cleared of denominators, and the row is kept
-    as a dict of its nonzero entries, divided by their content.  A pivot p
+    is read once: with its right-hand side p/q, ``compress(range(n), row)``
+    yields its nonzero columns, whose coefficients are multiplied by q, p
+    joins them in the rhs column, and the row is kept as a dict of its
+    nonzero entries, divided by their content, with q as its scale.  A pivot p
     clears its column from a row below it whose entry there is t by
     replacing that row with row * (p/g) - pivot * (t/g), where g is
     gcd(p, t) with the sign of p, and dividing the result by its content;
@@ -93,21 +95,19 @@ def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> Row:
     # is the rhs column.
     holders: list[set[int]] = [set() for _ in range(n + 1)]
     for i, (row, bv) in enumerate(zip(rows, rhs)):
-        ints = {j: row[j] for j in compress(columns, row)}
-        if bv:
-            ints[n] = bv
-        ratios = {j: v.as_integer_ratio() for j, v in ints.items() if not isinstance(v, int)}
-        den = lcm(*[q for _, q in ratios.values()])
-        if ratios:
-            ints = {j: v * den for j, v in ints.items() if j not in ratios}
-            ints.update((j, p * (den // q)) for j, (p, q) in ratios.items())
+        if len(row) != n:
+            raise ValueError(f"row {i} has length {len(row)}, expected {n}")
+        p, q = bv.as_integer_ratio()
+        ints = {j: row[j] * q for j in compress(columns, row)}
+        if p:
+            ints[n] = p
         content = gcd(*ints.values())
         if content > 1:
             ints = {j: v // content for j, v in ints.items()}
         for j in ints:
             holders[j].add(i)
         m.append(ints)
-        scale_num.append(den)
+        scale_num.append(q)
         scale_den.append(max(content, 1))
     at = list(range(len(m)))
     place = list(range(len(m)))

@@ -100,14 +100,16 @@ class DivisorClass(Value):
     class has one stored form; ``coeffs``, ``get``, ``payload`` and ``repr``
     make ``Fraction``s only when read.  Treated as immutable: arithmetic
     returns new instances, and the constructor, the one place a class is
-    built, checks every symbol against ``space.basis()`` and refuses a zero
-    ``den``.  Equal by space and coefficients, and unhashable.
+    built, checks every symbol against ``space.basis()`` and refuses a ``den``
+    that is not a nonzero int.  Equal by space and coefficients, and unhashable.
     """
 
     __slots__ = ("space", "nums", "den")
     __hash__ = None
 
     def __init__(self, space: PicSpace, coeffs: Mapping[str, object] | None = None, den=1):
+        if not isinstance(den, int):
+            raise PreconditionError(f"a class needs an int denominator, got {den!r}")
         if not den:
             raise PreconditionError(f"a class needs a nonzero denominator, got {den}")
         coeffs = coeffs or {}
@@ -172,9 +174,9 @@ def _require_space(D: DivisorClass, space: PicSpace, what: str) -> None:
 # Each test family's restriction is written once below, as sparse rows:
 # target coordinate -> {source basis symbol of mg1(g): weight}.  The
 # pull-backs evaluate these rows on a class; the push-forward assembly
-# reads the same rows as the coefficients of its unknowns.  Every weight
-# is an int, which the elimination reads as it is.
-Row = dict[str, int | Fraction]
+# reads the same rows as the coefficients of its unknowns, and the
+# elimination takes int coefficients only: every weight is an int.
+Row = dict[str, int]
 
 
 def evaluate(row: Row, D: DivisorClass) -> Fraction:
@@ -258,7 +260,7 @@ def pullback_k(g: int, h: int, D: DivisorClass) -> Fraction:
     return evaluate(marked_point_row(g, h), D)
 
 
-def epsilon_intersection_matrix(g: int) -> list[list[Fraction]]:
+def epsilon_intersection_matrix(g: int) -> list[list[int]]:
     """Intersection numbers of the test curves against the epsilon basis.
 
     Square of size g - 3: rows are the curves B_1, ..., B_{g-3} (B_1 moves
@@ -273,13 +275,13 @@ def epsilon_intersection_matrix(g: int) -> list[list[Fraction]]:
     if g < 5:
         raise PreconditionError("epsilon_intersection_matrix needs g >= 5")
     n = g - 3
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    rows[0][0] = Fraction(g - 1)
+    rows = [[0] * n for _ in range(n)]
+    rows[0][0] = g - 1
     for j in range(2, g - 2):
-        rows[j - 1][j - 2] = Fraction(-1)
+        rows[j - 1][j - 2] = -1
         if j + 1 <= g - 3:
-            rows[j - 1][j - 1] = Fraction(1)
-        rows[j - 1][n - 1] += Fraction(g - j - 1)
+            rows[j - 1][j - 1] = 1
+        rows[j - 1][n - 1] += g - j - 1
     return rows
 
 

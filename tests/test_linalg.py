@@ -27,8 +27,9 @@ def test_inconsistent_system_names_its_witness_equation():
 @pytest.mark.parametrize("rows, rhs, residue", [
     ([[1], [1]], [1, 4], 3),
     ([[2], [3]], [2, 9], 6),
-    # x/3 = 1 fixes x = 3, and x/2 = 5 reduces to 0 = 5 - 3/2.
-    ([[Fraction(1, 3)], [Fraction(1, 2)]], [1, 5], Fraction(7, 2)),
+    # x = 1/2 fixes x, and 2x = 9/2 reduces to 0 = 9/2 - 1, read in the
+    # scale of its own row.
+    ([[1], [2]], [Fraction(1, 2), Fraction(9, 2)], Fraction(7, 2)),
 ])
 def test_inconsistent_system_reports_the_reduced_value(rows, rhs, residue):
     with pytest.raises(InconsistentSystemError) as info:
@@ -43,6 +44,25 @@ def test_rank_deficient_system_lists_free_columns():
         solve_unique([[1, 1, 0], [2, 2, 0]], [1, 2])
     assert info.value.free_columns == [1, 2]
     assert str(info.value) == "free columns [1, 2]"
+
+
+@pytest.mark.parametrize("rows, detail", [
+    ([[1, 0], [0, 1, 5]], "row 1 has length 3, expected 2"),
+    ([[1], [0, 1]], "row 1 has length 2, expected 1"),
+], ids=["longer", "shorter"])
+def test_a_ragged_row_is_refused(rows, detail):
+    # Read against the width of row 0, the first would lose its 5 and the
+    # second would report 0 = 2.
+    with pytest.raises(ValueError, match=f"^{detail}$"):
+        solve_unique(rows, [1, 2])
+
+
+@pytest.mark.parametrize("coefficient", [Fraction(1, 2), Fraction(2)])
+def test_a_fraction_coefficient_is_refused(coefficient):
+    # Only a right-hand side may be a Fraction; a coefficient must be an int,
+    # even one whose value is an integer.
+    with pytest.raises(TypeError):
+        solve_unique([[1, 0], [0, coefficient]], [1, 2])
 
 
 def dense_reference(rows, rhs):
@@ -98,11 +118,12 @@ def dense_outcomes(rows, rhss):
     return outcomes
 
 
-def random_system(rng, entry=lambda rng: rand_fraction(rng, 9), value=rand_fraction):
+def random_system(rng, entry=lambda rng: rng.randint(-9, 9), value=rand_fraction):
     """A sparse over-determined system with a planted solution; some get a
     perturbed right-hand side, some a column that depends on the others.
-    ``entry`` draws each nonzero coefficient, and ``value(rng, span)`` each
-    entry of the planted solution and the scale of a dependent column."""
+    ``entry`` draws each int coefficient and the scale of a dependent
+    column, and ``value(rng, span)`` each entry of the planted solution, so
+    only the right-hand sides carry denominators."""
     n = rng.randint(1, 6)
     n_rows = rng.randint(n, 2 * n + 2)
     rows = [[entry(rng) if rng.random() < 0.35 else 0 for _ in range(n)]
@@ -110,7 +131,7 @@ def random_system(rng, entry=lambda rng: rand_fraction(rng, 9), value=rand_fract
     kind = rng.choice(["planted", "perturbed", "deficient"])
     if kind == "deficient" and n > 1:
         a, b = rng.sample(range(n), 2)
-        scale = value(rng, 5)
+        scale = entry(rng)
         for row in rows:
             row[a] = scale * row[b]
     x = [value(rng, 40) for _ in range(n)]
@@ -162,7 +183,7 @@ def test_column_index_follows_swaps_fill_in_and_cancellation(rows):
 
 def test_contradiction_after_rows_reduced_to_zero():
     # Rows 2, 3 and 4 reduce to 0 = 0; row 5 reduces to 0 = 7/2.
-    rows = [[1, 0], [0, 1], [1, 1], [2, 0], [0, 0], [Fraction(1, 2), 1], [1, 1]]
+    rows = [[1, 0], [0, 1], [1, 1], [2, 0], [0, 0], [1, 2], [1, 1]]
     rhs = _planted(rows, [1, 2])
     rhs[5] += Fraction(7, 2)
     assert assert_matches_dense(rows, rhs) is InconsistentSystemError
@@ -185,25 +206,31 @@ def test_pivot_is_chosen_by_place_not_by_row_index():
 
 
 def test_sparse_elimination_matches_dense_reference(rng):
+    # Small int coefficients; the planted solutions make the right-hand
+    # sides Fractions.
     outcomes = {assert_matches_dense(*random_system(rng)) for _ in range(400)}
     assert outcomes == {list, InconsistentSystemError, RankDeficientError}
 
 
+# (coefficient, planted value) draws.  The coefficients are ints, and the
+# rational values reach the elimination through the right-hand sides only.
 ENTRIES = {
-    # Numerators of 128 to 160 bits, as the Castelnuovo counts of the
-    # pencils up to g = 120 give.
-    "big-integers": lambda rng: Fraction(rng.choice([-1, 1]) * rng.randint(2**128, 2**160),
-                                         rng.randint(1, 2**20)),
-    "shared-denominators": lambda rng: Fraction(rng.randint(-30, 30),
-                                                rng.choice([4, 6, 8, 9, 12, 18, 24, 36])),
-    "mixed-int-and-fraction": lambda rng: (rng.randint(-9, 9) if rng.random() < 0.5
-                                           else rand_fraction(rng, 9)),
+    # Coefficients of 128 to 160 bits, as the Castelnuovo counts of the
+    # pencils up to g = 120 give, and values with denominators up to 2^20.
+    "big-integers": (lambda rng: rng.choice([-1, 1]) * rng.randint(2**128, 2**160),
+                     lambda rng, span: Fraction(rng.randint(-span, span), rng.randint(1, 2**20))),
+    "shared-denominators": (lambda rng: rng.randint(-30, 30),
+                            lambda rng, span: Fraction(rng.randint(-span, span),
+                                                       rng.choice([4, 6, 8, 9, 12, 18, 24, 36]))),
+    "mixed-int-and-fraction": (lambda rng: rng.randint(-9, 9),
+                               lambda rng, span: (rng.randint(-span, span) if rng.random() < 0.5
+                                                  else rand_fraction(rng, span))),
 }
 
 
 @pytest.mark.parametrize("kind", ENTRIES)
 def test_integer_elimination_matches_dense_reference(rng, kind):
-    outcomes = {assert_matches_dense(*random_system(rng, ENTRIES[kind])) for _ in range(300)}
+    outcomes = {assert_matches_dense(*random_system(rng, *ENTRIES[kind])) for _ in range(300)}
     assert outcomes == {list, InconsistentSystemError, RankDeficientError}
 
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,13 @@ def test_a_class_refuses_a_zero_denominator():
     for coeffs in ({PSI: 1}, {}):
         with pytest.raises(PreconditionError, match="^a class needs a nonzero denominator, got 0$"):
             DivisorClass(PicSpace.m21(), coeffs, 0)
+
+
+@pytest.mark.parametrize("den, shown", [(Fraction(1, 2), "Fraction(1, 2)"), (2.0, "2.0")])
+def test_a_class_refuses_a_denominator_that_is_not_an_int(den, shown):
+    message = f"a class needs an int denominator, got {shown}"
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        DivisorClass(PicSpace.m21(), {PSI: 1}, den)
 
 
 def test_divisor_class_drops_zeros():
@@ -143,10 +151,13 @@ def test_epsilon_matrix_small_genus():
 def test_epsilon_matrix_determinant_by_cramer():
     # Without its last row and column the matrix is lower bidiagonal with
     # determinant g - 1, so by Cramer's rule the last coordinate of M x = e_last
-    # is (g - 1) / det M: this pins det M = (g-1)^2 (g-4) / 2.
+    # is (g - 1) / det M: this pins det M = (g-1)^2 (g-4) / 2.  Every entry is
+    # an int, as the elimination takes; an equal Fraction would not do.
     for g in range(5, 31):
+        m = epsilon_intersection_matrix(g)
+        assert all(type(v) is int for row in m for v in row), g
         e_last = [0] * (g - 4) + [1]
-        x = solve_unique(epsilon_intersection_matrix(g), e_last)
+        x = solve_unique(m, e_last)
         assert x[-1] == Fraction(2, (g - 1) * (g - 4)), g
 
 

@@ -208,11 +208,12 @@ def test_beta_reference_formula():
 
 
 def test_no_family_row_holds_a_zero_weight():
-    # solve_unique scans every entry a row names, so a zero weight is waste.
-    assert all(w for row in GENUS2_REDUCTION.values() for w in row.values())
+    # solve_unique scans every entry a row names, so a zero weight is waste,
+    # and it takes int coefficients only.
+    assert all(w and type(w) is int for row in GENUS2_REDUCTION.values() for w in row.values())
     triples = [p for p in rho_zero_triples(30) if p.g >= 5]
     assert {p.g for p in triples} == set(range(5, 31))
     for p in triples:
         for label in ClassLabel:
             for family, row, _ in family_equations(p.g, p.r, p.d, label):
-                assert all(row.values()), (p, label, family, row)
+                assert all(w and type(w) is int for w in row.values()), (p, label, family, row)

@@ -161,6 +161,15 @@ def _elliptic_delta1_slip(true):
     return slipped
 
 
+def _elliptic_delta1_int_slip(true):
+    # The same slipped rows times 10^6, as ints, since the elimination takes
+    # int coefficients; the elliptic-tail equations are homogeneous, so the
+    # scale leaves their solutions as they are.
+    slipped = _elliptic_delta1_slip(true)
+    return lambda g: {target: {sym: int(w * 10 ** 6) for sym, w in row.items()}
+                      for target, row in slipped(g).items()}
+
+
 def _m21_a_slip(true):
     def slipped(g, r, d, label):
         a, b = true(g, r, d, label)
@@ -280,8 +289,8 @@ SLIPS = {
         "genus10-slope": "ratio 3500000/499999",
         "slope-vs-assembly": "(10,4,12): (lambda, delta_0) assembled (7, -1), "
                              "closed (7, -499999/500000)"}),
-    "elliptic-tail-delta1": ([(module, "elliptic_tail_rows", _elliptic_delta1_slip)
-                              for module in (picard, pushforward)], {
+    "elliptic-tail-delta1": ([(picard, "elliptic_tail_rows", _elliptic_delta1_slip),
+                              (pushforward, "elliptic_tail_rows", _elliptic_delta1_int_slip)], {
         "assembly-vs-closed-form": "(5,4,8) alpha: assembled DivisorClass(mg1(5), "
                                    "17999748/1499999*lambda",
         "family-restrictions": "(5,4,8) alpha: elliptic-tail restriction nonzero",
