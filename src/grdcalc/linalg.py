@@ -49,8 +49,9 @@ def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> Row:
 
     Every row has len(rows[0]) entries, and the coefficients are ints; a
     right-hand side entry is an int or a Fraction.  Raises ValueError for a
-    row of another length, InconsistentSystemError if the (over-determined)
-    system has no solution and RankDeficientError if it has more than one.
+    row of another length, a float right-hand side or a coefficient that is
+    not an int, InconsistentSystemError if the (over-determined) system has
+    no solution and RankDeficientError if it has more than one.
 
     The elimination is sparse and runs on integer rows.  Each augmented row
     is read once: with its right-hand side p/q, ``compress(range(n), row)``
@@ -97,11 +98,17 @@ def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> Row:
     for i, (row, bv) in enumerate(zip(rows, rhs)):
         if len(row) != n:
             raise ValueError(f"row {i} has length {len(row)}, expected {n}")
+        if isinstance(bv, float):
+            raise ValueError(f"row {i} has a float right-hand side {bv!r}, "
+                             "expected an int or a Fraction")
         p, q = bv.as_integer_ratio()
         ints = {j: row[j] * q for j in compress(columns, row)}
         if p:
             ints[n] = p
-        content = gcd(*ints.values())
+        try:
+            content = gcd(*ints.values())
+        except TypeError:
+            raise ValueError(f"row {i} has a coefficient that is not an int") from None
         if content > 1:
             ints = {j: v // content for j, v in ints.items()}
         for j in ints:

@@ -121,14 +121,19 @@ def special_power_integral(shape: GrassShape, k: int, b: Sequence[int]) -> Fract
     return Fraction(num, den)
 
 
-def pieri_multiply(combo: SchubertCombo) -> SchubertCombo:
-    """Multiply a combination by zeta = sigma_{1^r}.
+def pieri_multiply(combo: SchubertCombo, floor: int = 0) -> SchubertCombo:
+    """Multiply a combination by zeta = sigma_{1^r}, keeping the results
+    whose first entry is at least ``floor``.
 
     Dual Pieri rule: each term b gains one box in every row but one.  The
     result is an index exactly when the staying row i is the first of its
     run of equal entries, and when b[-1] == width it must be the last row,
-    so each result is b + 1 with entry i left at b[i].  Coefficients that
-    cancel are dropped.  For r = 0 the product is the identity.
+    so each result is b + 1 with entry i left at b[i].  Its first entry is
+    b[0] if row 0 stays and b[0] + 1 otherwise, so a term with
+    b[0] + 1 < floor is skipped and, when b[0] + 1 == floor, row 0 does not
+    stay: no result below the floor is built.  With floor 0 every result
+    is kept.  Coefficients that cancel are dropped.  For r = 0 the product
+    is the identity.
     """
     shape = combo.shape
     out = SchubertCombo(shape)
@@ -136,9 +141,13 @@ def pieri_multiply(combo: SchubertCombo) -> SchubertCombo:
     width = shape.width
     last = shape.rows - 1
     for b, c in combo.terms.items():
+        first = b[0] + 1
+        if first < floor:
+            continue
         grown = tuple([x + 1 for x in b])
         full = b[-1] == width
-        prev = -1
+        # A run taken to start at b[0] keeps row 0 from staying.
+        prev = -1 if first > floor else b[0]
         for i, x in enumerate(b):
             if x != prev and (not full or i == last):
                 key = grown[:i] + (x,) + grown[i + 1:]
@@ -157,9 +166,11 @@ def zeta_power_integral_pieri(shape: GrassShape, k: int, b: Sequence[int]) -> Fr
     Fully independent of the closed form: expands the product in the Chow
     ring and reads off the point-class coefficient.  For r = 0 zeta is the
     unit class and no product is taken.  Otherwise a product adds at most
-    one box per row, so after each product a term whose first row is more
-    boxes short of the width than there are products left cannot reach the
-    point class and is dropped.  The rule reads only the box.  Each product
+    one box per row, so a term whose first row is more boxes short of the
+    width than there are products left cannot reach the point class: each
+    product is asked for the results with first entry at least
+    width - (products left), and builds no other.  The rule reads only the
+    box, and no dict is rebuilt between products.  Each product
     adds r boxes, so the loop stops once the combination is empty, after at
     most (dim - |b|) // r + 1 products.  Past ``PIERI_WORK_LIMIT`` it refuses.
     """
@@ -177,9 +188,7 @@ def zeta_power_integral_pieri(shape: GrassShape, k: int, b: Sequence[int]) -> Fr
             raise PreconditionError(
                 f"Pieri expansion needs more than {PIERI_WORK_LIMIT} term-rows of work; "
                 "use the closed form (--method closed)")
-        combo = pieri_multiply(combo)
-        floor = width - left
-        combo.terms = {key: c for key, c in combo.terms.items() if key[0] >= floor}
+        combo = pieri_multiply(combo, width - left)
     return Fraction(combo.terms.get((width,) * shape.rows, 0))
 
 

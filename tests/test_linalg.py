@@ -61,8 +61,22 @@ def test_a_ragged_row_is_refused(rows, detail):
 def test_a_fraction_coefficient_is_refused(coefficient):
     # Only a right-hand side may be a Fraction; a coefficient must be an int,
     # even one whose value is an integer.
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="^row 1 has a coefficient that is not an int$"):
         solve_unique([[1, 0], [0, coefficient]], [1, 2])
+    with pytest.raises(ValueError, match="^row 0 has a coefficient that is not an int$"):
+        solve_unique([[coefficient]], [0])
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, 0.0])
+def test_a_float_is_refused(value):
+    # A float right-hand side would be solved for its binary value: 0.1 as
+    # 3602879701896397/36028797018963968.
+    with pytest.raises(ValueError, match=f"^row 1 has a float right-hand side {value!r}, "
+                                         "expected an int or a Fraction$"):
+        solve_unique([[1], [1]], [Fraction(1, 10), value])
+    if value:
+        with pytest.raises(ValueError, match="^row 1 has a coefficient that is not an int$"):
+            solve_unique([[1, 0], [0, value]], [1, 2])
 
 
 def dense_reference(rows, rhs):

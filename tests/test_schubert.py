@@ -162,6 +162,34 @@ def test_strip_products_match_brute_force_on_long_runs_of_tied_rows():
     assert cases == 1610
 
 
+def test_a_floored_product_is_the_full_product_filtered_by_its_first_entry():
+    # Every index of every box with r <= 4 and width <= 5, as one term and
+    # after 1-3 full products, and every floor from 0 to width + 2: the
+    # floored product is the full product with the results whose first
+    # entry is below the floor left out.
+    cases = 0
+    for r in range(5):
+        for width in range(6):
+            shape = GrassShape(r, r + width)
+            for b in iter_box_indices(shape):
+                combo = SchubertCombo(shape, {b: 1})
+                for _ in range(4):
+                    full = pieri_multiply(combo)
+                    for floor in range(width + 3):
+                        assert pieri_multiply(combo, floor).terms \
+                            == {k: c for k, c in full.terms.items() if k[0] >= floor}, \
+                            (shape, combo.terms, floor)
+                        cases += 1
+                    combo = full
+    assert cases == 26260
+    # Cancellation is unchanged above the floor.
+    shape = GrassShape(1, 3)
+    mixed = SchubertCombo(shape, {(0, 2): 1, (1, 1): -1, (0, 1): 1})
+    for floor in range(5):
+        assert pieri_multiply(mixed, floor).terms \
+            == {k: c for k, c in pieri_multiply(mixed).terms.items() if k[0] >= floor}
+
+
 def _oracle_cases(max_dim, max_weight):
     for r in range(0, max_dim + 1):
         for width in range(0, max_dim + 1):
@@ -220,27 +248,32 @@ def test_work_limit_admits_the_largest_integral_of_the_battery():
 
 def test_pieri_work_is_pinned_at_the_largest_integrals(monkeypatch):
     # The work that PIERI_WORK_LIMIT bounds, at the largest integral of
-    # verify and at the genus-55 count: products made, and terms times rows
-    # summed over them.
-    for (g, r, d), products, work in [((60, 9, 63), 60, 80070), ((55, 10, 60), 55, 48037)]:
+    # verify and at the genus-55 count: products made, terms times rows
+    # summed over them, and the terms the products built, none of them
+    # below the floor it was asked for.
+    for (g, r, d), products, work, built in [((60, 9, 63), 60, 80070, 8007),
+                                             ((55, 10, 60), 55, 48037, 4367)]:
         seen = []
 
-        def counting(combo):
-            seen.append(len(combo) * combo.shape.rows)
-            return pieri_multiply(combo)
+        def counting(combo, floor):
+            out = pieri_multiply(combo, floor)
+            assert all(key[0] >= floor for key in out.terms), floor
+            seen.append((len(combo) * combo.shape.rows, len(out.terms)))
+            return out
 
         monkeypatch.setattr(schubert, "pieri_multiply", counting)
         zeta_power_integral_pieri(GrassShape(r, d), g, (0,) * (r + 1))
-        assert (len(seen), sum(seen)) == (products, work)
+        assert (len(seen), sum(w for w, _ in seen), sum(n for _, n in seen)) \
+            == (products, work, built)
         assert work < schubert.PIERI_WORK_LIMIT
 
 
 def test_pieri_route_stops_once_the_combination_is_empty(monkeypatch):
     calls = []
 
-    def counting(combo):
+    def counting(combo, floor):
         calls.append(combo)
-        return pieri_multiply(combo)
+        return pieri_multiply(combo, floor)
 
     monkeypatch.setattr(schubert, "pieri_multiply", counting)
     shape = GrassShape(1, 3)

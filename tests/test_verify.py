@@ -119,8 +119,8 @@ def _xi_slip(true):
 
 
 def _doubled_terms(true):
-    def slipped(combo):
-        out = true(combo)
+    def slipped(combo, floor):
+        out = true(combo, floor)
         out.terms = {key: 2 * c for key, c in out.terms.items()}
         return out
     return slipped
