@@ -49,9 +49,10 @@ def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> Row:
 
     Every row has len(rows[0]) entries, and the coefficients are ints; a
     right-hand side entry is an int or a Fraction.  Raises ValueError for a
-    row of another length, a float right-hand side or a coefficient that is
-    not an int, InconsistentSystemError if the (over-determined) system has
-    no solution and RankDeficientError if it has more than one.
+    row of another length, a right-hand side of any other type (a float, a
+    str, None) or a coefficient that is not an int, InconsistentSystemError
+    if the (over-determined) system has no solution and RankDeficientError
+    if it has more than one.
 
     The elimination is sparse and runs on integer rows.  Each augmented row
     is read once: with its right-hand side p/q, ``compress(range(n), row)``
@@ -98,8 +99,8 @@ def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> Row:
     for i, (row, bv) in enumerate(zip(rows, rhs)):
         if len(row) != n:
             raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-        if isinstance(bv, float):
-            raise ValueError(f"row {i} has a float right-hand side {bv!r}, "
+        if not isinstance(bv, (int, Fraction)):
+            raise ValueError(f"row {i} has a {type(bv).__name__} right-hand side {bv!r}, "
                              "expected an int or a Fraction")
         p, q = bv.as_integer_ratio()
         ints = {j: row[j] * q for j in compress(columns, row)}

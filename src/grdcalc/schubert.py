@@ -9,9 +9,14 @@ two independent routes:
 * a closed-form factorial evaluation (``special_power_integral``), and
 * full expansion in the Chow ring by repeated products with zeta under
   the dual Pieri rule (``zeta_power_integral_pieri``): a ``SchubertCombo``
-  holds the terms of the product as one dict from index to integer
+  holds the terms of the product as one dict from packed index to integer
   coefficient, and the integral is the coefficient of the point class
   (width, ..., width).
+
+A packed index is one int with each entry in its own fixed-width field
+(``IndexCode``), so a product builds each result with one subtraction and
+hashes an int, not a tuple; ``SchubertCombo.by_index`` gives the terms
+keyed by index tuples.
 
 Agreement of the two routes over an exhaustive family of small shapes is part
 of the package's verification suite.
@@ -19,20 +24,28 @@ of the package's verification suite.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
+from operator import gt
+from struct import calcsize
 
 from .errors import PreconditionError
 from .value import Value
 
 Index = tuple[int, ...]
 
+# Native entry formats of a packed index, narrowest first: (bytes, format).
+_ENTRY_FORMATS = [(calcsize(fmt), fmt) for fmt in "BHIQ"]
+
 # The most work one Pieri integral may do, counted at each product as the
 # terms of the combination times the rows.  The largest integral of `verify`
-# at g_max 60, at (g, r, d) = (60, 9, 63), counts 80 070; a refusal at
-# the limit takes well under half a second on a 2-vCPU machine.
+# at g_max 60, at (g, r, d) = (60, 9, 63), counts 80 070.  The slowest
+# refusal at the limit found with d <= 300 (r = 2 or 3, b = 0, a power past
+# the dimension) takes 0.10-0.16 s in-process (Python 3.11, 2 vCPUs).
 PIERI_WORK_LIMIT = 3 * 10 ** 5
 
 
@@ -61,34 +74,87 @@ class GrassShape(Value):
 
 def check_partition(shape: GrassShape, b: Sequence[int]) -> Index:
     """Validate a Schubert index for the shape and return it as a tuple."""
-    b = tuple(int(x) for x in b)
+    b = tuple(map(int, b))
     if len(b) != shape.rows:
         raise PreconditionError(
             f"index needs {shape.rows} entries for {shape}, got {len(b)}")
-    if any(x > y for x, y in zip(b, b[1:])):
+    if any(map(gt, b, b[1:])):
         raise PreconditionError(f"index {b} is not weakly increasing")
     if b[0] < 0 or b[-1] > shape.width:
         raise PreconditionError(f"index {b} leaves the box of width {shape.width}")
     return b
 
 
+class IndexCode:
+    """How the indices of one shape are packed into ints.
+
+    Entry i of an index is the i-th native item of format ``format`` in the
+    bytes of its int written in host byte order (``sys.byteorder``), so one
+    ``int.to_bytes`` and one ``memoryview.cast`` read every entry back, and
+    ``array`` packs them, on either byte order.  ``format`` is the narrowest
+    native unsigned format that holds ``width``, and a valid index has no
+    wider entry; a box too wide for every format is refused.  Field i sits
+    at bit ``shifts[i]`` of the int, so an index packs to the sum of
+    ``b[i] << shifts[i]``, and ``ones`` is the packed (1, ..., 1).
+    """
+
+    __slots__ = ("width", "format", "order", "nbytes", "shifts", "ones")
+
+    def __init__(self, shape: GrassShape):
+        width, rows = shape.width, shape.rows
+        for size, fmt in _ENTRY_FORMATS:
+            if width >> 8 * size == 0:
+                break
+        else:
+            raise PreconditionError(
+                f"the Pieri route packs an index entry in at most {size} bytes, "
+                f"too few for width {width}; use the closed form (--method closed)")
+        bits = 8 * size
+        self.width, self.format, self.order = width, fmt, sys.byteorder
+        self.nbytes = size * rows
+        self.shifts = list(range(0, bits * rows, bits))
+        if self.order == "big":
+            self.shifts.reverse()
+        self.ones = ((1 << bits * rows) - 1) // ((1 << bits) - 1)
+
+    def pack(self, b: Sequence[int]) -> int:
+        """The int of an index, each entry in its own field."""
+        return int.from_bytes(array(self.format, b), self.order)
+
+    def entries(self, key: int) -> memoryview:
+        """The entries of a packed index, as ints, in row order."""
+        return memoryview(key.to_bytes(self.nbytes, self.order)).cast(self.format)
+
+
 class SchubertCombo:
     """A finite combination of Schubert cycles on one shape.
 
-    ``terms`` maps weakly increasing box indices to their nonzero
-    coefficients, which the Pieri rule keeps as plain integers; the
-    constructor validates each index and drops zero coefficients.
+    ``terms`` maps packed weakly increasing box indices (``code.pack``) to
+    their nonzero coefficients, which the Pieri rule keeps as plain
+    integers; the constructor validates and packs each index and drops
+    zero coefficients.  ``by_index`` gives the terms keyed by index tuples.
     """
 
-    __slots__ = ("shape", "terms")
+    __slots__ = ("shape", "code", "terms")
 
     def __init__(self, shape: GrassShape, terms: dict[Index, int] | None = None):
         self.shape = shape
-        self.terms = ({check_partition(shape, b): c for b, c in terms.items() if c}
-                      if terms else {})
+        self.code = IndexCode(shape)
+        self.terms = ({self.code.pack(check_partition(shape, b)): c
+                       for b, c in terms.items() if c} if terms else {})
 
     def __len__(self) -> int:
         return len(self.terms)
+
+    def by_index(self) -> dict[Index, int]:
+        """The terms keyed by index tuples."""
+        return {tuple(self.code.entries(key)): c for key, c in self.terms.items()}
+
+    def _with_terms(self, terms: dict[int, int]) -> SchubertCombo:
+        """A combination on the same shape and code, holding packed terms as given."""
+        out = object.__new__(SchubertCombo)
+        out.shape, out.code, out.terms = self.shape, self.code, terms
+        return out
 
 
 def special_power_integral(shape: GrassShape, k: int, b: Sequence[int]) -> Fraction:
@@ -128,36 +194,43 @@ def pieri_multiply(combo: SchubertCombo, floor: int = 0) -> SchubertCombo:
     Dual Pieri rule: each term b gains one box in every row but one.  The
     result is an index exactly when the staying row i is the first of its
     run of equal entries, and when b[-1] == width it must be the last row,
-    so each result is b + 1 with entry i left at b[i].  Its first entry is
-    b[0] if row 0 stays and b[0] + 1 otherwise, so a term with
-    b[0] + 1 < floor is skipped and, when b[0] + 1 == floor, row 0 does not
-    stay: no result below the floor is built.  With floor 0 every result
-    is kept.  Coefficients that cancel are dropped.  For r = 0 the product
-    is the identity.
+    so each result is b + 1 with entry i left at b[i].  On the packed key
+    that is ``grown - (1 << shifts[i])`` with ``grown = key + ones``: one
+    subtraction, and the result is hashed as an int.  An entry of
+    ``grown`` may pass the width and leave its field, but no result keeps
+    it.  The entries of b, which give the staying rows and the first
+    entry, are read back once per term.  A result's first entry is b[0]
+    if row 0 stays and b[0] + 1 otherwise, so a term with
+    b[0] + 1 < floor is skipped and, when b[0] + 1 == floor, row 0 does
+    not stay: no result below the floor is built.  With floor 0 every
+    result is kept.  Coefficients that cancel are dropped.  For r = 0 the
+    product is the identity.  The result shares the combination's
+    ``IndexCode``.
     """
-    shape = combo.shape
-    out = SchubertCombo(shape)
-    terms = out.terms
-    width = shape.width
-    last = shape.rows - 1
-    for b, c in combo.terms.items():
+    code = combo.code
+    nbytes, order, fmt = code.nbytes, code.order, code.format
+    shifts, ones, width = code.shifts, code.ones, code.width
+    last = shifts[-1]
+    terms: dict[int, int] = {}
+    for key, c in combo.terms.items():
+        b = memoryview(key.to_bytes(nbytes, order)).cast(fmt)  # code.entries(key), inlined
         first = b[0] + 1
         if first < floor:
             continue
-        grown = tuple([x + 1 for x in b])
+        grown = key + ones
         full = b[-1] == width
         # A run taken to start at b[0] keeps row 0 from staying.
         prev = -1 if first > floor else b[0]
-        for i, x in enumerate(b):
-            if x != prev and (not full or i == last):
-                key = grown[:i] + (x,) + grown[i + 1:]
-                v = terms.get(key, 0) + c
+        for s, x in zip(shifts, b):
+            if x != prev and (not full or s == last):
+                out = grown - (1 << s)
+                v = terms.get(out, 0) + c
                 if v:
-                    terms[key] = v
+                    terms[out] = v
                 else:
-                    del terms[key]
+                    del terms[out]
             prev = x
-    return out
+    return combo._with_terms(terms)
 
 
 def zeta_power_integral_pieri(shape: GrassShape, k: int, b: Sequence[int]) -> Fraction:
@@ -170,26 +243,29 @@ def zeta_power_integral_pieri(shape: GrassShape, k: int, b: Sequence[int]) -> Fr
     width than there are products left cannot reach the point class: each
     product is asked for the results with first entry at least
     width - (products left), and builds no other.  The rule reads only the
-    box, and no dict is rebuilt between products.  Each product
+    box, and no dict is rebuilt between products.  The ``IndexCode`` is
+    built once per integral, and every product passes it on.  Each product
     adds r boxes, so the loop stops once the combination is empty, after at
     most (dim - |b|) // r + 1 products.  Past ``PIERI_WORK_LIMIT`` it refuses.
     """
     b = check_partition(shape, b)
     if k < 0:
         raise PreconditionError("power must be non-negative")
-    combo = SchubertCombo(shape, {b: 1})
-    width = shape.width
+    combo = SchubertCombo(shape)
+    code = combo.code
+    combo.terms[code.pack(b)] = 1
+    rows, width = shape.rows, shape.width
     work = 0
     for left in reversed(range(k if shape.r else 0)):
-        if not combo:
+        if not combo.terms:
             break
-        work += len(combo) * shape.rows
+        work += len(combo.terms) * rows
         if work > PIERI_WORK_LIMIT:
             raise PreconditionError(
                 f"Pieri expansion needs more than {PIERI_WORK_LIMIT} term-rows of work; "
                 "use the closed form (--method closed)")
         combo = pieri_multiply(combo, width - left)
-    return Fraction(combo.terms.get((width,) * shape.rows, 0))
+    return Fraction(combo.terms.get(width * code.ones, 0))
 
 
 def iter_box_indices(shape: GrassShape, max_weight: int | None = None) -> Iterator[Index]:

@@ -89,8 +89,23 @@ def slope_report(g: int, r: int, d: int) -> SlopeReport:
     The slope is the lambda coefficient over the negated delta_0 coefficient; on
     the interior plus the irreducible-nodal locus a class is governed by this
     pair alone, so psi and delta_i, i >= 1, play no role.  ``violates`` also
-    requires the delta_0 coefficient on the effective side (negative here); a
-    pencil (r = 1, g = 2k - 2) has k(k-1)/(g-1) > 0 there, so none violates.
+    requires the delta_0 coefficient on the effective side (negative here).
+
+    No pencil violates, and ``test_slope`` pins why as identities in s: for
+    the pencils (g, r, d) = (2s, 1, s + 1), with k = s + 1, the class per
+    cover degree is (lambda, delta_0) = (-(6k^2 + k - 6), k(k - 1)) / (g - 1).
+    So delta_0 is positive, off the effective side, and the ratio
+    (6k^2 + k - 6) / (k(k - 1)) lies above the bound by
+    2(g - 1)(g - 2) / (g(g + 1)(g + 2)): both conditions of ``violates``
+    fail.  The sign is that of minus an effective class.  For a
+    base-point-free pencil L, the kernel of H^0(L) (x) H^0(L) -> H^0(L^2)
+    is the alternating part (the base-point-free pencil trick), so
+    Sym^2 H^0(L) -> H^0(L^2) never drops rank; the class
+    c_1(pi_! L^2) - c_1(Sym^2 V) = 2*alpha - beta - 3*gamma + lambda then
+    records only where h^1(L^2) = h^0(K - 2L) jumps, with the sign of
+    -R^1.  That is the locus where the Petri map of L is not injective,
+    since its kernel is H^0(K - 2L).  The code checks the identities, not
+    this reading of them.
 
     ``violates`` is not gated by the condition (r+1)(r+2)/2 = 2d - g + 1 under
     which the quadric locus is expected to be a divisor: ``slope --g 40 --r 39

@@ -181,7 +181,7 @@ def test_criterion_8_property_suite():
             b = tuple(sorted(rng.randint(0, width) for _ in range(r + 1)))
             combo = schubert.SchubertCombo(shape, {b: 1})
             combo = schubert.pieri_multiply(combo)
-            for idx, coeff in combo.terms.items():
+            for idx, coeff in combo.by_index().items():
                 schubert.check_partition(shape, idx)
                 assert isinstance(coeff, int) and coeff > 0
             cases += 1

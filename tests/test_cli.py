@@ -9,7 +9,7 @@ import pytest
 
 import grdcalc
 from grdcalc import invariants, pushforward, schubert
-from grdcalc.cli import main
+from grdcalc.cli import SCHUBERT_D_LIMIT, main
 from grdcalc.families import ClassLabel
 
 
@@ -72,6 +72,16 @@ def test_schubert_both_methods(capsys):
                        "--b", "0,0", "--method", "both")
     assert payload["value"] == "2"
     assert payload["value_pieri"] == "2"
+    assert payload["methods_agree"] is True
+
+
+def test_schubert_both_methods_at_the_widest_box(capsys):
+    # --d at its limit makes the box 298 wide, so every entry of the Pieri
+    # route takes two bytes.
+    assert SCHUBERT_D_LIMIT == 300
+    payload = run_json(capsys, "schubert", "--r", "2", "--d", "300", "--k", "12",
+                       "--b", "286,290,294", "--method", "both")
+    assert payload["value"] == payload["value_pieri"] == "275"
     assert payload["methods_agree"] is True
 
 

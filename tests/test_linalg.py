@@ -79,6 +79,15 @@ def test_a_float_is_refused(value):
             solve_unique([[1, 0], [0, value]], [1, 2])
 
 
+@pytest.mark.parametrize("value, kind", [("a", "str"), ("1", "str"), (None, "NoneType")])
+def test_a_right_hand_side_that_is_not_a_number_is_refused(value, kind):
+    with pytest.raises(ValueError, match=f"^row 1 has a {kind} right-hand side {value!r}, "
+                                         "expected an int or a Fraction$"):
+        solve_unique([[1], [1]], [1, value])
+    with pytest.raises(ValueError, match=f"^row 0 has a {kind} right-hand side"):
+        solve_unique([[1]], [value])
+
+
 def dense_reference(rows, rhs):
     """Dense Gauss-Jordan elimination of one system; see ``dense_outcomes``."""
     return dense_outcomes(rows, [rhs])[0]

@@ -1,12 +1,13 @@
+import sys
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
 from grdcalc import schubert
 from grdcalc.errors import PreconditionError
 from grdcalc.invariants import castelnuovo_count, rho_zero_triples
-from grdcalc.schubert import (GrassShape, SchubertCombo, check_partition,
+from grdcalc.schubert import (GrassShape, IndexCode, SchubertCombo, check_partition,
                               iter_box_indices, pieri_multiply, special_power_integral,
                               zeta_power_integral_pieri)
 
@@ -43,13 +44,13 @@ def test_invalid_partitions_rejected():
 def test_pieri_single_strip():
     shape = GrassShape(1, 3)
     start = SchubertCombo(shape, {(0, 0): 1})
-    assert pieri_multiply(start).terms == {(0, 1): 1}
+    assert pieri_multiply(start).by_index() == {(0, 1): 1}
 
 
 def test_pieri_two_term_branch():
     shape = GrassShape(1, 3)
     start = SchubertCombo(shape, {(0, 1): 1})
-    assert pieri_multiply(start).terms == {(1, 1): 1, (0, 2): 1}
+    assert pieri_multiply(start).by_index() == {(1, 1): 1, (0, 2): 1}
 
 
 def test_iterated_pieri_reaches_point_class():
@@ -57,7 +58,7 @@ def test_iterated_pieri_reaches_point_class():
     combo = SchubertCombo(shape, {(0, 0): 1})
     for _ in range(4):
         combo = pieri_multiply(combo)
-    assert combo.terms == {(2, 2): 2}
+    assert combo.by_index() == {(2, 2): 2}
 
 
 def test_degree_mismatch_gives_zero():
@@ -91,7 +92,7 @@ def test_integral_of_wrong_degree_class_is_zero():
 
 def test_combination_validates_indices_and_drops_zero_coefficients():
     shape = GrassShape(2, 6)
-    assert SchubertCombo(shape, {(4, 4, 4): 5, (0, 1, 1): 0}).terms == {(4, 4, 4): 5}
+    assert SchubertCombo(shape, {(4, 4, 4): 5, (0, 1, 1): 0}).by_index() == {(4, 4, 4): 5}
     assert len(SchubertCombo(shape)) == 0
     with pytest.raises(PreconditionError, match="not weakly increasing"):
         SchubertCombo(shape, {(1, 0, 0): 1})
@@ -106,7 +107,7 @@ def test_pieri_output_stays_in_box_with_positive_integer_coefficients(rng):
         combo = SchubertCombo(shape, {tuple(b): 1})
         for _ in range(rng.randint(1, 3)):
             combo = pieri_multiply(combo)
-        for idx, coeff in combo.terms.items():
+        for idx, coeff in combo.by_index().items():
             check_partition(shape, idx)
             assert isinstance(coeff, int) and coeff > 0
 
@@ -137,7 +138,7 @@ def test_strip_products_and_box_indices_match_brute_force():
                 assert list(iter_box_indices(shape, max_weight)) \
                     == [b for b in box if sum(b) <= max_weight]
             for b in box:
-                got = pieri_multiply(SchubertCombo(shape, {b: 1})).terms
+                got = pieri_multiply(SchubertCombo(shape, {b: 1})).by_index()
                 assert got == _zeta_brute_force(shape, b), (shape, b)
                 assert all(type(c) is int for c in got.values())
                 cases += 1
@@ -145,7 +146,74 @@ def test_strip_products_and_box_indices_match_brute_force():
     # Coefficients of opposite sign that meet on one index cancel.
     shape = GrassShape(1, 3)
     mixed = SchubertCombo(shape, {(0, 2): 1, (1, 1): -1})
-    assert pieri_multiply(mixed).terms == {}
+    assert pieri_multiply(mixed).by_index() == {}
+
+
+# Widths on both sides of each entry size's limit: 1, 2, 4 and 8 bytes.
+WIDE_BOXES = [254, 255, 256, 2 ** 16 - 1, 2 ** 16, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
+
+
+def _box_corners(shape):
+    # Every index with entries among 0, 1, width - 1 and width.
+    width = shape.width
+    return list(combinations_with_replacement(sorted({0, 1, width - 1, width}), shape.rows))
+
+
+@pytest.mark.parametrize("width", WIDE_BOXES)
+def test_packed_indices_round_trip_at_the_box_corners(width):
+    # The entry is the narrowest of 1, 2, 4 and 8 bytes that holds the
+    # width; every corner of the box packs, reads back and multiplies as
+    # the brute force says, including a last row at the width, whose grown
+    # entry width + 1 leaves its field before the product takes it back.
+    for r in range(4):
+        shape = GrassShape(r, r + width)
+        code = IndexCode(shape)
+        for b in _box_corners(shape):
+            key = code.pack(b)
+            assert key == sum(x << s for x, s in zip(b, code.shifts))
+            entries = code.entries(key)
+            assert tuple(entries) == b
+            assert width < 256 ** entries.itemsize
+            assert entries.itemsize == 1 or width >= 256 ** (entries.itemsize // 2)
+            assert SchubertCombo(shape, {b: 3}).by_index() == {b: 3}
+            assert pieri_multiply(SchubertCombo(shape, {b: 1})).by_index() \
+                == _zeta_brute_force(shape, b), (shape, b)
+        assert code.ones == code.pack((1,) * shape.rows)
+    # Both routes near the point class of a wide box.
+    shape = GrassShape(2, 2 + width)
+    for b in [(width - 3, width - 2, width - 1), (width - 2, width - 2, width)]:
+        k = (shape.dim - sum(b)) // 2
+        assert zeta_power_integral_pieri(shape, k, b) == special_power_integral(shape, k, b) > 0
+
+
+def test_a_box_wider_than_every_entry_is_refused():
+    width = 2 ** 64
+    for r in (0, 1):
+        shape = GrassShape(r, r + width)
+        with pytest.raises(PreconditionError, match=f"width {width}; use the closed form"):
+            zeta_power_integral_pieri(shape, 1, (0,) * shape.rows)
+        assert special_power_integral(shape, 0, (width,) * shape.rows) == 1
+
+
+@pytest.mark.parametrize("order", ["little", "big"])
+def test_packed_fields_sit_in_row_order_on_either_byte_order(monkeypatch, order):
+    # A host of either byte order reads entry i natively from the bytes
+    # [i * size, (i + 1) * size) of the int written in its order; the bit
+    # offsets that products subtract at must name that same field.
+    monkeypatch.setattr(sys, "byteorder", order)
+    for width in [3] + WIDE_BOXES:
+        shape = GrassShape(2, 2 + width)
+        code = IndexCode(shape)
+        size = code.nbytes // shape.rows
+        assert code.ones == sum(1 << s for s in code.shifts)
+        for b in _box_corners(shape):
+            raw = sum(x << s for x, s in zip(b, code.shifts)).to_bytes(code.nbytes, order)
+            assert tuple(int.from_bytes(raw[i * size:(i + 1) * size], order)
+                         for i in range(shape.rows)) == b
+    # With one-byte entries the native reading is the same on both orders,
+    # so the whole route runs as it would on a host of this order.
+    for shape, k, b in _oracle_cases(max_dim=12, max_weight=4):
+        assert zeta_power_integral_pieri(shape, k, b) == special_power_integral(shape, k, b)
 
 
 def test_strip_products_match_brute_force_on_long_runs_of_tied_rows():
@@ -156,7 +224,7 @@ def test_strip_products_match_brute_force_on_long_runs_of_tied_rows():
         for width in range(4):
             shape = GrassShape(r, r + width)
             for b in iter_box_indices(shape):
-                assert pieri_multiply(SchubertCombo(shape, {b: 1})).terms \
+                assert pieri_multiply(SchubertCombo(shape, {b: 1})).by_index() \
                     == _zeta_brute_force(shape, b), (shape, b)
                 cases += 1
     assert cases == 1610
@@ -176,9 +244,9 @@ def test_a_floored_product_is_the_full_product_filtered_by_its_first_entry():
                 for _ in range(4):
                     full = pieri_multiply(combo)
                     for floor in range(width + 3):
-                        assert pieri_multiply(combo, floor).terms \
-                            == {k: c for k, c in full.terms.items() if k[0] >= floor}, \
-                            (shape, combo.terms, floor)
+                        assert pieri_multiply(combo, floor).by_index() \
+                            == {k: c for k, c in full.by_index().items() if k[0] >= floor}, \
+                            (shape, combo.by_index(), floor)
                         cases += 1
                     combo = full
     assert cases == 26260
@@ -186,8 +254,8 @@ def test_a_floored_product_is_the_full_product_filtered_by_its_first_entry():
     shape = GrassShape(1, 3)
     mixed = SchubertCombo(shape, {(0, 2): 1, (1, 1): -1, (0, 1): 1})
     for floor in range(5):
-        assert pieri_multiply(mixed, floor).terms \
-            == {k: c for k, c in pieri_multiply(mixed).terms.items() if k[0] >= floor}
+        assert pieri_multiply(mixed, floor).by_index() \
+            == {k: c for k, c in pieri_multiply(mixed).by_index().items() if k[0] >= floor}
 
 
 def _oracle_cases(max_dim, max_weight):
@@ -257,7 +325,7 @@ def test_pieri_work_is_pinned_at_the_largest_integrals(monkeypatch):
 
         def counting(combo, floor):
             out = pieri_multiply(combo, floor)
-            assert all(key[0] >= floor for key in out.terms), floor
+            assert all(key[0] >= floor for key in out.by_index()), floor
             seen.append((len(combo) * combo.shape.rows, len(out.terms)))
             return out
 
