@@ -9,9 +9,12 @@ two independent routes:
 * a closed-form factorial evaluation (``special_power_integral``), and
 * full expansion in the Chow ring by repeated products with zeta under
   the dual Pieri rule (``zeta_power_integral_pieri``): a ``SchubertCombo``
-  holds the terms of the product as one dict from packed index to integer
-  coefficient, and the integral is the coefficient of the point class
-  (width, ..., width).
+  holds the terms of a product as one dict from packed index to integer
+  coefficient.  For b = 0 the route expands zeta^floor(k/2) and, on
+  from it, zeta^ceil(k/2), and the integral is the sum of the
+  coefficients of the one at c times those of the other at the Schubert
+  dual of c; otherwise it is the coefficient of the point class in
+  sigma_b . zeta^k.
 
 A packed index is one int with each entry in its own fixed-width field
 (``IndexCode``), so a product builds each result with one subtraction and
@@ -42,10 +45,11 @@ Index = tuple[int, ...]
 _ENTRY_FORMATS = [(calcsize(fmt), fmt) for fmt in "BHIQ"]
 
 # The most work one Pieri integral may do, counted at each product as the
-# terms of the combination times the rows.  The largest integral of `verify`
-# at g_max 60, at (g, r, d) = (60, 9, 63), counts 80 070.  The slowest
-# refusal at the limit found with d <= 300 (r = 2 or 3, b = 0, a power past
-# the dimension) takes 0.10-0.16 s in-process (Python 3.11, 2 vCPUs).
+# terms of the combination times the rows.  The largest integral of
+# `verify` at g_max 60, at (g, r, d) = (60, 9, 63), counts 38 350.  The
+# slowest refusal at the limit found with d <= 300 (r = 2 to 4, b = 0 or
+# b[r] = 1, a power past the dimension) takes 0.13-0.19 s in-process, as
+# the one-way route did in the same runs (Python 3.11, 2 vCPUs).
 PIERI_WORK_LIMIT = 3 * 10 ** 5
 
 
@@ -95,10 +99,11 @@ class IndexCode:
     native unsigned format that holds ``width``, and a valid index has no
     wider entry; a box too wide for every format is refused.  Field i sits
     at bit ``shifts[i]`` of the int, so an index packs to the sum of
-    ``b[i] << shifts[i]``, and ``ones`` is the packed (1, ..., 1).
+    ``b[i] << shifts[i]``, ``ones`` is the packed (1, ..., 1) and ``point``
+    the packed point class (width, ..., width).
     """
 
-    __slots__ = ("width", "format", "order", "nbytes", "shifts", "ones")
+    __slots__ = ("width", "format", "order", "nbytes", "shifts", "ones", "point")
 
     def __init__(self, shape: GrassShape):
         width, rows = shape.width, shape.rows
@@ -116,6 +121,7 @@ class IndexCode:
         if self.order == "big":
             self.shifts.reverse()
         self.ones = ((1 << bits * rows) - 1) // ((1 << bits) - 1)
+        self.point = width * self.ones
 
     def pack(self, b: Sequence[int]) -> int:
         """The int of an index, each entry in its own field."""
@@ -124,6 +130,16 @@ class IndexCode:
     def entries(self, key: int) -> memoryview:
         """The entries of a packed index, as ints, in row order."""
         return memoryview(key.to_bytes(self.nbytes, self.order)).cast(self.format)
+
+    def dual(self, key: int) -> int:
+        """The packed Schubert dual of a packed index b: entry i is
+        width - b[r - i], the index whose class meets sigma_b in the point.
+
+        The entries are reversed as native items, so the field size and the
+        byte order do not matter, and taken from ``point``, which no entry
+        exceeds.  The map is an involution.
+        """
+        return self.point - int.from_bytes(self.entries(key)[::-1].tobytes(), self.order)
 
 
 class SchubertCombo:
@@ -233,30 +249,16 @@ def pieri_multiply(combo: SchubertCombo, floor: int = 0) -> SchubertCombo:
     return combo._with_terms(terms)
 
 
-def zeta_power_integral_pieri(shape: GrassShape, k: int, b: Sequence[int]) -> Fraction:
-    """Integral of zeta^k . sigma_b by iterated Pieri multiplications.
-
-    Fully independent of the closed form: expands the product in the Chow
-    ring and reads off the point-class coefficient.  For r = 0 zeta is the
-    unit class and no product is taken.  Otherwise a product adds at most
-    one box per row, so a term whose first row is more boxes short of the
-    width than there are products left cannot reach the point class: each
-    product is asked for the results with first entry at least
-    width - (products left), and builds no other.  The rule reads only the
-    box, and no dict is rebuilt between products.  The ``IndexCode`` is
-    built once per integral, and every product passes it on.  Each product
-    adds r boxes, so the loop stops once the combination is empty, after at
-    most (dim - |b|) // r + 1 products.  Past ``PIERI_WORK_LIMIT`` it refuses.
+def _zeta_products(combo: SchubertCombo, steps: range, k: int,
+                   work: int) -> tuple[SchubertCombo, int]:
+    """Take the products numbered ``steps`` of the k products by zeta in an
+    integral, product n keeping the results whose first entry is at least
+    width - (k - n - 1); stop once the combination is empty.  ``work``
+    is the work done before, returned with the work of these products
+    added; past ``PIERI_WORK_LIMIT`` it refuses.
     """
-    b = check_partition(shape, b)
-    if k < 0:
-        raise PreconditionError("power must be non-negative")
-    combo = SchubertCombo(shape)
-    code = combo.code
-    combo.terms[code.pack(b)] = 1
-    rows, width = shape.rows, shape.width
-    work = 0
-    for left in reversed(range(k if shape.r else 0)):
+    rows, width = combo.shape.rows, combo.shape.width
+    for n in steps:
         if not combo.terms:
             break
         work += len(combo.terms) * rows
@@ -264,8 +266,59 @@ def zeta_power_integral_pieri(shape: GrassShape, k: int, b: Sequence[int]) -> Fr
             raise PreconditionError(
                 f"Pieri expansion needs more than {PIERI_WORK_LIMIT} term-rows of work; "
                 "use the closed form (--method closed)")
-        combo = pieri_multiply(combo, width - left)
-    return Fraction(combo.terms.get(width * code.ones, 0))
+        combo = pieri_multiply(combo, width - (k - n - 1))
+    return combo, work
+
+
+def zeta_power_integral_pieri(shape: GrassShape, k: int, b: Sequence[int]) -> Fraction:
+    """Integral of zeta^k . sigma_b by iterated Pieri multiplications.
+
+    Fully independent of the closed form: expands products in the Chow
+    ring.  For b = 0 the route pairs two halves by Schubert duality: the
+    first far = floor(k/2) products give B = zeta^far, the next
+    near - far products (near = ceil(k/2)) go on from B to
+    A = zeta^near, and the result is the sum over c of A[c] . B[dual of c]
+    (``IndexCode.dual``), looping over the smaller of the two dicts: the
+    integral of sigma_c . sigma_e is 1 if e is the dual of c and 0
+    otherwise, so the sum is the integral of A . B.  For b != 0 all k
+    products are taken on sigma_b and the integral is the coefficient of
+    the point class (width, ..., width).  For r = 0 zeta is the unit class
+    and no product is taken.
+
+    Each product adds at most one box per row, so a term whose first row
+    is more boxes short of the width than there are products left, those
+    of the other half counted, cannot reach the point class: each product
+    is asked for the results with first entry at least
+    width - (products left), and builds no other (``pieri_multiply``'s
+    floor).  For b = 0 the schedules of A and B agree, which is why B is
+    on the way to A.  The rule reads only the box, and the ``IndexCode``
+    is built once per integral.  Each product adds r boxes, so the
+    expansion stops once its combination is empty, after at most
+    (dim - |b|) // r + 1 products; off the dimension no key of the one
+    half has its dual in the other.  The work of every product counts
+    against ``PIERI_WORK_LIMIT``.
+    """
+    b = check_partition(shape, b)
+    if k < 0:
+        raise PreconditionError("power must be non-negative")
+    if not shape.r:
+        k = 0  # zeta is the unit class
+    start = SchubertCombo(shape)
+    code = start.code
+    start.terms[code.pack(b)] = 1
+    if any(b):
+        combo, _ = _zeta_products(start, range(k), k, 0)
+        return Fraction(combo.terms.get(code.point, 0))
+    near, far = k - k // 2, k // 2
+    low, work = _zeta_products(start, range(far), k, 0)
+    high, _ = _zeta_products(low, range(far, near), k, work)
+    small, large = high.terms, low.terms
+    if len(small) > len(large):
+        small, large = large, small
+    dual, total = code.dual, 0
+    for key, c in small.items():
+        total += c * large.get(dual(key), 0)
+    return Fraction(total)
 
 
 def iter_box_indices(shape: GrassShape, max_weight: int | None = None) -> Iterator[Index]:

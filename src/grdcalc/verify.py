@@ -23,8 +23,9 @@ from .value import Value
 
 # The sizes of the verify sweeps: their defaults, and the largest accepted;
 # m_max shares its bound, slope.M_FAMILY_LIMIT, with `slope --sweep`.  At
-# g_max 60 and m_max 1000 the battery takes 0.95-0.96 s as a process, and
-# 1.05-1.06 s with ``golden_payload`` (Python 3.11, 2 vCPUs).
+# g_max 60 and m_max 1000 the battery takes 0.95 s as a process (best of 15),
+# 1.14 s with ``golden_payload``, and its largest row, count-vs-degree,
+# 0.13-0.14 s in-process (Python 3.11, 2 vCPUs).
 DEFAULT_G_MAX = 12
 DEFAULT_M_MAX = 15
 G_MAX_LIMIT = 60

@@ -216,6 +216,49 @@ def test_packed_fields_sit_in_row_order_on_either_byte_order(monkeypatch, order)
         assert zeta_power_integral_pieri(shape, k, b) == special_power_integral(shape, k, b)
 
 
+def _check_dual_map(shape, indices):
+    code = IndexCode(shape)
+    width, r = shape.width, shape.r
+    for b in indices:
+        key = code.pack(b)
+        dual = code.dual(key)
+        assert tuple(code.entries(dual)) == tuple(width - b[r - i] for i in range(r + 1)), b
+        assert code.dual(dual) == key
+    assert code.dual(0) == code.point == code.pack((width,) * shape.rows)
+
+
+@pytest.mark.parametrize("order", ["little", "big"])
+def test_the_dual_of_a_one_byte_index_reverses_and_complements_it(monkeypatch, order):
+    # entry i of the dual is width - b[r - i], on a host of either byte order
+    monkeypatch.setattr(sys, "byteorder", order)
+    for r in range(5):
+        for width in (0, 1, 3, 255):
+            shape = GrassShape(r, r + width)
+            indices = iter_box_indices(shape) if width < 255 else _box_corners(shape)
+            _check_dual_map(shape, indices)
+
+
+def test_the_dual_of_a_wide_index_reverses_and_complements_it():
+    # entries of two bytes and more, in host byte order
+    for width in WIDE_BOXES[2:]:
+        for r in range(4):
+            shape = GrassShape(r, r + width)
+            assert IndexCode(shape).nbytes > shape.rows
+            _check_dual_map(shape, _box_corners(shape))
+
+
+def test_the_paired_halves_match_the_closed_form_on_a_wide_pencil_box():
+    # (r, d) = (1, 300): two-byte entries, the widest box the CLI admits;
+    # each power on the dimension and one either side of it
+    shape = GrassShape(1, 300)
+    for b in [(0, 0), (0, 3)]:
+        top = shape.dim - sum(b)
+        for k in (top - 1, top, top + 1):
+            assert zeta_power_integral_pieri(shape, k, b) == special_power_integral(shape, k, b), \
+                (b, k)
+        assert special_power_integral(shape, top, b) > 0
+
+
 def test_strip_products_match_brute_force_on_long_runs_of_tied_rows():
     # Every index of every box with r = 5..10 and width <= 3, so an index has
     # runs of up to 11 equal rows, against the same brute force.
@@ -316,11 +359,12 @@ def test_work_limit_admits_the_largest_integral_of_the_battery():
 
 def test_pieri_work_is_pinned_at_the_largest_integrals(monkeypatch):
     # The work that PIERI_WORK_LIMIT bounds, at the largest integral of
-    # verify and at the genus-55 count: products made, terms times rows
-    # summed over them, and the terms the products built, none of them
-    # below the floor it was asked for.
-    for (g, r, d), products, work, built in [((60, 9, 63), 60, 80070, 8007),
-                                             ((55, 10, 60), 55, 48037, 4367)]:
+    # verify and at the genus-55 count: products made (ceil(g/2), since
+    # for b = 0 the half zeta^floor(g/2) is on the way to the other),
+    # terms times rows summed over them, and the terms the products built,
+    # none of them below the floor it was asked for.
+    for (g, r, d), products, work, built in [((60, 9, 63), 30, 38350, 4172),
+                                             ((55, 10, 60), 28, 24024, 2373)]:
         seen = []
 
         def counting(combo, floor):
@@ -336,6 +380,28 @@ def test_pieri_work_is_pinned_at_the_largest_integrals(monkeypatch):
         assert work < schubert.PIERI_WORK_LIMIT
 
 
+def test_a_full_last_row_keeps_one_term_per_product(monkeypatch):
+    # sigma_b with b = (0, ..., 0, width) times zeta^k, k on the dimension,
+    # in the widest boxes the CLI admits: only the term whose rows all stay
+    # full can reach the point class, so each of the k products keeps one
+    # term and the work is k times the rows, far below the limit.
+    for r in (1, 2, 3, 6):
+        shape = GrassShape(r, 300)
+        b = (0,) * r + (shape.width,)
+        k = shape.width
+        seen = []
+
+        def counting(combo, floor):
+            out = pieri_multiply(combo, floor)
+            seen.append((len(combo) * combo.shape.rows, len(out.terms)))
+            return out
+
+        monkeypatch.setattr(schubert, "pieri_multiply", counting)
+        assert zeta_power_integral_pieri(shape, k, b) == special_power_integral(shape, k, b) == 1
+        assert (len(seen), sum(w for w, _ in seen), sum(n for _, n in seen)) \
+            == (k, k * shape.rows, k)
+
+
 def test_pieri_route_stops_once_the_combination_is_empty(monkeypatch):
     calls = []
 
@@ -349,7 +415,7 @@ def test_pieri_route_stops_once_the_combination_is_empty(monkeypatch):
     assert len(calls) <= shape.dim // shape.r + 1
     calls.clear()
     assert zeta_power_integral_pieri(shape, 4, (0, 0)) == 2
-    assert len(calls) == 4
+    assert len(calls) == 2
 
 
 def test_unit_class_routes_ignore_a_huge_power(monkeypatch):

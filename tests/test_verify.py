@@ -218,6 +218,13 @@ SLIPS = {
         "schubert-oracle": "shape (r=1, d=2), k=2, b=[0, 0]: closed 1 != pieri 4",
         "count-vs-degree": "(2,1,2): count 1 != integral 4",
         "count-m-family": "(21,6,24): count 1385670, zeta^21 integral 2905960611840"}),
+    # The pairing of the two Pieri halves, with a dual that complements the
+    # entries of an index but does not reverse them.
+    "pieri-dual-unreversed": ([(schubert.IndexCode, "dual",
+                                lambda true: lambda code, key: code.point - key)], {
+        "schubert-oracle": "shape (r=1, d=2), k=2, b=[0, 0]: closed 1 != pieri 0",
+        "count-vs-degree": "(2,1,2): count 1 != integral 0",
+        "count-m-family": "(21,6,24): count 1385670, zeta^21 integral 0"}),
     "genus2-product": ([(verify, "m21_push_product",
                          lambda true: lambda x, y: DivisorClass.zero(PicSpace.m21()))],
                        {"genus2-engine": "alpha DivisorClass(m21, 0), beta DivisorClass(m21, 0)"}),
