@@ -159,9 +159,6 @@ class SchubertCombo:
         self.terms = ({self.code.pack(check_partition(shape, b)): c
                        for b, c in terms.items() if c} if terms else {})
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
     def by_index(self) -> dict[Index, int]:
         """The terms keyed by index tuples."""
         return {tuple(self.code.entries(key)): c for key, c in self.terms.items()}

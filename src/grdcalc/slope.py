@@ -148,7 +148,9 @@ def family_gap_function() -> RatFunc:
     """Closed-form gap bound - ratio for the m-family, as a rational function.
 
     Numerator 36m^5 - 24m^4 - 57m^3 + 48m^2 + 3m - 6 over denominator
-    16m^9 - 8m^8 - 4m^7 - 10m^6 + 23m^4 + 16m^3 + 13m^2 + 2m.
+    16m^9 - 8m^8 - 4m^7 - 10m^6 + 23m^4 + 16m^3 + 13m^2 + 2m, a coprime pair
+    whose denominator has no root at m = 1 .. ``M_FAMILY_LIMIT`` (``test_slope``
+    checks both), so ``eval`` finds no pole on any member a sweep reads.
     """
     num = Poly([-6, 3, 48, -57, -24, 36])
     den = Poly([0, 2, 13, 16, 23, 0, -10, -4, -8, 16])

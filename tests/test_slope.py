@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from grdcalc import exact
 from grdcalc.errors import PreconditionError
 from grdcalc.exact import RatFunc, ratfunc_equal
 from grdcalc.invariants import SLOPE, GrdParams
-from grdcalc.slope import (family_gap_function, family_gap_symbolic,
+from grdcalc.slope import (M_FAMILY_LIMIT, family_gap_function, family_gap_symbolic,
                            m_family_gap_identity, m_family_report, m_family_reports,
                            m_family_triple, quadric_lambda_delta0, quadric_numerators,
                            ratio_bound_gap, slope_report, symbolic_gap_identity)
@@ -132,24 +131,38 @@ def test_symbolic_gap_equals_printed_function():
     assert symbolic_gap_identity()
     symbolic, printed = family_gap_symbolic(), family_gap_function()
     assert ratfunc_equal(symbolic, printed)
-    # Both are stored reduced with a monic denominator, hence coefficient-equal.
-    assert (symbolic.num, symbolic.den) == (printed.num, printed.den)
+    assert symbolic.eval(3) == printed.eval(3) == Fraction(95, 4147)
 
 
-def test_gap_identity_runs_no_polynomial_gcd(monkeypatch):
-    # Arithmetic over Q(m) keeps unreduced pairs and the identity
-    # cross-multiplies them; one gcd runs when a reduced value is first read.
-    calls = []
-    gcd_ints = exact._gcd_ints
-    monkeypatch.setattr(exact, "_gcd_ints", lambda a, b: calls.append(1) or gcd_ints(a, b))
-    assert symbolic_gap_identity()
-    assert len(calls) == 0
-    symbolic = family_gap_symbolic()
-    assert len(calls) == 0
-    assert symbolic.num.degree() == 5
-    assert len(calls) == 1
-    assert symbolic.den.degree() == 9 and symbolic.eval(3) == Fraction(95, 4147)
-    assert len(calls) == 1
+def test_printed_gap_is_coprime_with_no_pole_on_the_sweep():
+    # eval refuses every root of the stored denominator, so the printed pair
+    # must have none at the members a sweep reads (m = 0 is a root).
+    printed = family_gap_function()
+    num, den = printed.num.ints, printed.den.ints
+    assert _gcd_degree_over_q(num, den) == 0
+    assert den[0] == 0 and all(_horner(den, m) for m in range(1, M_FAMILY_LIMIT + 1))
+    assert m_family_gap_identity(m_family_reports(M_FAMILY_LIMIT))
+
+
+def _horner(ints, x):
+    acc = 0
+    for c in reversed(ints):
+        acc = acc * x + c
+    return acc
+
+
+def _gcd_degree_over_q(a, b):
+    """Degree of gcd(a, b) over Q, by Euclid's algorithm on Fraction coefficients."""
+    a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    while b:
+        while len(a) >= len(b):
+            factor, shift = a[-1] / b[-1], len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] -= factor * c
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
 
 
 def test_generic_coefficients_match_full_pushforward():
