@@ -64,6 +64,17 @@ def test_ratfunc_eval_gap_function_at_three():
     assert f.eval(3) == Fraction(95, 4147)
 
 
+def test_poly_eval_and_divmod():
+    # Poly has no evaluation or division of its own: it is evaluated through
+    # RatFunc, and the factor m - 1 is checked by multiplying back.
+    p = Poly([-6, 3, 48, -57, -24, 36])
+    assert RatFunc(p).eval(1) == 0
+    assert RatFunc(p).eval(3) == 5700
+    q = Poly([6, 3, -45, 12, 36])  # synthetic division of p by m - 1
+    assert q * Poly([-1, 1]) == p
+    assert ratfunc_equal(quotient(RatFunc(p), RatFunc(Poly([-1, 1]))), RatFunc(q))
+
+
 def test_ratfunc_pole_raises():
     f = RatFunc(Poly([1]), Poly([-1, 1]))  # 1 / (m - 1)
     with pytest.raises(ZeroDivisionError, match=r"^pole at m = 1$"):
