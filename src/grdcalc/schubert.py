@@ -33,7 +33,7 @@ from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
-from operator import gt
+from operator import gt, index
 from struct import calcsize
 
 from .errors import PreconditionError
@@ -77,8 +77,15 @@ class GrassShape(Value):
 
 
 def check_partition(shape: GrassShape, b: Sequence[int]) -> Index:
-    """Validate a Schubert index for the shape and return it as a tuple."""
-    b = tuple(map(int, b))
+    """Validate a Schubert index for the shape and return it as a tuple of ints.
+
+    An entry is read with ``operator.index``: 1.9 is refused, not read as 1.
+    """
+    try:
+        b = tuple(map(index, b))
+    except TypeError:
+        bad = next(v for v in b if not hasattr(v, "__index__"))
+        raise PreconditionError(f"index entry {bad!r} is not an integer") from None
     if len(b) != shape.rows:
         raise PreconditionError(
             f"index needs {shape.rows} entries for {shape}, got {len(b)}")

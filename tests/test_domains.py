@@ -9,12 +9,17 @@ PreconditionError, never with another exception.
 import pytest
 
 from grdcalc.errors import PreconditionError
-from grdcalc.families import (ClassLabel, push_m21, push_marked, push_mogb,
-                              reconstruct_push_m21, sheet_counts, weierstrass_alpha,
-                              weierstrass_gamma)
-from grdcalc.invariants import castelnuovo_count
-from grdcalc.pushforward import alpha, beta, combination, gamma, solve_from_families
-from grdcalc.slope import slope_report
+from grdcalc.exact import RatFunc
+from grdcalc.families import (ClassLabel, m21_per_n, marked_per_n, push_m21, push_marked,
+                              push_mogb, reconstruct_push_m21, sheet_counts,
+                              weierstrass_alpha, weierstrass_gamma)
+from grdcalc.invariants import castelnuovo_count, rho_zero_triples
+from grdcalc.linalg import solve_unique
+from grdcalc.picard import LAMBDA, DivisorClass, PicSpace, pullback_j
+from grdcalc.pushforward import (PushforwardSolution, alpha, beta, combination, gamma,
+                                 solve_from_families)
+from grdcalc.schubert import GrassShape, zeta_power_integral_pieri
+from grdcalc.slope import m_family_reports, slope_report
 
 GRID = [(g, r, d) for g in range(-2, 9) for r in range(-1, 5) for d in range(-1, 12)]
 
@@ -87,3 +92,51 @@ def test_guards_name_the_first_bound_that_fails():
         with pytest.raises(PreconditionError) as info:
             fn(*triple)
         assert cause in str(info.value), (triple, str(info.value))
+
+
+REFUSALS = {
+    "pullback_j-genus": (lambda: pullback_j(4, DivisorClass.zero(PicSpace.mg1(4))),
+                         PreconditionError, "pullback_j needs g >= 5"),
+    "pieri-negative-power": (lambda: zeta_power_integral_pieri(GrassShape(1, 3), -1, (0, 0)),
+                             PreconditionError, "power must be non-negative"),
+    "push_mogb-label": (lambda: push_mogb(8, 3, 9, "gamma"),
+                        PreconditionError, "label must be a ClassLabel"),
+    "m21_per_n-label": (lambda: m21_per_n(8, 3, 9, "gamma"),
+                        PreconditionError, "label must be a ClassLabel"),
+    "marked_per_n-label": (lambda: marked_per_n(8, 3, 9, 1, "gamma"),
+                           PreconditionError, "label must be a ClassLabel"),
+    "reconstruct_push_m21-label": (lambda: reconstruct_push_m21(8, 3, 9, "gamma"),
+                                   PreconditionError, "label must be a ClassLabel"),
+    "rho_zero_triples-bound": (lambda: rho_zero_triples(0),
+                               PreconditionError, "g_max must be at least 1"),
+    "m_family_reports-bound": (lambda: m_family_reports(0),
+                               PreconditionError, "need m_max >= 1"),
+    "solve_unique-rhs-length": (lambda: solve_unique([[1], [1]], [1]),
+                                ValueError, "row/rhs length mismatch"),
+    "solve_unique-empty": (lambda: solve_unique([], []), ValueError, "empty system"),
+    "solution-coefficient-count": (lambda: PushforwardSolution({LAMBDA: 1}).as_divisor_class(5),
+                                   PreconditionError, "need 7 coefficients on mg1(5), got 1"),
+    "combination-pullback-space": (
+        lambda: combination(8, 3, 9, 0, 0, 0, DivisorClass(PicSpace.mg1(7), {LAMBDA: 1})),
+        PreconditionError, "pullback part must live on mg1(g)"),
+    "ratfunc-add-float": (lambda: RatFunc.variable() + 0.5, TypeError,
+                          "unsupported operand type(s) for +: 'RatFunc' and 'float'"),
+    "ratfunc-mul-float": (lambda: RatFunc.variable() * 0.5, TypeError,
+                          "unsupported operand type(s) for *: 'RatFunc' and 'float'"),
+    "ratfunc-div-float": (lambda: RatFunc.variable() / 0.5, TypeError,
+                          "unsupported operand type(s) for /: 'RatFunc' and 'float'"),
+    "ratfunc-rdiv-float": (lambda: 0.5 / RatFunc.variable(), TypeError,
+                           "unsupported operand type(s) for /: 'float' and 'RatFunc'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_each_refusal_names_its_cause(name):
+    fn, error, message = REFUSALS[name]
+    with pytest.raises(error) as info:
+        fn()
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_ratfunc_is_not_equal_to_another_type():
+    assert (RatFunc.variable() == 0.5) is False

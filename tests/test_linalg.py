@@ -8,7 +8,7 @@ from grdcalc.families import ClassLabel
 from grdcalc.invariants import rho_zero_triples
 from grdcalc.linalg import (InconsistentSystemError, LinearSystemError,
                             RankDeficientError, solve_unique)
-from grdcalc.pushforward import solve_from_families
+from grdcalc.pushforward import family_equations, solve_from_families
 
 
 def test_over_determined_consistent_system_is_solved():
@@ -88,26 +88,32 @@ def test_a_right_hand_side_that_is_not_a_number_is_refused(value, kind):
         solve_unique([[1]], [value])
 
 
+def test_every_row_is_read_before_any_is_eliminated():
+    # Equation 1 contradicts equation 0, but the ragged row 2 is named.
+    with pytest.raises(ValueError, match="^row 2 has length 2, expected 1$"):
+        solve_unique([[1], [1], [1, 2]], [1, 2, 3])
+    with pytest.raises(ValueError, match="^row 2 has a float right-hand side"):
+        solve_unique([[1], [1], [1]], [1, 2, 3.0])
+
+
 def dense_reference(rows, rhs):
     """Dense Gauss-Jordan elimination of one system; see ``dense_outcomes``."""
     return dense_outcomes(rows, [rhs])[0]
 
 
-def dense_outcomes(rows, rhss):
+def dense_echelon(rows, rhss):
     """Dense Gauss-Jordan elimination with several right-hand sides.
 
     The pivot is the first nonzero entry at or below the current row.  The
     row operations depend on the coefficient columns alone, so one
-    elimination serves every right-hand side; each then gets its own
-    outcome: a contradiction (the first row below the pivot rows whose
-    rhs entry is nonzero, with the value it reduces to), free columns, or
-    the solution.
+    elimination serves every right-hand side.  Returns the pivot columns
+    and, per right-hand side, None if the system has no solution, or else
+    the solution whose free columns are 0.
     """
     n = len(rows[0])
     # Zeros are kept as int 0, whose truth test is cheap.
     m = [[Fraction(x) if x else 0 for x in (*row, *(rhs[i] for rhs in rhss))]
          for i, row in enumerate(rows)]
-    origin = list(range(len(m)))
     pivots = []
     r = 0
     for col in range(n):
@@ -115,7 +121,6 @@ def dense_outcomes(rows, rhss):
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        origin[r], origin[pivot] = origin[pivot], origin[r]
         inv = 1 / m[r][col]
         prow = m[r] = [x * inv if x else x for x in m[r]]
         for i, row in enumerate(m):
@@ -126,17 +131,47 @@ def dense_outcomes(rows, rhss):
         r += 1
         if r == len(m):
             break
-    outcomes = []
+    solutions = []
     for k in range(n, n + len(rhss)):
-        witness = next((i for i in range(r, len(m)) if m[i][k]), None)
-        if witness is not None:
-            outcomes.append(InconsistentSystemError(origin[witness], Fraction(m[witness][k])))
-        elif len(pivots) < n:
-            outcomes.append(RankDeficientError([c for c in range(n) if c not in pivots]))
+        if any(m[i][k] for i in range(r, len(m))):
+            solutions.append(None)
         else:
             x = [Fraction(0)] * n
             for i, p in enumerate(pivots):
                 x[p] = Fraction(m[i][k])
+            solutions.append(x)
+    return pivots, solutions
+
+
+def prefix_contradiction(rows, rhs):
+    """The prefix oracle for a system with no solution: the smallest i for
+    which equations 0..i have none, with b_i - a_i x for the solution x of
+    equations 0..i-1 that ``dense_echelon`` gives.  A longer prefix of an
+    inconsistent prefix is inconsistent, so i is found by bisection."""
+    lo, hi = 0, len(rows) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if dense_echelon(rows[:mid + 1], [rhs[:mid + 1]])[1][0] is None:
+            hi = mid
+        else:
+            lo = mid + 1
+    x = dense_echelon(rows[:lo], [rhs[:lo]])[1][0] if lo else [0] * len(rows[0])
+    return InconsistentSystemError(lo, Fraction(rhs[lo]) - sum(a * v for a, v in zip(rows[lo], x)))
+
+
+def dense_outcomes(rows, rhss):
+    """The outcome of each right-hand side by the dense reference: the
+    solution, the free columns, or a contradiction named by the prefix
+    oracle (``prefix_contradiction``)."""
+    n = len(rows[0])
+    pivots, solutions = dense_echelon(rows, rhss)
+    outcomes = []
+    for rhs, x in zip(rhss, solutions):
+        if x is None:
+            outcomes.append(prefix_contradiction(rows, rhs))
+        elif len(pivots) < n:
+            outcomes.append(RankDeficientError([c for c in range(n) if c not in pivots]))
+        else:
             outcomes.append(x)
     return outcomes
 
@@ -166,8 +201,9 @@ def random_system(rng, entry=lambda rng: rng.randint(-9, 9), value=rand_fraction
 
 
 def assert_matches_dense(rows, rhs):
-    """solve_unique gives the dense reference's solution, or its witness and
-    residue, or its free columns; returns the kind of outcome."""
+    """solve_unique gives the dense reference's solution, or the prefix
+    oracle's witness and residue, or the dense reference's free columns;
+    returns the kind of outcome."""
     expected = dense_reference(rows, rhs)
     try:
         got = solve_unique(rows, rhs)
@@ -188,17 +224,20 @@ def _planted(rows, x):
 
 
 @pytest.mark.parametrize("rows", [
-    # Column 0: row 1 is the pivot and trades places with row 0, and the
-    # two share column 1.
+    # Row 0 holds column 1 before row 1 holds column 0, and the two share
+    # column 1: row 2, cleared by row 1, fills column 1 and is cleared
+    # again by row 0, ending as the pivot row of column 2.
     [[0, 1, 1], [2, 1, 0], [1, 0, 1]],
-    # Column 0: row 0 clears row 1 and fills its column 1, where row 1 is
-    # then the pivot.
+    # Row 0 clears row 1 and fills its column 1, where row 1 is then the
+    # pivot row.
     [[1, 1, 0], [1, 0, 1], [0, 0, 1]],
-    # Column 0: row 0 clears row 1 and cancels its column 1, so the pivot
-    # of column 1 is row 2.
+    # Row 0 clears row 1 and cancels its column 1, so row 1 holds column 2
+    # and row 2 holds column 1.
     [[1, 1, 1], [1, 1, 0], [0, 1, 0]],
 ], ids=["swap-shared-columns", "fill-in", "cancellation"])
 def test_column_index_follows_swaps_fill_in_and_cancellation(rows):
+    # The column index a row is filed under, its first column, moves with
+    # each fill-in and cancellation of its reduction.
     x = [Fraction(1), Fraction(-2), Fraction(3, 2)]
     assert assert_matches_dense(rows, _planted(rows, x)) is list
     assert solve_unique(rows, _planted(rows, x)) == x
@@ -215,17 +254,16 @@ def test_contradiction_after_rows_reduced_to_zero():
     assert (info.value.witness, info.value.residue) == (5, Fraction(7, 2))
 
 
-def test_pivot_is_chosen_by_place_not_by_row_index():
-    # Column 0's pivot is row 2, so row 0 moves to place 2.  Column 1 is
-    # held by rows 0 and 1, and row 1 now stands first: it is the pivot, and
-    # row 0 reduces to 0 = 1 - 2*2.  Pivoting on row 0, the smaller index,
-    # would report row 1 reducing to 0 = 2 - 1/2 instead.
+def test_witness_is_the_first_equation_that_contradicts_those_before():
+    # Equation 0 fixes y = 1/2, and equation 1 (y = 2) contradicts it:
+    # 2 - 1/2.  Equation 2 only fixes x.  Dense Gauss-Jordan elimination,
+    # pivoting on equation 2 for x, would have named equation 0 with 1 - 2*2.
     rows = [[0, 2], [0, 1], [1, 0]]
     rhs = [1, 2, 0]
     assert assert_matches_dense(rows, rhs) is InconsistentSystemError
     with pytest.raises(InconsistentSystemError) as info:
         solve_unique(rows, rhs)
-    assert (info.value.witness, info.value.residue) == (0, -3)
+    assert (info.value.witness, info.value.residue) == (1, Fraction(3, 2))
 
 
 def test_sparse_elimination_matches_dense_reference(rng):
@@ -296,3 +334,40 @@ def test_family_systems_match_dense_reference(monkeypatch):
     assert len(by_genus) == 36 + 3
     for matrix, rhss, solutions in by_genus.values():
         assert dense_outcomes(matrix, rhss) == solutions
+
+
+def test_bumped_family_systems_name_the_first_contradiction(monkeypatch, rng):
+    """One family system per genus 5..20, with the right-hand side of one
+    marked-point, one elliptic-tail and one genus-2 equation bumped, each
+    alone and all three together, against the dense reference and the
+    prefix oracle.
+
+    A bumped marked-point equation contradicts the others, and so does an
+    elliptic-tail one unless no other equation restates it; no equation
+    restates a genus-2 one, so bumping it moves the solution instead.
+    """
+    systems = []
+    monkeypatch.setattr(linalg, "solve_unique",
+                        lambda rows, rhs: systems.append((rows, rhs)) or solve_unique(rows, rhs))
+    firsts = {}
+    for t in rho_zero_triples(20):
+        if t.g >= 5:
+            firsts.setdefault(t.g, t)
+    outcomes = []  # of the elliptic-tail bumps
+    for t in firsts.values():
+        label = rng.choice(list(ClassLabel))
+        solve_from_families(t.g, t.r, t.d, label)
+        rows, rhs = systems.pop()
+        kinds = [kind for kind, _, _ in family_equations(t.g, t.r, t.d, label)]
+        bumped = [rng.choice([i for i, k in enumerate(kinds) if k == kind])
+                  for kind in ("marked-point", "elliptic-tail", "genus-2")]
+        outcome = []
+        for chosen in [[i] for i in bumped] + [bumped]:
+            b = list(rhs)
+            for i in chosen:
+                b[i] += rng.choice([-1, 1]) * Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            outcome.append(assert_matches_dense(rows, b))
+        assert outcome[0] is outcome[3] is InconsistentSystemError
+        assert outcome[2] is list
+        outcomes.append(outcome[1])
+    assert InconsistentSystemError in outcomes

@@ -98,10 +98,12 @@ def test_corrupted_family_datum_names_the_contradiction(monkeypatch):
     monkeypatch.setattr(pushforward, "marked_per_n", corrupted)
     with pytest.raises(ConsistencyError) as info:
         solve_from_families(8, 3, 9, ClassLabel.GAMMA)
-    # Equation 2 is the marked-point equation for h = 3.
-    assert str(info.value) == "family data contradicts for (8,3,9) gamma: equation 2 reduces to 0 = 1"
+    # Equation h - 1 is the marked-point equation for h.  The h = 4 = g/2
+    # row pins psi alone, so h = 5, on the columns of h = 3, is the first
+    # equation that contradicts the slipped h = 3 row.
+    assert str(info.value) == "family data contradicts for (8,3,9) gamma: equation 4 reduces to 0 = 1"
     assert isinstance(info.value.__cause__, linalg.InconsistentSystemError)
-    assert info.value.__cause__.witness == 2
+    assert info.value.__cause__.witness == 4
 
 
 def test_assembled_beta_psi_coefficient():

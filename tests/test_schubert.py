@@ -41,6 +41,15 @@ def test_invalid_partitions_rejected():
         special_power_integral(shape, -1, (0, 0))
 
 
+def test_an_entry_that_is_not_an_integer_is_refused():
+    # Read with int(), (0, 1.9) would be the index (0, 1), whose integral is 2.
+    shape = GrassShape(1, 3)
+    for fn in (special_power_integral, zeta_power_integral_pieri):
+        for bad in (1.9, 1.0, "1"):
+            with pytest.raises(PreconditionError, match=f"^index entry {bad!r} is not an integer$"):
+                fn(shape, 3, (0, bad))
+
+
 def test_pieri_single_strip():
     shape = GrassShape(1, 3)
     start = SchubertCombo(shape, {(0, 0): 1})
