@@ -8,9 +8,8 @@ needed because the arithmetic is exact.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from itertools import compress
 from math import gcd
 
 
@@ -43,29 +42,42 @@ class RankDeficientError(LinearSystemError):
         super().__init__(f"free columns {self.free_columns}")
 
 
-def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction]:
-    """Solve A x = b, requiring a unique solution satisfying every equation.
+def _entry_fault(i: int, j, w, n: int) -> str:
+    """What is wrong with the entry {j: w} of row i in a system of n columns."""
+    if type(j) is not int:
+        return f"row {i} has a {type(j).__name__} column {j!r}, expected an int"
+    if not 0 <= j < n:
+        return f"row {i} has column {j}, outside range({n})"
+    if type(w) is not int:
+        return f"row {i} has a {type(w).__name__} weight {w!r} in column {j}, expected an int"
+    return f"row {i} has a zero weight in column {j}"
 
-    Every row has len(rows[0]) entries, and the coefficients are ints; a
-    right-hand side entry is an int or a Fraction.  Raises ValueError for a
-    row of another length, a right-hand side of any other type (a float, a
-    str, None) or a coefficient that is not an int, checking every row
-    before eliminating any; InconsistentSystemError if the (over-determined)
-    system has no solution and RankDeficientError if it has more than one.
+
+def solve_unique(rows: Sequence[Mapping[int, int]], rhs: Sequence, columns: int) -> list[Fraction]:
+    """Solve A x = b in ``columns`` unknowns, requiring a unique solution
+    satisfying every equation.
+
+    Row i is sparse, ``{column: weight}``: an int column in range(columns)
+    for each nonzero int weight.  A right-hand side entry is an int or a
+    Fraction.  Raises ValueError for a column outside that range or not an
+    int, a weight that is zero or not an int, or a right-hand side of any
+    other type (a float, a str, None), checking every row before eliminating
+    any; InconsistentSystemError if the (over-determined) system has no
+    solution and RankDeficientError if it has more than one.
 
     The elimination builds a fraction-free row echelon form on sparse
-    integer rows, one equation after the other.  Each augmented row is read
-    once: with its right-hand side p/q, the nonzero coefficients (from
-    ``compress(range(n), row)``) times q and p in the rhs column make a
-    dict, divided by its content, with q as its scale.  Equation i is
-    reduced in its first column c by the pivot row of c: with pivot entry p
-    and the row's entry t, the row becomes row * (p/g) - pivot * (t/g),
-    where g is gcd(p, t) with the sign of p, divided by its content; the
-    update visits only the nonzero columns of the pivot row.  It ends when
-    no pivot row holds its first column (it becomes that column's pivot
-    row), when only its rhs entry is left (it contradicts equations
-    0..i-1) or when nothing is left (it is dropped).  The pivot columns,
-    and so the free columns, do not depend on the order of the equations.
+    integer rows, one equation after the other.  Each row is copied once:
+    with its right-hand side p/q, its weights times q and p in the rhs
+    column, with q as its scale.  Equation i is reduced in its first column
+    c by the pivot row of c: with pivot entry p and the row's entry t, the
+    row becomes row * (p/g) - pivot * (t/g), where g is gcd(p, t) with the
+    sign of p; the update visits only the nonzero columns of the pivot row.
+    A row rescaled by p/g != 1 is divided by its content at once, any other
+    row only when it is stored as a pivot row.  The reduction ends when no
+    pivot row holds its first column (it becomes that column's pivot row),
+    when only its rhs entry is left (it contradicts equations 0..i-1) or
+    when nothing is left (it is dropped).  The pivot columns, and so the
+    free columns, do not depend on the order of the equations.
 
     Every integer row is a nonzero multiple of the rational row it stands
     for, and keeps that multiple as its scale, so a contradiction reports
@@ -77,36 +89,35 @@ def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction]:
         raise ValueError("row/rhs length mismatch")
     if not rows:
         raise ValueError("empty system")
-    n = len(rows[0])
-    columns = range(n)
-    # (int row, scale numerator, scale denominator), row = scale * rational row.
-    read: list[tuple[dict[int, int], int, int]] = []
+    n = columns
+    # (int row, q): the row is q times the rational row it stands for.
+    read: list[tuple[dict[int, int], int]] = []
     for i, (row, bv) in enumerate(zip(rows, rhs)):
-        if len(row) != n:
-            raise ValueError(f"row {i} has length {len(row)}, expected {n}")
+        for j, w in row.items():
+            if not (type(j) is int is type(w) and w and 0 <= j < n):
+                raise ValueError(_entry_fault(i, j, w, n))
         if not isinstance(bv, (int, Fraction)):
             raise ValueError(f"row {i} has a {type(bv).__name__} right-hand side {bv!r}, "
                              "expected an int or a Fraction")
         p, q = bv.as_integer_ratio()
-        ints = {j: row[j] * q for j in compress(columns, row)}
+        ints = dict(row) if q == 1 else {j: w * q for j, w in row.items()}
         if p:
             ints[n] = p
-        try:
-            content = gcd(*ints.values())
-        except TypeError:
-            raise ValueError(f"row {i} has a coefficient that is not an int") from None
-        if content > 1:
-            ints = {j: v // content for j, v in ints.items()}
-        read.append((ints, q, max(content, 1)))
+        read.append((ints, q))
     # pivot_rows[c]: the row whose first column is c.
     pivot_rows: dict[int, dict[int, int]] = {}
-    for i, (row, num, den) in enumerate(read):
+    for i, (row, num) in enumerate(read):
+        # The row is num / den times the rational row it stands for.
+        den = 1
         while row:
             col = min(row)
             if col == n:
                 raise InconsistentSystemError(i, Fraction(row[n] * den, num))
             pivot = pivot_rows.get(col)
             if pivot is None:
+                content = gcd(*row.values())
+                if content > 1:
+                    row = {j: v // content for j, v in row.items()}
                 pivot_rows[col] = row
                 break
             lead = pivot[col]
@@ -124,17 +135,18 @@ def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction]:
                     row[j] = w
                 else:
                     del row[j]
-            content = gcd(*row.values())
-            if content > 1:
-                row = {j: v // content for j, v in row.items()}
-                den *= content
+            if a != 1:
+                content = gcd(*row.values())
+                if content > 1:
+                    row = {j: v // content for j, v in row.items()}
+                    den *= content
     if len(pivot_rows) < n:
-        raise RankDeficientError([c for c in columns if c not in pivot_rows])
+        raise RankDeficientError([c for c in range(n) if c not in pivot_rows])
     # Pivot row i has its first entry in column i.  Substitute back with
     # x[j] = num[j] / den for every j already solved.
     num = [0] * n
     den = 1
-    for i in reversed(columns):
+    for i in reversed(range(n)):
         row = pivot_rows[i]
         lead = row[i]
         value = row.get(n, 0) * den - sum(v * num[j] for j, v in row.items() if i < j < n)

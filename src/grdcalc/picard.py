@@ -23,8 +23,12 @@ component of a fixed two-component curve (``pullback_k``).
 Each space states its basis once, in ``PicSpace.basis``; a divisor class is
 built by one constructor, which checks its symbols against that basis.  It
 keeps its signed coefficients as integer numerators over one positive
-denominator, and the push-forward assembly solves for exactly those
-coefficients, one unknown per basis symbol.
+denominator.  The push-forward assembly solves for exactly those
+coefficients on mg1(g), one unknown per basis symbol, in the column order
+that ``mg1_columns`` states.  The restriction rows of the three test
+families key their mg1(g) sources by that column, so the assembly hands
+them to the elimination as they are, and the pull-backs read a class on
+mg1(g) through the same order.
 """
 
 from __future__ import annotations
@@ -171,23 +175,47 @@ def _require_space(D: DivisorClass, space: PicSpace, what: str) -> None:
         raise PreconditionError(f"{what} expects a class on {space}, got {D.space}")
 
 
+def mg1_columns(g: int) -> tuple[str, ...]:
+    """The assembly column order of mg1(g): lambda, delta_0, ..., delta_{g-1}, psi.
+
+    Column 0 is lambda, column i + 1 is delta_i and column g + 1 is psi.
+    The restriction rows below write their mg1(g) sources as these columns.
+    """
+    return (LAMBDA, *(delta(i) for i in range(g)), PSI)
+
+
 # Each test family's restriction is written once below, as sparse rows:
-# target coordinate -> {source basis symbol of mg1(g): weight}.  The
+# target coordinate -> {source: weight}, where a source on mg1(g) is its
+# column of ``mg1_columns`` and a source on m21 its basis symbol.  The
 # pull-backs evaluate these rows on a class; the push-forward assembly
-# reads the same rows as the coefficients of its unknowns, and the
-# elimination takes int coefficients only: every weight is an int.
-Row = dict[str, int]
+# hands the same rows to the elimination as the coefficients of its
+# unknowns, and the elimination takes int weights only: every weight is
+# a nonzero int.
+Row = dict[int | str, int]
+
+
+def _sources(D: DivisorClass) -> Mapping[int | str, int]:
+    """The numerators of D keyed as rows key their sources: by column on mg1(g),
+    by symbol on any other space."""
+    nums = D.nums
+    if D.space.kind != "mg1":
+        return nums
+    return {c: nums[sym] for c, sym in enumerate(mg1_columns(D.space.g)) if sym in nums}
+
+
+def _value(row: Row, nums: Mapping[int | str, int], den: int) -> Fraction:
+    return Fraction(sum(w * nums.get(src, 0) for src, w in row.items()), den)
 
 
 def evaluate(row: Row, D: DivisorClass) -> Fraction:
     """Value of one restriction row on a class: a sum over its numerators, divided once."""
-    nums = D.nums
-    return Fraction(sum(w * nums.get(sym, 0) for sym, w in row.items()), D.den)
+    return _value(row, _sources(D), D.den)
 
 
-def restrict(rows: Mapping[str, Row], D: DivisorClass) -> dict[str, Fraction]:
-    """Evaluate restriction rows on a class: target coordinate -> value."""
-    return {target: evaluate(row, D) for target, row in rows.items()}
+def restrict(rows: Mapping[object, Row], D: DivisorClass) -> dict[object, Fraction]:
+    """Evaluate restriction rows on a class, reading the class once: target -> value."""
+    nums = _sources(D)
+    return {target: _value(row, nums, D.den) for target, row in rows.items()}
 
 
 def elliptic_tail_rows(g: int) -> dict[str, Row]:
@@ -195,29 +223,33 @@ def elliptic_tail_rows(g: int) -> dict[str, Row]:
 
     epsilon_i, for 2 <= i <= g-2, reads delta_i minus the weights
     (g-i)(g-i-1)/((g-1)(g-2)) of delta_1 and (g-i)(i-1)/(g-2) of delta_{g-1};
-    each row holds their integer numerators over the one denominator (g-1)(g-2).
+    each row holds their integer numerators over the one denominator (g-1)(g-2),
+    on the columns i + 1, 2 and g.
     """
     den = (g - 1) * (g - 2)
-    return {epsilon(i): {delta(i): den, delta(1): -(g - i) * (g - i - 1),
-                         delta(g - 1): -(g - i) * (i - 1) * (g - 1)}
+    return {epsilon(i): {i + 1: den, 2: -(g - i) * (g - i - 1), g: -(g - i) * (i - 1) * (g - 1)}
             for i in range(2, g - 1)}
 
 
 def genus2_tail_rows(g: int) -> dict[str, Row]:
-    """Restriction of mg1(g) to the genus-2-tail family, onto the m21 basis."""
-    return {LAMBDA: {LAMBDA: 1}, delta(0): {delta(0): 1},
-            PSI: {delta(g - 2): -1}, delta(1): {delta(g - 1): 1}}
+    """Restriction of mg1(g) to the genus-2-tail family, onto the m21 basis.
+
+    lambda and delta_0 (columns 0 and 1) keep their names, delta_{g-2}
+    (column g - 1) becomes -psi and delta_{g-1} (column g) becomes delta_1.
+    """
+    return {LAMBDA: {0: 1}, delta(0): {1: 1}, PSI: {g - 1: -1}, delta(1): {g: 1}}
 
 
 def marked_point_row(g: int, h: int) -> Row:
     """Degree on the moving-marked-point family with a genus-h component.
 
-    psi has degree 2h - 1, delta_h degree -1 and delta_{g-h} degree +1; for
-    2h = g the two delta weights land on the same symbol and cancel.
+    psi (column g + 1) has degree 2h - 1, delta_h (column h + 1) degree -1
+    and delta_{g-h} (column g - h + 1) degree +1; for 2h = g the two delta
+    weights land on the same column and cancel.
     """
     if 2 * h == g:
-        return {PSI: 2 * h - 1}
-    return {PSI: 2 * h - 1, delta(h): -1, delta(g - h): 1}
+        return {g + 1: 2 * h - 1}
+    return {g + 1: 2 * h - 1, h + 1: -1, g - h + 1: 1}
 
 
 def pullback_i(g: int, D: DivisorClass) -> DivisorClass:
@@ -260,28 +292,27 @@ def pullback_k(g: int, h: int, D: DivisorClass) -> Fraction:
     return evaluate(marked_point_row(g, h), D)
 
 
-def epsilon_intersection_matrix(g: int) -> list[list[int]]:
+def epsilon_intersection_matrix(g: int) -> list[dict[int, int]]:
     """Intersection numbers of the test curves against the epsilon basis.
 
-    Square of size g - 3: rows are the curves B_1, ..., B_{g-3} (B_1 moves
-    the first marked point along a fixed curve, B_j for j >= 2 moves one
-    point on the (g-j)-marked component of a fixed curve in epsilon_j);
-    columns are epsilon_2, ..., epsilon_{g-2}.  Row 1 is (g-1, 0, ..., 0);
-    row j >= 2 carries -1 on epsilon_j, +1 on epsilon_{j+1} when that is not
-    the last column, and g - j - 1 on epsilon_{g-2}.  The g = 5 and g = 6
-    degenerations of this pattern are [[4,0],[-1,2]] and
-    [[5,0,0],[-1,1,3],[0,-1,2]].
+    Square of size g - 3, as sparse rows {column: nonzero int entry}, the
+    form ``linalg.solve_unique`` takes: rows are the curves B_1, ...,
+    B_{g-3} (B_1 moves the first marked point along a fixed curve, B_j for
+    j >= 2 moves one point on the (g-j)-marked component of a fixed curve in
+    epsilon_j); columns 0, ..., g - 4 are epsilon_2, ..., epsilon_{g-2}.
+    Row 1 is g - 1 on epsilon_2 alone; row j >= 2 carries -1 on epsilon_j,
+    +1 on epsilon_{j+1} when that is not the last column, and g - j - 1 on
+    epsilon_{g-2}.  The g = 5 and g = 6 degenerations of this pattern are
+    [[4,0],[-1,2]] and [[5,0,0],[-1,1,3],[0,-1,2]] written densely.
     """
     if g < 5:
         raise PreconditionError("epsilon_intersection_matrix needs g >= 5")
-    n = g - 3
-    rows = [[0] * n for _ in range(n)]
-    rows[0][0] = g - 1
+    last = g - 4
+    rows = [{0: g - 1}]
     for j in range(2, g - 2):
-        rows[j - 1][j - 2] = -1
-        if j + 1 <= g - 3:
-            rows[j - 1][j - 1] = 1
-        rows[j - 1][n - 1] += g - j - 1
+        row = {j - 2: -1, j - 1: 1} if j - 1 < last else {j - 2: -1}
+        row[last] = g - j - 1
+        rows.append(row)
     return rows
 
 

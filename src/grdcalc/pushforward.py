@@ -21,7 +21,7 @@ from .invariants import (ALPHA_GAMMA_PUSH, BETA_PUSH, COVER_DEGREE, TEST_FAMILIE
                          PerCoverDegree, alpha_per_n, beta_per_n, castelnuovo_count,
                          gamma_per_n)
 from .picard import (GENUS2_REDUCTION, LAMBDA, PSI, DivisorClass, PicSpace, Row, compose,
-                     delta, elliptic_tail_rows, genus2_tail_rows, marked_point_row)
+                     delta, elliptic_tail_rows, genus2_tail_rows, marked_point_row, mg1_columns)
 
 
 class PushforwardSolution:
@@ -98,7 +98,7 @@ def family_equations(g: int, r: int, d: int,
     """The special-family data on the push-forward, one (family, row, value) per equation.
 
     The push-forward of ``label`` evaluates to ``value`` on each restriction
-    ``row`` over the mg1(g) basis.  In order:
+    ``row``, whose mg1(g) sources are the columns of ``mg1_columns``.  In order:
 
     * ``marked-point``, one per h in 1..g-1: the degree on the moving-point
       family is N times ``marked_per_n`` (for even g the h = g/2 row is
@@ -112,15 +112,18 @@ def family_equations(g: int, r: int, d: int,
       delta_0 term, so ``m21_coefficient`` reads it as it is: reducing it would return it.
 
     N is computed once: as in ``push_marked`` and ``push_m21``, the per-N
-    values (``marked_per_n``, ``m21_per_n``) are multiplied by it here.
+    values (``marked_per_n``, ``m21_per_n``) are multiplied by it here.  The
+    two coefficients of ``m21_per_n`` are put over one denominator, so each
+    genus-2 value is one ``Fraction`` of integer numerators.
     """
     TEST_FAMILIES.check(g, r, d)
     n = castelnuovo_count(g, r, d)
     equations = [("marked-point", marked_point_row(g, h), marked_per_n(g, r, d, h, label) * n)
                  for h in range(1, g)]
     equations += [("elliptic-tail", row, 0) for row in elliptic_tail_rows(g).values()]
-    a, b = m21_per_n(g, r, d, label)
-    equations += [("genus-2", row, m21_coefficient(a * n, b * n, sym))
+    (pa, qa), (pb, qb) = (c.as_integer_ratio() for c in m21_per_n(g, r, d, label))
+    an, bn, den = pa * qb * n, pb * qa * n, qa * qb
+    equations += [("genus-2", row, Fraction(m21_coefficient(an, bn, sym), den))
                   for sym, row in compose(GENUS2_REDUCTION, genus2_tail_rows(g)).items()]
     return equations
 
@@ -128,27 +131,17 @@ def family_equations(g: int, r: int, d: int,
 def solve_from_families(g: int, r: int, d: int, label: ClassLabel) -> PushforwardSolution:
     """Recover the push-forward from special-family data alone.
 
-    One unknown per basis symbol of mg1(g), in the elimination order lambda,
-    delta_0, ..., delta_{g-1}, psi, constrained by ``family_equations``.  The
-    system is solved by exact elimination and every redundant equation is
-    required to hold.
+    One unknown per basis symbol of mg1(g), in the column order of
+    ``mg1_columns`` (lambda, delta_0, ..., delta_{g-1}, psi), constrained by
+    ``family_equations``, whose rows are already keyed by those columns.
+    The system is solved by exact elimination and every redundant equation
+    is required to hold.
     """
     equations = family_equations(g, r, d, label)
-    unknowns = [LAMBDA, *(delta(i) for i in range(g)), PSI]
-    column = {sym: j for j, sym in enumerate(unknowns)}
-
-    def coefficients(row: Row) -> list:
-        # Zeros stay plain ints, which solve_unique skips cheaply; a row
-        # names each symbol once, so each entry is set once.
-        out = [0] * len(unknowns)
-        for sym, w in row.items():
-            out[column[sym]] = w
-        return out
-
-    rows = [coefficients(row) for _, row, _ in equations]
-    rhs = [value for _, _, value in equations]
+    unknowns = mg1_columns(g)
     try:
-        x = linalg.solve_unique(rows, rhs)
+        x = linalg.solve_unique([row for _, row, _ in equations],
+                                [value for _, _, value in equations], len(unknowns))
     except linalg.InconsistentSystemError as exc:
         raise ConsistencyError(
             f"family data contradicts for ({g},{r},{d}) {label.value}: {exc}") from exc

@@ -190,9 +190,11 @@ def check_family_restrictions(g_max: int):
     for t in _sweep_triples(g_max, invariants.TEST_FAMILIES):
         for label in ClassLabel:
             closed = pushforward.closed_form(t.g, t.r, t.d, label)
-            failed = {family for family, row, value
-                      in pushforward.family_equations(t.g, t.r, t.d, label)
-                      if picard.evaluate(row, closed) != value}
+            equations = pushforward.family_equations(t.g, t.r, t.d, label)
+            # One restriction reads the class once for every equation.
+            got = picard.restrict(dict(enumerate(row for _, row, _ in equations)), closed)
+            failed = {family for i, (family, _, value) in enumerate(equations)
+                      if got[i] != value}
             for family, mismatch in _FAMILY_MISMATCH.items():
                 if family in failed:
                     return False, f"({t.g},{t.r},{t.d}) {label.value}: {mismatch}"
@@ -204,7 +206,7 @@ def check_epsilon_matrix():
     """Nonsingularity of the test-curve intersection matrix."""
     for g in EPSILON_GENERA:
         try:
-            linalg.solve_unique(picard.epsilon_intersection_matrix(g), [0] * (g - 3))
+            linalg.solve_unique(picard.epsilon_intersection_matrix(g), [0] * (g - 3), g - 3)
         except linalg.RankDeficientError:
             return False, f"g={g}: determinant 0"
     return True, f"g={EPSILON_GENERA[0]}..{EPSILON_GENERA[-1]} all nonsingular"

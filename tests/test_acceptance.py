@@ -126,7 +126,7 @@ def test_criterion_7_picard_checks():
     with _Budget("criterion-7 picard checks", 5.0):
         for g in range(6, 31):
             # A unique solution of M x = 0 means M is nonsingular.
-            assert solve_unique(epsilon_intersection_matrix(g), [0] * (g - 3)) \
+            assert solve_unique(epsilon_intersection_matrix(g), [0] * (g - 3), g - 3) \
                 == [0] * (g - 3), g
         for g in range(5, 31):
             space = PicSpace.mg1(g)

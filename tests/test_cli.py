@@ -121,6 +121,15 @@ def test_pushforward_both_methods_agree(capsys):
     assert payload["coefficients"] == payload["coefficients_assembled"]
 
 
+def test_pushforward_both_methods_agree_past_the_former_assembly_bound(capsys):
+    # The assembly's sparse rows let it run at g = 2001, one past the bound
+    # that its dense rows needed; it takes about 0.2 s as a process.
+    payload = run_json(capsys, "pushforward", "--g", "2001", "--r", "2", "--d", "1336",
+                       "--class", "beta", "--method", "both")
+    assert payload["methods_agree"] is True
+    assert payload["coefficients"] == payload["coefficients_assembled"]
+
+
 def test_unknown_flag_rejected(capsys):
     code, _, err = run_cli(capsys, "slope", "--bogus", "1")
     assert code == 1
@@ -280,9 +289,8 @@ def test_missing_subcommand_is_usage_error(capsys):
      "--g must be at most 20000"),
     (["picard", "pullback", "k", "--g", "1000000", "--h", "1", "--class", "psi:1"], None, 1,
      "--g must be at most 20000"),
-    (["pushforward", "--g", "20000", "--r", "19999", "--d", "39998", "--class", "beta",
-      "--method", "assembled"], None, 1, "--method assembled needs --g at most 2000; "
-     "use --method closed"),
+    (["pushforward", "--g", "20002", "--r", "20001", "--d", "40002", "--class", "beta",
+      "--method", "assembled"], None, 1, "--g must be at most 20000"),
     (["schubert", "--r", "1", "--d", "100000", "--k", "199998", "--b", "0,0", "--method",
       "pieri"], None, 1, "--d must be at most 300"),
     (["schubert", "--r", "10", "--d", "290", "--k", "308", "--b", ",".join("0" * 11),

@@ -111,9 +111,18 @@ REFUSALS = {
                                PreconditionError, "g_max must be at least 1"),
     "m_family_reports-bound": (lambda: m_family_reports(0),
                                PreconditionError, "need m_max >= 1"),
-    "solve_unique-rhs-length": (lambda: solve_unique([[1], [1]], [1]),
+    "solve_unique-rhs-length": (lambda: solve_unique([{0: 1}, {0: 1}], [1], 1),
                                 ValueError, "row/rhs length mismatch"),
-    "solve_unique-empty": (lambda: solve_unique([], []), ValueError, "empty system"),
+    "solve_unique-empty": (lambda: solve_unique([], [], 1), ValueError, "empty system"),
+    "solve_unique-column-range": (lambda: solve_unique([{0: 1}, {0: 1, 3: 2}], [1, 2], 3),
+                                  ValueError, "row 1 has column 3, outside range(3)"),
+    "solve_unique-column-type": (lambda: solve_unique([{"psi": 1}], [1], 3),
+                                 ValueError, "row 0 has a str column 'psi', expected an int"),
+    "solve_unique-weight-type": (lambda: solve_unique([{0: 1}, {2: 0.5}], [1, 2], 3),
+                                 ValueError, "row 1 has a float weight 0.5 in column 2, "
+                                             "expected an int"),
+    "solve_unique-zero-weight": (lambda: solve_unique([{0: 1, 1: 0}], [1], 3),
+                                 ValueError, "row 0 has a zero weight in column 1"),
     "solution-coefficient-count": (lambda: PushforwardSolution({LAMBDA: 1}).as_divisor_class(5),
                                    PreconditionError, "need 7 coefficients on mg1(5), got 1"),
     "combination-pullback-space": (

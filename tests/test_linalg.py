@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,59 +13,66 @@ from grdcalc.pushforward import family_equations, solve_from_families
 
 
 def test_over_determined_consistent_system_is_solved():
-    assert solve_unique([[1, 0], [0, 1], [1, 1]], [1, 2, 3]) == [Fraction(1), Fraction(2)]
+    assert solve_unique([{0: 1}, {1: 1}, {0: 1, 1: 1}], [1, 2, 3], 2) == [Fraction(1), Fraction(2)]
 
 
 def test_inconsistent_system_names_its_witness_equation():
     # Equation 1 contradicts equation 0; equation 2 is equation 0 doubled.
     with pytest.raises(InconsistentSystemError) as info:
-        solve_unique([[1], [1], [2]], [1, 2, 2])
+        solve_unique([{0: 1}, {0: 1}, {0: 2}], [1, 2, 2], 1)
     assert info.value.witness == 1
     assert info.value.residue == 1
     assert str(info.value) == "equation 1 reduces to 0 = 1"
 
 
 @pytest.mark.parametrize("rows, rhs, residue", [
-    ([[1], [1]], [1, 4], 3),
-    ([[2], [3]], [2, 9], 6),
+    ([{0: 1}, {0: 1}], [1, 4], 3),
+    ([{0: 2}, {0: 3}], [2, 9], 6),
     # x = 1/2 fixes x, and 2x = 9/2 reduces to 0 = 9/2 - 1, read in the
     # scale of its own row.
-    ([[1], [2]], [Fraction(1, 2), Fraction(9, 2)], Fraction(7, 2)),
+    ([{0: 1}, {0: 2}], [Fraction(1, 2), Fraction(9, 2)], Fraction(7, 2)),
 ])
 def test_inconsistent_system_reports_the_reduced_value(rows, rhs, residue):
     with pytest.raises(InconsistentSystemError) as info:
-        solve_unique(rows, rhs)
+        solve_unique(rows, rhs, 1)
     assert info.value.witness == 1
     assert info.value.residue == residue
     assert str(info.value) == f"equation 1 reduces to 0 = {residue}"
 
 
 def test_rank_deficient_system_lists_free_columns():
+    # Column 2 is named by no row at all.
     with pytest.raises(RankDeficientError) as info:
-        solve_unique([[1, 1, 0], [2, 2, 0]], [1, 2])
+        solve_unique([{0: 1, 1: 1}, {0: 2, 1: 2}], [1, 2], 3)
     assert info.value.free_columns == [1, 2]
     assert str(info.value) == "free columns [1, 2]"
 
 
 @pytest.mark.parametrize("rows, detail", [
-    ([[1, 0], [0, 1, 5]], "row 1 has length 3, expected 2"),
-    ([[1], [0, 1]], "row 1 has length 2, expected 1"),
-], ids=["longer", "shorter"])
-def test_a_ragged_row_is_refused(rows, detail):
-    # Read against the width of row 0, the first would lose its 5 and the
-    # second would report 0 = 2.
-    with pytest.raises(ValueError, match=f"^{detail}$"):
-        solve_unique(rows, [1, 2])
+    ([{0: 1}, {1: 1, 2: 5}], "row 1 has column 2, outside range(2)"),
+    ([{0: 1}, {-1: 1}], "row 1 has column -1, outside range(2)"),
+    ([{0: 1}, {1.0: 1}], "row 1 has a float column 1.0, expected an int"),
+    ([{0: 1}, {True: 1}], "row 1 has a bool column True, expected an int"),
+    ([{0: 1}, {"1": 1}], "row 1 has a str column '1', expected an int"),
+    ([{0: 1}, {0: 1, 1: 0}], "row 1 has a zero weight in column 1"),
+], ids=["past-the-end", "negative", "float", "bool", "str", "zero-weight"])
+def test_an_entry_outside_the_sparse_format_is_refused(rows, detail):
+    # Read as it stands, column 2 of a 2-column system would land on the
+    # right-hand side, column -1 would count as a pivot column, the float
+    # and the bool would stand for column 1 by hash, and the zero weight
+    # would be scanned for nothing.
+    with pytest.raises(ValueError, match=f"^{re.escape(detail)}$"):
+        solve_unique(rows, [1, 2], 2)
 
 
 @pytest.mark.parametrize("coefficient", [Fraction(1, 2), Fraction(2)])
 def test_a_fraction_coefficient_is_refused(coefficient):
     # Only a right-hand side may be a Fraction; a coefficient must be an int,
     # even one whose value is an integer.
-    with pytest.raises(ValueError, match="^row 1 has a coefficient that is not an int$"):
-        solve_unique([[1, 0], [0, coefficient]], [1, 2])
-    with pytest.raises(ValueError, match="^row 0 has a coefficient that is not an int$"):
-        solve_unique([[coefficient]], [0])
+    for rows, n, i, j in (([{0: 1}, {1: coefficient}], 2, 1, 1), ([{0: coefficient}], 1, 0, 0)):
+        message = f"row {i} has a Fraction weight {coefficient!r} in column {j}, expected an int"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solve_unique(rows, [1] * len(rows), n)
 
 
 @pytest.mark.parametrize("value", [0.1, 2.0, 0.0])
@@ -73,27 +81,45 @@ def test_a_float_is_refused(value):
     # 3602879701896397/36028797018963968.
     with pytest.raises(ValueError, match=f"^row 1 has a float right-hand side {value!r}, "
                                          "expected an int or a Fraction$"):
-        solve_unique([[1], [1]], [Fraction(1, 10), value])
-    if value:
-        with pytest.raises(ValueError, match="^row 1 has a coefficient that is not an int$"):
-            solve_unique([[1, 0], [0, value]], [1, 2])
+        solve_unique([{0: 1}, {0: 1}], [Fraction(1, 10), value], 1)
+    with pytest.raises(ValueError, match=f"^row 1 has a float weight {value!r} in column 1, "
+                                         "expected an int$"):
+        solve_unique([{0: 1}, {1: value}], [1, 2], 2)
 
 
 @pytest.mark.parametrize("value, kind", [("a", "str"), ("1", "str"), (None, "NoneType")])
 def test_a_right_hand_side_that_is_not_a_number_is_refused(value, kind):
     with pytest.raises(ValueError, match=f"^row 1 has a {kind} right-hand side {value!r}, "
                                          "expected an int or a Fraction$"):
-        solve_unique([[1], [1]], [1, value])
+        solve_unique([{0: 1}, {0: 1}], [1, value], 1)
     with pytest.raises(ValueError, match=f"^row 0 has a {kind} right-hand side"):
-        solve_unique([[1]], [value])
+        solve_unique([{0: 1}], [value], 1)
 
 
 def test_every_row_is_read_before_any_is_eliminated():
-    # Equation 1 contradicts equation 0, but the ragged row 2 is named.
-    with pytest.raises(ValueError, match="^row 2 has length 2, expected 1$"):
-        solve_unique([[1], [1], [1, 2]], [1, 2, 3])
+    # Equation 1 contradicts equation 0, but the faulty row 2 is named.
+    with pytest.raises(ValueError, match=r"^row 2 has column 1, outside range\(1\)$"):
+        solve_unique([{0: 1}, {0: 1}, {0: 1, 1: 2}], [1, 2, 3], 1)
+    with pytest.raises(ValueError, match="^row 2 has a zero weight in column 0$"):
+        solve_unique([{0: 1}, {0: 1}, {0: 0}], [1, 2, 3], 1)
     with pytest.raises(ValueError, match="^row 2 has a float right-hand side"):
-        solve_unique([[1], [1], [1]], [1, 2, 3.0])
+        solve_unique([{0: 1}, {0: 1}, {0: 1}], [1, 2, 3.0], 1)
+
+
+def test_the_rows_are_not_changed():
+    # Rows are read, never written: the family rows are built per call, but
+    # a caller may solve the same rows again.
+    rows = [{0: 2, 1: 4}, {0: 1, 1: 3}, {1: 6}]
+    copies = [dict(row) for row in rows]
+    for _ in range(2):
+        assert solve_unique(rows, [Fraction(2, 3), Fraction(2, 3), 2], 2) \
+            == [Fraction(-1, 3), Fraction(1, 3)]
+    assert rows == copies
+
+
+def dense(rows, n):
+    """The dense form of sparse rows with n columns, as the references read them."""
+    return [[row.get(j, 0) for j in range(n)] for row in rows]
 
 
 def dense_reference(rows, rhs):
@@ -184,29 +210,31 @@ def random_system(rng, entry=lambda rng: rng.randint(-9, 9), value=rand_fraction
     only the right-hand sides carry denominators."""
     n = rng.randint(1, 6)
     n_rows = rng.randint(n, 2 * n + 2)
-    rows = [[entry(rng) if rng.random() < 0.35 else 0 for _ in range(n)]
+    rows = [{j: w for j in range(n) if rng.random() < 0.35 and (w := entry(rng))}
             for _ in range(n_rows)]
     kind = rng.choice(["planted", "perturbed", "deficient"])
     if kind == "deficient" and n > 1:
         a, b = rng.sample(range(n), 2)
         scale = entry(rng)
         for row in rows:
-            row[a] = scale * row[b]
+            row.pop(a, None)
+            if scale and b in row:
+                row[a] = scale * row[b]
     x = [value(rng, 40) for _ in range(n)]
-    rhs = [sum(c * xi for c, xi in zip(row, x)) for row in rows]
+    rhs = _planted(rows, x)
     if kind == "perturbed":
         i = rng.randrange(n_rows)
         rhs[i] += rng.choice([-1, 1]) * rng.randint(1, 9)
-    return rows, rhs
+    return rows, rhs, n
 
 
-def assert_matches_dense(rows, rhs):
+def assert_matches_dense(rows, rhs, n):
     """solve_unique gives the dense reference's solution, or the prefix
     oracle's witness and residue, or the dense reference's free columns;
     returns the kind of outcome."""
-    expected = dense_reference(rows, rhs)
+    expected = dense_reference(dense(rows, n), rhs)
     try:
-        got = solve_unique(rows, rhs)
+        got = solve_unique(rows, rhs, n)
     except LinearSystemError as exc:
         got = exc
     assert type(got) is type(expected), (rows, rhs)
@@ -220,37 +248,37 @@ def assert_matches_dense(rows, rhs):
 
 
 def _planted(rows, x):
-    return [sum(c * v for c, v in zip(row, x)) for row in rows]
+    return [sum(c * x[j] for j, c in row.items()) for row in rows]
 
 
 @pytest.mark.parametrize("rows", [
     # Row 0 holds column 1 before row 1 holds column 0, and the two share
     # column 1: row 2, cleared by row 1, fills column 1 and is cleared
     # again by row 0, ending as the pivot row of column 2.
-    [[0, 1, 1], [2, 1, 0], [1, 0, 1]],
+    [{1: 1, 2: 1}, {0: 2, 1: 1}, {0: 1, 2: 1}],
     # Row 0 clears row 1 and fills its column 1, where row 1 is then the
     # pivot row.
-    [[1, 1, 0], [1, 0, 1], [0, 0, 1]],
+    [{0: 1, 1: 1}, {0: 1, 2: 1}, {2: 1}],
     # Row 0 clears row 1 and cancels its column 1, so row 1 holds column 2
     # and row 2 holds column 1.
-    [[1, 1, 1], [1, 1, 0], [0, 1, 0]],
+    [{0: 1, 1: 1, 2: 1}, {0: 1, 1: 1}, {1: 1}],
 ], ids=["swap-shared-columns", "fill-in", "cancellation"])
 def test_column_index_follows_swaps_fill_in_and_cancellation(rows):
     # The column index a row is filed under, its first column, moves with
     # each fill-in and cancellation of its reduction.
     x = [Fraction(1), Fraction(-2), Fraction(3, 2)]
-    assert assert_matches_dense(rows, _planted(rows, x)) is list
-    assert solve_unique(rows, _planted(rows, x)) == x
+    assert assert_matches_dense(rows, _planted(rows, x), 3) is list
+    assert solve_unique(rows, _planted(rows, x), 3) == x
 
 
 def test_contradiction_after_rows_reduced_to_zero():
     # Rows 2, 3 and 4 reduce to 0 = 0; row 5 reduces to 0 = 7/2.
-    rows = [[1, 0], [0, 1], [1, 1], [2, 0], [0, 0], [1, 2], [1, 1]]
+    rows = [{0: 1}, {1: 1}, {0: 1, 1: 1}, {0: 2}, {}, {0: 1, 1: 2}, {0: 1, 1: 1}]
     rhs = _planted(rows, [1, 2])
     rhs[5] += Fraction(7, 2)
-    assert assert_matches_dense(rows, rhs) is InconsistentSystemError
+    assert assert_matches_dense(rows, rhs, 2) is InconsistentSystemError
     with pytest.raises(InconsistentSystemError) as info:
-        solve_unique(rows, rhs)
+        solve_unique(rows, rhs, 2)
     assert (info.value.witness, info.value.residue) == (5, Fraction(7, 2))
 
 
@@ -258,11 +286,11 @@ def test_witness_is_the_first_equation_that_contradicts_those_before():
     # Equation 0 fixes y = 1/2, and equation 1 (y = 2) contradicts it:
     # 2 - 1/2.  Equation 2 only fixes x.  Dense Gauss-Jordan elimination,
     # pivoting on equation 2 for x, would have named equation 0 with 1 - 2*2.
-    rows = [[0, 2], [0, 1], [1, 0]]
+    rows = [{1: 2}, {1: 1}, {0: 1}]
     rhs = [1, 2, 0]
-    assert assert_matches_dense(rows, rhs) is InconsistentSystemError
+    assert assert_matches_dense(rows, rhs, 2) is InconsistentSystemError
     with pytest.raises(InconsistentSystemError) as info:
-        solve_unique(rows, rhs)
+        solve_unique(rows, rhs, 2)
     assert (info.value.witness, info.value.residue) == (1, Fraction(3, 2))
 
 
@@ -303,8 +331,9 @@ def test_int_only_systems_match_dense_reference(rng, span):
         return rng.randint(-span, span)
 
     systems = [random_system(rng, draw, draw) for _ in range(300)]
-    assert all(type(v) is int for rows, rhs in systems for v in (*sum(rows, []), *rhs))
-    outcomes = {assert_matches_dense(rows, rhs) for rows, rhs in systems}
+    assert all(type(v) is int for rows, rhs, _ in systems
+               for v in (*(w for row in rows for w in row.values()), *rhs))
+    outcomes = {assert_matches_dense(*system) for system in systems}
     assert outcomes == {list, InconsistentSystemError, RankDeficientError}
 
 
@@ -317,9 +346,9 @@ def test_family_systems_match_dense_reference(monkeypatch):
     """
     by_genus = {}
 
-    def recording(rows, rhs):
-        x = solve_unique(rows, rhs)
-        matrix, rhss, solutions = by_genus.setdefault(len(rows[0]) - 2, (rows, [], []))
+    def recording(rows, rhs, columns):
+        x = solve_unique(rows, rhs, columns)
+        matrix, rhss, solutions = by_genus.setdefault(columns - 2, (rows, [], []))
         assert rows == matrix
         rhss.append(rhs)
         solutions.append(x)
@@ -332,8 +361,8 @@ def test_family_systems_match_dense_reference(monkeypatch):
         for label in ClassLabel:
             solve_from_families(t.g, t.r, t.d, label)
     assert len(by_genus) == 36 + 3
-    for matrix, rhss, solutions in by_genus.values():
-        assert dense_outcomes(matrix, rhss) == solutions
+    for g, (matrix, rhss, solutions) in by_genus.items():
+        assert dense_outcomes(dense(matrix, g + 2), rhss) == solutions
 
 
 def test_bumped_family_systems_name_the_first_contradiction(monkeypatch, rng):
@@ -347,8 +376,8 @@ def test_bumped_family_systems_name_the_first_contradiction(monkeypatch, rng):
     restates a genus-2 one, so bumping it moves the solution instead.
     """
     systems = []
-    monkeypatch.setattr(linalg, "solve_unique",
-                        lambda rows, rhs: systems.append((rows, rhs)) or solve_unique(rows, rhs))
+    monkeypatch.setattr(linalg, "solve_unique", lambda *system: systems.append(system)
+                        or solve_unique(*system))
     firsts = {}
     for t in rho_zero_triples(20):
         if t.g >= 5:
@@ -357,7 +386,7 @@ def test_bumped_family_systems_name_the_first_contradiction(monkeypatch, rng):
     for t in firsts.values():
         label = rng.choice(list(ClassLabel))
         solve_from_families(t.g, t.r, t.d, label)
-        rows, rhs = systems.pop()
+        rows, rhs, n = systems.pop()
         kinds = [kind for kind, _, _ in family_equations(t.g, t.r, t.d, label)]
         bumped = [rng.choice([i for i, k in enumerate(kinds) if k == kind])
                   for kind in ("marked-point", "elliptic-tail", "genus-2")]
@@ -366,7 +395,7 @@ def test_bumped_family_systems_name_the_first_contradiction(monkeypatch, rng):
             b = list(rhs)
             for i in chosen:
                 b[i] += rng.choice([-1, 1]) * Fraction(rng.randint(1, 9), rng.randint(1, 9))
-            outcome.append(assert_matches_dense(rows, b))
+            outcome.append(assert_matches_dense(rows, b, n))
         assert outcome[0] is outcome[3] is InconsistentSystemError
         assert outcome[2] is list
         outcomes.append(outcome[1])

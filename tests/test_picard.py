@@ -9,9 +9,9 @@ from grdcalc.errors import PreconditionError
 from grdcalc.linalg import solve_unique
 from grdcalc.picard import (GENUS2_REDUCTION, GENUS2_RELATION, LAMBDA, PSI,
                             DivisorClass, PicSpace, compose, delta, epsilon,
-                            epsilon_intersection_matrix, evaluate, genus2_tail_rows,
-                            parse_class, pullback_i, pullback_j,
-                            pullback_k, reduce_m21, restrict)
+                            elliptic_tail_rows, epsilon_intersection_matrix, evaluate,
+                            genus2_tail_rows, marked_point_row, mg1_columns, parse_class,
+                            pullback_i, pullback_j, pullback_k, reduce_m21, restrict)
 from conftest import rand_class, rand_fraction
 
 
@@ -21,6 +21,30 @@ def test_bases():
     assert PicSpace.m0g(6).basis() == ("epsilon_2", "epsilon_3", "epsilon_4")
     assert PicSpace.c21().basis() == ("omega", "sigma", "delta", LAMBDA, PSI,
                                       "delta_0", "delta_1")
+
+
+def _by_symbol(g, row):
+    """A row with its mg1(g) columns read back as basis symbols."""
+    return {mg1_columns(g)[c]: w for c, w in row.items()}
+
+
+@pytest.mark.parametrize("g", [5, 6, 9, 12])
+def test_rows_key_their_mg1_sources_by_column(g):
+    # mg1_columns orders the basis of mg1(g), and through it each family's
+    # rows read as the restriction their docstrings state by symbol.
+    order = mg1_columns(g)
+    assert order == (LAMBDA, *(delta(i) for i in range(g)), PSI)
+    assert sorted(order) == sorted(PicSpace.mg1(g).basis())
+    for h in range(1, g):
+        expected = {PSI: 2 * h - 1, delta(h): -1, delta(g - h): 1} if 2 * h != g else {PSI: g - 1}
+        assert _by_symbol(g, marked_point_row(g, h)) == expected
+    den = (g - 1) * (g - 2)
+    assert {t: _by_symbol(g, row) for t, row in elliptic_tail_rows(g).items()} == {
+        epsilon(i): {delta(i): den, delta(1): -(g - i) * (g - i - 1),
+                     delta(g - 1): -(g - i) * (i - 1) * (g - 1)} for i in range(2, g - 1)}
+    assert {t: _by_symbol(g, row) for t, row in genus2_tail_rows(g).items()} == {
+        LAMBDA: {LAMBDA: 1}, delta(0): {delta(0): 1}, PSI: {delta(g - 2): -1},
+        delta(1): {delta(g - 1): 1}}
 
 
 def test_space_validation():
@@ -140,40 +164,43 @@ def test_pullbacks_are_linear(rng):
 
 
 def test_epsilon_matrix_small_genus():
+    # Sparse rows {column: entry}: dense, [[5,0,0],[-1,1,3],[0,-1,2]] and [[4,0],[-1,2]].
     assert epsilon_intersection_matrix(6) == [
-        [5, 0, 0],
-        [-1, 1, 3],
-        [0, -1, 2],
+        {0: 5},
+        {0: -1, 1: 1, 2: 3},
+        {1: -1, 2: 2},
     ]
-    assert epsilon_intersection_matrix(5) == [[4, 0], [-1, 2]]
+    assert epsilon_intersection_matrix(5) == [{0: 4}, {0: -1, 1: 2}]
 
 
 def test_epsilon_matrix_determinant_by_cramer():
     # Without its last row and column the matrix is lower bidiagonal with
     # determinant g - 1, so by Cramer's rule the last coordinate of M x = e_last
     # is (g - 1) / det M: this pins det M = (g-1)^2 (g-4) / 2.  Every entry is
-    # an int, as the elimination takes; an equal Fraction would not do.
+    # a nonzero int on a column of the matrix, as the elimination takes.
     for g in range(5, 31):
         m = epsilon_intersection_matrix(g)
-        assert all(type(v) is int for row in m for v in row), g
+        assert len(m) == g - 3
+        assert all(type(c) is int and 0 <= c < g - 3 and type(v) is int and v
+                   for row in m for c, v in row.items()), g
         e_last = [0] * (g - 4) + [1]
-        x = solve_unique(m, e_last)
+        x = solve_unique(m, e_last, g - 3)
         assert x[-1] == Fraction(2, (g - 1) * (g - 4)), g
 
 
 def test_epsilon_matrix_general_row_pattern():
     g = 9
     m = epsilon_intersection_matrix(g)
-    assert m[0] == [8, 0, 0, 0, 0, 0]
-    assert m[1] == [-1, 1, 0, 0, 0, 6]
-    assert m[2] == [0, -1, 1, 0, 0, 5]
-    assert m[4] == [0, 0, 0, -1, 1, 3]
-    assert m[5] == [0, 0, 0, 0, -1, 2]
+    assert m[0] == {0: 8}
+    assert m[1] == {0: -1, 1: 1, 5: 6}
+    assert m[2] == {1: -1, 2: 1, 5: 5}
+    assert m[4] == {3: -1, 4: 1, 5: 3}
+    assert m[5] == {4: -1, 5: 2}
 
 
 def test_epsilon_matrix_nonsingular_range():
     for g in range(6, 31):
-        assert solve_unique(epsilon_intersection_matrix(g), [0] * (g - 3)) == [0] * (g - 3)
+        assert solve_unique(epsilon_intersection_matrix(g), [0] * (g - 3), g - 3) == [0] * (g - 3)
 
 
 def test_epsilon_matrix_requires_g_at_least_five():
@@ -258,10 +285,14 @@ def test_integer_class_matches_a_fraction_dict_reference(rng, space):
         if a:
             sym = rng.choice(list(a))
             assert DivisorClass(space, {**a, sym: a[sym] + Fraction(1, 3)}) != A
-        rows = {f"t{i}": {s: rng.choice([rng.randint(-9, 9) or 1, rand_fraction(rng) or 1])
-                          for s in rng.sample(basis, rng.randint(1, len(basis)))}
+        # A row names a source on mg1(g) by its column of mg1_columns, and
+        # on any other space by its symbol.
+        sources = (dict(enumerate(mg1_columns(space.g))) if space.kind == "mg1"
+                   else {s: s for s in basis})
+        rows = {f"t{i}": {k: rng.choice([rng.randint(-9, 9) or 1, rand_fraction(rng) or 1])
+                          for k in rng.sample(list(sources), rng.randint(1, len(basis)))}
                 for i in range(3)}
-        expected = {t: sum((w * a.get(s, 0) for s, w in row.items()), Fraction(0))
+        expected = {t: sum((w * a.get(sources[k], 0) for k, w in row.items()), Fraction(0))
                     for t, row in rows.items()}
         assert restrict(rows, A) == expected
         assert all(evaluate(row, A) == expected[t] for t, row in rows.items())

@@ -79,7 +79,7 @@ def test_a_singular_boundary_matrix_fails_epsilon_nonsingular(monkeypatch):
     def singular_at_9(g):
         rows = true_matrix(g)
         if g == 9:
-            rows[2] = [2 * x for x in rows[1]]
+            rows[2] = {c: 2 * x for c, x in rows[1].items()}
         return rows
 
     monkeypatch.setattr(picard, "epsilon_intersection_matrix", singular_at_9)
@@ -104,8 +104,8 @@ def _gap_plus_one(true):
 
 def _x0_slip(true):
     # 10^-6 on the first unknown, lambda, of every solved system.
-    def slipped(rows, rhs):
-        x = true(rows, rhs)
+    def slipped(*system):
+        x = true(*system)
         return [x[0] + Fraction(1, 10 ** 6), *x[1:]]
     return slipped
 
@@ -152,11 +152,13 @@ def _sheets_slip(true):
 
 def _elliptic_delta1_slip(true):
     # 10^-6 on every delta_1 weight of the restriction: 10^-6 * (g-1)(g-2)
-    # on the numerator over the rows' one denominator (g-1)(g-2).
+    # on the numerator over the rows' one denominator (g-1)(g-2), in the
+    # column that mg1_columns gives delta_1.
     def slipped(g):
         rows = true(g)
+        column = picard.mg1_columns(g).index(picard.delta(1))
         for row in rows.values():
-            row[picard.delta(1)] += _TINY * (g - 1) * (g - 2)
+            row[column] += _TINY * (g - 1) * (g - 2)
         return rows
     return slipped
 
@@ -166,8 +168,18 @@ def _elliptic_delta1_int_slip(true):
     # int coefficients; the elliptic-tail equations are homogeneous, so the
     # scale leaves their solutions as they are.
     slipped = _elliptic_delta1_slip(true)
-    return lambda g: {target: {sym: int(w * 10 ** 6) for sym, w in row.items()}
+    return lambda g: {target: {column: int(w * 10 ** 6) for column, w in row.items()}
                       for target, row in slipped(g).items()}
+
+
+def _marked_psi_slip(true):
+    # One more on the psi weight of every marked-point row, an int as the
+    # elimination takes, in the column that mg1_columns gives psi.
+    def slipped(g, h):
+        row = true(g, h)
+        column = picard.mg1_columns(g).index(picard.PSI)
+        return {**row, column: row[column] + 1}
+    return slipped
 
 
 def _m21_a_slip(true):
@@ -304,6 +316,16 @@ SLIPS = {
         "delta-pullback-identity": "g=5: DivisorClass(m0g(5), -1499999/1000000*epsilon_2",
         "slope-vs-assembly": "(10,4,12): (lambda, delta_0) assembled "
                              "(112000207/15999991, -16000018/15999991)"}),
+    # The one statement of the marked-point row, read by pullback_k and by
+    # the assembly.  slope-vs-assembly does not see it at g_max 5: on the
+    # m-family, 2*alpha - beta - (r+2)*gamma has psi coefficient 0 and
+    # degree 0 on every marked-point family, so it solves the slipped
+    # system too.
+    "marked-point-row": ([(module, "marked_point_row", _marked_psi_slip)
+                          for module in (picard, pushforward)], {
+        "assembly-vs-closed-form": "(5,4,8) alpha: assembled DivisorClass(mg1(5), "
+                                   "20/3*lambda + -64/5*psi",
+        "family-restrictions": "(5,4,8) alpha: marked-point degree mismatch"}),
     "genus2-reduction": ([(picard.GENUS2_REDUCTION, picard.LAMBDA,
                            lambda row: {**row, picard.delta(0): 11})], {
         "genus2-reconstruction": "(4,3,6) alpha: DivisorClass(m21, 1*lambda + -8*psi",
