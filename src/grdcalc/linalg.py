@@ -66,18 +66,24 @@ def solve_unique(rows: Sequence[Mapping[int, int]], rhs: Sequence, columns: int)
     solution and RankDeficientError if it has more than one.
 
     The elimination builds a fraction-free row echelon form on sparse
-    integer rows, one equation after the other.  Each row is copied once:
-    with its right-hand side p/q, its weights times q and p in the rhs
-    column, with q as its scale.  Equation i is reduced in its first column
-    c by the pivot row of c: with pivot entry p and the row's entry t, the
-    row becomes row * (p/g) - pivot * (t/g), where g is gcd(p, t) with the
-    sign of p; the update visits only the nonzero columns of the pivot row.
-    A row rescaled by p/g != 1 is divided by its content at once, any other
+    integer rows, one equation after the other.  Each row travels with its
+    right-hand side as a separate int: with right-hand side p/q, the row's
+    weights times q beside p, with q as its scale.  The caller's rows and
+    right-hand sides are never written: a row is read from the caller's
+    mapping until it first changes (scaled by q != 1, reduced, or divided
+    by its content), and copied then, so a pivot row stored unchanged is
+    the caller's mapping.  Equation i is reduced in its first column c by
+    the pivot row of c: with pivot entry p and the row's entry t, the row
+    becomes row * (p/g) - pivot * (t/g), where g is gcd(p, t) with the sign
+    of p (for p = +-1, g is p and no gcd is taken); the update visits only
+    the nonzero columns of the pivot row.  A row rescaled by p/g != 1 is
+    divided by its content, right-hand side included, at once, any other
     row only when it is stored as a pivot row.  The reduction ends when no
     pivot row holds its first column (it becomes that column's pivot row),
-    when only its rhs entry is left (it contradicts equations 0..i-1) or
-    when nothing is left (it is dropped).  The pivot columns, and so the
-    free columns, do not depend on the order of the equations.
+    or when no column is left: it contradicts equations 0..i-1 if its
+    right-hand side is nonzero, and is dropped otherwise.  The pivot
+    columns, and so the free columns, do not depend on the order of the
+    equations.
 
     Every integer row is a nonzero multiple of the rational row it stands
     for, and keeps that multiple as its scale, so a contradiction reports
@@ -90,8 +96,6 @@ def solve_unique(rows: Sequence[Mapping[int, int]], rhs: Sequence, columns: int)
     if not rows:
         raise ValueError("empty system")
     n = columns
-    # (int row, q): the row is q times the rational row it stands for.
-    read: list[tuple[dict[int, int], int]] = []
     for i, (row, bv) in enumerate(zip(rows, rhs)):
         for j, w in row.items():
             if not (type(j) is int is type(w) and w and 0 <= j < n):
@@ -99,57 +103,73 @@ def solve_unique(rows: Sequence[Mapping[int, int]], rhs: Sequence, columns: int)
         if not isinstance(bv, (int, Fraction)):
             raise ValueError(f"row {i} has a {type(bv).__name__} right-hand side {bv!r}, "
                              "expected an int or a Fraction")
-        p, q = bv.as_integer_ratio()
-        ints = dict(row) if q == 1 else {j: w * q for j, w in row.items()}
-        if p:
-            ints[n] = p
-        read.append((ints, q))
-    # pivot_rows[c]: the row whose first column is c.
-    pivot_rows: dict[int, dict[int, int]] = {}
-    for i, (row, num) in enumerate(read):
-        # The row is num / den times the rational row it stands for.
+    # pivots[c]: (row, rhs) of the pivot row whose first column is c.
+    pivots: list[tuple[Mapping[int, int], int] | None] = [None] * n
+    for i, (row, bv) in enumerate(zip(rows, rhs)):
+        # The row with right-hand side b is num / den times equation i.
+        b, num = bv.as_integer_ratio()
         den = 1
+        # Until it is scaled or reduced, row is the caller's, and only read.
+        own = num != 1
+        if own:
+            row = {j: w * num for j, w in row.items()}
         while row:
             col = min(row)
-            if col == n:
-                raise InconsistentSystemError(i, Fraction(row[n] * den, num))
-            pivot = pivot_rows.get(col)
+            pivot = pivots[col]
             if pivot is None:
-                content = gcd(*row.values())
+                content = gcd(b, *row.values())
                 if content > 1:
                     row = {j: v // content for j, v in row.items()}
-                pivot_rows[col] = row
+                    b //= content
+                pivots[col] = row, b
                 break
-            lead = pivot[col]
+            prow, pb = pivot
+            lead = prow[col]
             t = row[col]
-            # With the sign of lead, a is positive and mostly 1: no rescale.
-            g = gcd(lead, t) if lead > 0 else -gcd(lead, t)
-            a, b = lead // g, t // g
+            if lead == 1 or lead == -1:
+                a, f = 1, t * lead
+            else:
+                # With the sign of lead, a is positive and mostly 1: no rescale.
+                g = gcd(lead, t) if lead > 0 else -gcd(lead, t)
+                a, f = lead // g, t // g
             if a != 1:
                 row = {j: v * a for j, v in row.items()}
+                b *= a
                 num *= a
-            # Column col cancels: a * t == b * lead.
-            for j, v in pivot.items():
-                w = row.get(j, 0) - b * v
+                own = True
+            elif not own:
+                row = dict(row)
+                own = True
+            # Column col cancels: a * t == f * lead.
+            for j, v in prow.items():
+                w = row.get(j, 0) - f * v
                 if w:
                     row[j] = w
                 else:
                     del row[j]
+            b -= f * pb
             if a != 1:
-                content = gcd(*row.values())
+                content = gcd(b, *row.values())
                 if content > 1:
                     row = {j: v // content for j, v in row.items()}
+                    b //= content
                     den *= content
-    if len(pivot_rows) < n:
-        raise RankDeficientError([c for c in range(n) if c not in pivot_rows])
+        else:
+            if b:
+                raise InconsistentSystemError(i, Fraction(b * den, num))
+    if None in pivots:
+        raise RankDeficientError([c for c, pivot in enumerate(pivots) if pivot is None])
     # Pivot row i has its first entry in column i.  Substitute back with
-    # x[j] = num[j] / den for every j already solved.
+    # x[j] = num[j] / den for every j already solved; num[i] is still 0, so
+    # the sum may run over the lead too.
     num = [0] * n
     den = 1
     for i in reversed(range(n)):
-        row = pivot_rows[i]
+        row, b = pivots[i]
         lead = row[i]
-        value = row.get(n, 0) * den - sum(v * num[j] for j, v in row.items() if i < j < n)
+        value = b * den
+        for j, v in row.items():
+            value -= v * num[j]
         if lead < 0:
             lead, value = -lead, -value
         g = gcd(value, lead)

@@ -186,7 +186,8 @@ def mg1_columns(g: int) -> tuple[str, ...]:
 
 # Each test family's restriction is written once below, as sparse rows:
 # target coordinate -> {source: weight}, where a source on mg1(g) is its
-# column of ``mg1_columns`` and a source on m21 its basis symbol.  The
+# column of ``mg1_columns`` and a source on m21 its basis symbol (the
+# elliptic-tail rows are a list in the order of their targets).  The
 # pull-backs evaluate these rows on a class; the push-forward assembly
 # hands the same rows to the elimination as the coefficients of its
 # unknowns, and the elimination takes int weights only: every weight is
@@ -218,17 +219,20 @@ def restrict(rows: Mapping[object, Row], D: DivisorClass) -> dict[object, Fracti
     return {target: _value(row, nums, D.den) for target, row in rows.items()}
 
 
-def elliptic_tail_rows(g: int) -> dict[str, Row]:
+def elliptic_tail_rows(g: int) -> list[Row]:
     """Restriction of mg1(g) to the elliptic-tail family, for g >= 5, times (g-1)(g-2).
 
-    epsilon_i, for 2 <= i <= g-2, reads delta_i minus the weights
-    (g-i)(g-i-1)/((g-1)(g-2)) of delta_1 and (g-i)(i-1)/(g-2) of delta_{g-1};
-    each row holds their integer numerators over the one denominator (g-1)(g-2),
-    on the columns i + 1, 2 and g.
+    One row per epsilon_i, 2 <= i <= g-2, in the order of
+    ``PicSpace.m0g(g).basis()``, without the names: the assembly uses the
+    rows as equations, and only ``pullback_i`` names them.  epsilon_i reads
+    delta_i minus the weights (g-i)(g-i-1)/((g-1)(g-2)) of delta_1 and
+    (g-i)(i-1)/(g-2) of delta_{g-1}; each row holds their integer
+    numerators over the one denominator (g-1)(g-2), on the columns i + 1, 2
+    and g.
     """
     den = (g - 1) * (g - 2)
-    return {epsilon(i): {i + 1: den, 2: -(g - i) * (g - i - 1), g: -(g - i) * (i - 1) * (g - 1)}
-            for i in range(2, g - 1)}
+    return [{i + 1: den, 2: -(g - i) * (g - i - 1), g: -(g - i) * (i - 1) * (g - 1)}
+            for i in range(2, g - 1)]
 
 
 def genus2_tail_rows(g: int) -> dict[str, Row]:
@@ -264,7 +268,9 @@ def pullback_i(g: int, D: DivisorClass) -> DivisorClass:
     if g < 5:
         raise PreconditionError("pullback_i needs g >= 5")
     _require_space(D, PicSpace.mg1(g), "pullback_i")
-    return DivisorClass(PicSpace.m0g(g), restrict(elliptic_tail_rows(g), D), (g - 1) * (g - 2))
+    m0g = PicSpace.m0g(g)
+    rows = dict(zip(m0g.basis(), elliptic_tail_rows(g)))
+    return DivisorClass(m0g, restrict(rows, D), (g - 1) * (g - 2))
 
 
 def pullback_j(g: int, D: DivisorClass) -> DivisorClass:

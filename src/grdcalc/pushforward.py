@@ -120,7 +120,7 @@ def family_equations(g: int, r: int, d: int,
     n = castelnuovo_count(g, r, d)
     equations = [("marked-point", marked_point_row(g, h), marked_per_n(g, r, d, h, label) * n)
                  for h in range(1, g)]
-    equations += [("elliptic-tail", row, 0) for row in elliptic_tail_rows(g).values()]
+    equations += [("elliptic-tail", row, 0) for row in elliptic_tail_rows(g)]
     (pa, qa), (pb, qb) = (c.as_integer_ratio() for c in m21_per_n(g, r, d, label))
     an, bn, den = pa * qb * n, pb * qa * n, qa * qb
     equations += [("genus-2", row, Fraction(m21_coefficient(an, bn, sym), den))

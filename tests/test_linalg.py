@@ -1,5 +1,7 @@
+import copy
 import re
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -115,6 +117,56 @@ def test_the_rows_are_not_changed():
         assert solve_unique(rows, [Fraction(2, 3), Fraction(2, 3), 2], 2) \
             == [Fraction(-1, 3), Fraction(1, 3)]
     assert rows == copies
+
+
+def _family_system(g, r, d, label):
+    equations = family_equations(g, r, d, label)
+    return [row for _, row, _ in equations], [value for _, _, value in equations], g + 2
+
+
+def _bumped_genus2_system():
+    # One genus-2 right-hand side off by 1/3: its row is scaled by 3, and
+    # the solution moves (no other equation restates a genus-2 one).
+    rows, rhs, n = _family_system(9, 2, 8, ClassLabel.BETA)
+    rhs[-1] += Fraction(1, 3)
+    return rows, rhs, n
+
+
+def _content_system(bump):
+    # Every row has content > 1, so each is divided before it is stored.
+    rows = [{0: 2, 1: 4}, {0: 3, 1: 9}, {1: 6, 2: 12}, {0: 5, 2: 10}, {2: 4}, {0: 6, 1: 6, 2: 6}]
+    rhs = _planted(rows, [Fraction(1, 2), Fraction(-2, 3), 3])
+    rhs[-1] += bump
+    return rows, rhs, 3
+
+
+def _outcome(rows, rhs, n):
+    try:
+        return solve_unique(rows, rhs, n)
+    except InconsistentSystemError as exc:
+        return exc.witness, exc.residue
+
+
+@pytest.mark.parametrize("system", [
+    lambda: _family_system(9, 2, 8, ClassLabel.BETA),
+    _bumped_genus2_system,
+    lambda: _content_system(0),
+    lambda: _content_system(Fraction(5, 7)),
+], ids=["family", "family-bumped-genus2", "content", "content-contradiction"])
+def test_the_caller_rows_are_read_and_never_written(system):
+    # solve_unique reads a caller's row until it first changes it and keeps
+    # an unchanged pivot row as it is: the caller's rows and right-hand
+    # sides keep their values, and a second solve gives the same outcome.
+    rows, rhs, n = system()
+    assert any(type(v) is Fraction for v in rhs)
+    before = copy.deepcopy((rows, rhs))
+    first = _outcome(rows, rhs, n)
+    assert (rows, rhs) == before
+    assert _outcome(rows, rhs, n) == first
+    # Read-only views of the same rows and right-hand sides: a write to any
+    # of them, as to a pivot row stored without change, would raise.
+    assert _outcome([MappingProxyType(row) for row in rows], tuple(rhs), n) == first
+    assert (rows, rhs) == before
 
 
 def dense(rows, n):
@@ -298,6 +350,19 @@ def test_sparse_elimination_matches_dense_reference(rng):
     # Small int coefficients; the planted solutions make the right-hand
     # sides Fractions.
     outcomes = {assert_matches_dense(*random_system(rng)) for _ in range(400)}
+    assert outcomes == {list, InconsistentSystemError, RankDeficientError}
+
+
+def test_unit_and_other_pivot_leads_match_dense_reference(rng):
+    # Most weights are +-1, so most pivot rows lead with +-1 and reduce
+    # without a gcd; the rest lead with |lead| > 1 and take the gcd rule.
+    def entry(rng):
+        return rng.choice([1, -1, 1, -1, 1, -1, 2, -3, 4, -6])
+
+    systems = [random_system(rng, entry) for _ in range(400)]
+    leads = {row[min(row)] for rows, _, _ in systems for row in rows if row}
+    assert {1, -1} <= leads and any(abs(lead) > 1 for lead in leads)
+    outcomes = {assert_matches_dense(*system) for system in systems}
     assert outcomes == {list, InconsistentSystemError, RankDeficientError}
 
 

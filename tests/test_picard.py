@@ -39,9 +39,11 @@ def test_rows_key_their_mg1_sources_by_column(g):
         expected = {PSI: 2 * h - 1, delta(h): -1, delta(g - h): 1} if 2 * h != g else {PSI: g - 1}
         assert _by_symbol(g, marked_point_row(g, h)) == expected
     den = (g - 1) * (g - 2)
-    assert {t: _by_symbol(g, row) for t, row in elliptic_tail_rows(g).items()} == {
-        epsilon(i): {delta(i): den, delta(1): -(g - i) * (g - i - 1),
-                     delta(g - 1): -(g - i) * (i - 1) * (g - 1)} for i in range(2, g - 1)}
+    # One elliptic-tail row per epsilon_i, in the order of the m0g(g) basis.
+    assert len(PicSpace.m0g(g).basis()) == g - 3
+    assert [_by_symbol(g, row) for row in elliptic_tail_rows(g)] == [
+        {delta(i): den, delta(1): -(g - i) * (g - i - 1),
+         delta(g - 1): -(g - i) * (i - 1) * (g - 1)} for i in range(2, g - 1)]
     assert {t: _by_symbol(g, row) for t, row in genus2_tail_rows(g).items()} == {
         LAMBDA: {LAMBDA: 1}, delta(0): {delta(0): 1}, PSI: {delta(g - 2): -1},
         delta(1): {delta(g - 1): 1}}
@@ -112,6 +114,21 @@ def test_pullback_i_boundary_delta_identity():
         expected = DivisorClass(PicSpace.m0g(g), {
             epsilon(i): Fraction(i * (i - g), g - 1) for i in range(2, g - 1)})
         assert pullback_i(g, D) == expected
+
+
+@pytest.mark.parametrize("g", range(5, 13))
+def test_pullback_i_names_the_elliptic_rows_by_the_m0g_basis(g):
+    # The classes that the CLI benchmark pulls back, against the restriction
+    # that elliptic_tail_rows states, read by symbol.
+    texts = ["lambda:1,psi:-2", f"delta_1:3/2,delta_{g - 1}:1", f"delta_{g - 2}:2,psi:-1",
+             "delta_0:1,delta_2:-1", ",".join(f"delta_{i}:{i + 1}" for i in range(g))]
+    for text in texts:
+        D = parse_class(PicSpace.mg1(g), text)
+        expected = {epsilon(i): D.get(delta(i))
+                    - Fraction((g - i) * (g - i - 1), (g - 1) * (g - 2)) * D.get(delta(1))
+                    - Fraction((g - i) * (i - 1), g - 2) * D.get(delta(g - 1))
+                    for i in range(2, g - 1)}
+        assert pullback_i(g, D).payload() == DivisorClass(PicSpace.m0g(g), expected).payload()
 
 
 def test_pullback_i_requires_g_at_least_five():

@@ -157,7 +157,7 @@ def _elliptic_delta1_slip(true):
     def slipped(g):
         rows = true(g)
         column = picard.mg1_columns(g).index(picard.delta(1))
-        for row in rows.values():
+        for row in rows:
             row[column] += _TINY * (g - 1) * (g - 2)
         return rows
     return slipped
@@ -168,8 +168,8 @@ def _elliptic_delta1_int_slip(true):
     # int coefficients; the elliptic-tail equations are homogeneous, so the
     # scale leaves their solutions as they are.
     slipped = _elliptic_delta1_slip(true)
-    return lambda g: {target: {column: int(w * 10 ** 6) for column, w in row.items()}
-                      for target, row in slipped(g).items()}
+    return lambda g: [{column: int(w * 10 ** 6) for column, w in row.items()}
+                      for row in slipped(g)]
 
 
 def _marked_psi_slip(true):
