@@ -300,6 +300,7 @@ def _cmd_pushforward(args) -> tuple[dict, int]:
     label = ClassLabel(args.class_name)
     payload: dict = {"g": g, "r": r, "d": d, "class": label.value, "method": args.method}
     if args.method != "assembled":
+        pushforward.refuse_unprintable(g, r, d, label)
         payload["coefficients"] = pushforward.closed_form(g, r, d, label).payload()
     if args.method != "closed":
         assembled = pushforward.solve_from_families(g, r, d, label).as_divisor_class(g)

@@ -7,7 +7,10 @@ closed forms are stated here directly; ``solve_from_families`` re-derives
 them by solving the special-family data (``family_equations``) as an
 over-determined exact linear system, which must be consistent with a unique
 solution.  The two routes agreeing coefficient-for-coefficient is the
-package's central check.
+package's central check.  The printed delta_i, i >= 1, are the push-forward
+in the code's normalisation; the quadric class built from them
+(``slope.quadric_per_n``) is not claimed to be the class of the closure of
+the quadric locus.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import ConsistencyError, PreconditionError
+from .exact import format_rational
 from .families import ClassLabel, m21_coefficient, m21_per_n, marked_per_n
 from .invariants import (ALPHA_GAMMA_PUSH, BETA_PUSH, COVER_DEGREE, TEST_FAMILIES,
                          PerCoverDegree, alpha_per_n, beta_per_n, castelnuovo_count,
@@ -47,22 +51,32 @@ def _times_cover_degree(g: int, r: int, d: int, per_n: PerCoverDegree) -> Diviso
     return DivisorClass(PicSpace.mg1(g), items, per_n.den)
 
 
+def _per_n(g: int, r: int, d: int, label: ClassLabel) -> PerCoverDegree:
+    """The per-N coefficients of a closed form, after its domain check.
+
+    The functions are looked up at each call, so a patched module attribute
+    takes effect.
+    """
+    domain, per_n = {ClassLabel.ALPHA: (ALPHA_GAMMA_PUSH, alpha_per_n),
+                     ClassLabel.BETA: (BETA_PUSH, beta_per_n),
+                     ClassLabel.GAMMA: (ALPHA_GAMMA_PUSH, gamma_per_n)}[label]
+    domain.check(g, r, d)
+    return per_n(g, r, d)
+
+
 def alpha(g: int, r: int, d: int) -> DivisorClass:
     """Push-forward of the squared line-bundle class on mg1(g): N times ``alpha_per_n``."""
-    ALPHA_GAMMA_PUSH.check(g, r, d)
-    return _times_cover_degree(g, r, d, alpha_per_n(g, r, d))
+    return _times_cover_degree(g, r, d, _per_n(g, r, d, ClassLabel.ALPHA))
 
 
 def beta(g: int, r: int, d: int) -> DivisorClass:
     """Push-forward of (line bundle class).(dualizing class) on mg1(g): N times ``beta_per_n``."""
-    BETA_PUSH.check(g, r, d)
-    return _times_cover_degree(g, r, d, beta_per_n(g, r, d))
+    return _times_cover_degree(g, r, d, _per_n(g, r, d, ClassLabel.BETA))
 
 
 def gamma(g: int, r: int, d: int) -> DivisorClass:
     """Push-forward of the section-bundle class on mg1(g): N times ``gamma_per_n``."""
-    ALPHA_GAMMA_PUSH.check(g, r, d)
-    return _times_cover_degree(g, r, d, gamma_per_n(g, r, d))
+    return _times_cover_degree(g, r, d, _per_n(g, r, d, ClassLabel.GAMMA))
 
 
 _CLOSED_FORMS = {ClassLabel.ALPHA: alpha, ClassLabel.BETA: beta, ClassLabel.GAMMA: gamma}
@@ -70,6 +84,20 @@ _CLOSED_FORMS = {ClassLabel.ALPHA: alpha, ClassLabel.BETA: beta, ClassLabel.GAMM
 
 def closed_form(g: int, r: int, d: int, label: ClassLabel) -> DivisorClass:
     return _CLOSED_FORMS[label](g, r, d)
+
+
+def refuse_unprintable(g: int, r: int, d: int, label: ClassLabel) -> None:
+    """Refuse, before it is built, a closed form that N alone shows cannot be printed.
+
+    After the closed form's own domain check, its psi coefficient is
+    N * psi / den with psi a nonzero int (d >= 1), so its numerator in
+    lowest terms is at least N // den.  Where ``format_rational`` refuses
+    that int, it would refuse the class, so it is refused here with the
+    same message; otherwise nothing is refused.
+    """
+    per_n = _per_n(g, r, d, label)
+    if per_n.psi:
+        format_rational(castelnuovo_count(g, r, d) // per_n.den)
 
 
 def combination(g: int, r: int, d: int, c_alpha, c_beta, c_gamma,

@@ -18,7 +18,8 @@ two independent routes:
 
 A packed index is one int with each entry in its own fixed-width field
 (``IndexCode``), so a product builds each result with one subtraction and
-hashes an int, not a tuple; ``SchubertCombo.by_index`` gives the terms
+hashes an int, not a tuple, and reads a term's entries back with one
+precompiled ``struct`` unpack; ``SchubertCombo.by_index`` gives the terms
 keyed by index tuples.
 
 Agreement of the two routes over an exhaustive family of small shapes is part
@@ -28,28 +29,29 @@ of the package's verification suite.
 from __future__ import annotations
 
 import sys
-from array import array
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial
+from math import factorial, prod
 from operator import gt, index
-from struct import calcsize
+from struct import Struct, calcsize
 
 from .errors import PreconditionError
 from .value import Value
 
 Index = tuple[int, ...]
 
-# Native entry formats of a packed index, narrowest first: (bytes, format).
-_ENTRY_FORMATS = [(calcsize(fmt), fmt) for fmt in "BHIQ"]
+# Unsigned entry formats of a packed index, narrowest first: (bytes, format),
+# sized in the standard mode that ``IndexCode.codec`` reads them in.
+_ENTRY_FORMATS = [(calcsize("<" + fmt), fmt) for fmt in "BHIQ"]
 
 # The most work one Pieri integral may do, counted at each product as the
 # terms of the combination times the rows.  The largest integral of
 # `verify` at g_max 60, at (g, r, d) = (60, 9, 63), counts 38 350.  The
-# slowest refusal at the limit found with d <= 300 (r = 2 to 4, b = 0 or
-# b[r] = 1, a power past the dimension) takes 0.13-0.19 s in-process, as
-# the one-way route did in the same runs (Python 3.11, 2 vCPUs).
+# slowest refusals at the limit found with d <= 300 (r = 4, d = 226 to 298,
+# b = 0 or b[r] = 1, a power past the dimension) take 0.08-0.11 s
+# in-process, 0.09-0.12 s with the former ``memoryview`` decode, best of 5
+# run alternately (Python 3.11, 2 vCPUs).
 PIERI_WORK_LIMIT = 3 * 10 ** 5
 
 
@@ -99,18 +101,18 @@ def check_partition(shape: GrassShape, b: Sequence[int]) -> Index:
 class IndexCode:
     """How the indices of one shape are packed into ints.
 
-    Entry i of an index is the i-th native item of format ``format`` in the
-    bytes of its int written in host byte order (``sys.byteorder``), so one
-    ``int.to_bytes`` and one ``memoryview.cast`` read every entry back, and
-    ``array`` packs them, on either byte order.  ``format`` is the narrowest
-    native unsigned format that holds ``width``, and a valid index has no
-    wider entry; a box too wide for every format is refused.  Field i sits
-    at bit ``shifts[i]`` of the int, so an index packs to the sum of
+    Entry i of an index is field i of ``codec``, a precompiled
+    ``struct.Struct`` of unsigned fields in the byte order ``order``
+    (``sys.byteorder``) that the int is written in, so one ``int.to_bytes``
+    and one ``codec.unpack`` read every entry back, and ``codec.pack`` packs
+    them, on either byte order.  Each field is the narrowest of 1, 2, 4 or 8
+    bytes that holds ``width``; a box too wide for 8 is refused.  Field i
+    sits at bit ``shifts[i]`` of the int, so an index packs to the sum of
     ``b[i] << shifts[i]``, ``ones`` is the packed (1, ..., 1) and ``point``
     the packed point class (width, ..., width).
     """
 
-    __slots__ = ("width", "format", "order", "nbytes", "shifts", "ones", "point")
+    __slots__ = ("width", "order", "codec", "nbytes", "shifts", "ones", "point")
 
     def __init__(self, shape: GrassShape):
         width, rows = shape.width, shape.rows
@@ -122,7 +124,8 @@ class IndexCode:
                 f"the Pieri route packs an index entry in at most {size} bytes, "
                 f"too few for width {width}; use the closed form (--method closed)")
         bits = 8 * size
-        self.width, self.format, self.order = width, fmt, sys.byteorder
+        self.width, self.order = width, sys.byteorder
+        self.codec = Struct(("<" if self.order == "little" else ">") + fmt * rows)
         self.nbytes = size * rows
         self.shifts = list(range(0, bits * rows, bits))
         if self.order == "big":
@@ -132,21 +135,20 @@ class IndexCode:
 
     def pack(self, b: Sequence[int]) -> int:
         """The int of an index, each entry in its own field."""
-        return int.from_bytes(array(self.format, b), self.order)
+        return int.from_bytes(self.codec.pack(*b), self.order)
 
-    def entries(self, key: int) -> memoryview:
-        """The entries of a packed index, as ints, in row order."""
-        return memoryview(key.to_bytes(self.nbytes, self.order)).cast(self.format)
+    def entries(self, key: int) -> tuple[int, ...]:
+        """The entries of a packed index, in row order."""
+        return self.codec.unpack(key.to_bytes(self.nbytes, self.order))
 
     def dual(self, key: int) -> int:
         """The packed Schubert dual of a packed index b: entry i is
         width - b[r - i], the index whose class meets sigma_b in the point.
 
-        The entries are reversed as native items, so the field size and the
-        byte order do not matter, and taken from ``point``, which no entry
-        exceeds.  The map is an involution.
+        The entries are reversed and packed again, and taken from
+        ``point``, which no entry exceeds.  The map is an involution.
         """
-        return self.point - int.from_bytes(self.entries(key)[::-1].tobytes(), self.order)
+        return self.point - self.pack(self.entries(key)[::-1])
 
 
 class SchubertCombo:
@@ -168,7 +170,7 @@ class SchubertCombo:
 
     def by_index(self) -> dict[Index, int]:
         """The terms keyed by index tuples."""
-        return {tuple(self.code.entries(key)): c for key, c in self.terms.items()}
+        return {self.code.entries(key): c for key, c in self.terms.items()}
 
     def _with_terms(self, terms: dict[int, int]) -> SchubertCombo:
         """A combination on the same shape and code, holding packed terms as given."""
@@ -184,7 +186,8 @@ def special_power_integral(shape: GrassShape, k: int, b: Sequence[int]) -> Fract
     k! / prod_i (k - d + r + a_i)! * prod_{i<j} (a_j - a_i)
     whenever r*k + sum(b) equals the dimension of the shape; a negative
     factorial argument means the cycle is forced outside the box and the
-    whole product vanishes.  A failed dimension count also gives zero.
+    whole product vanishes; a_i increases, so only the first argument is
+    tested.  A failed dimension count also gives zero.
     """
     b = check_partition(shape, b)
     if k < 0:
@@ -194,17 +197,11 @@ def special_power_integral(shape: GrassShape, k: int, b: Sequence[int]) -> Fract
     if shape.r * k + sum(b) != shape.dim:
         return Fraction(0)
     a = [bi + i for i, bi in enumerate(b)]
-    shifts = [k - shape.d + shape.r + ai for ai in a]
-    if any(s < 0 for s in shifts):
+    low = k - shape.d + shape.r  # the factorial argument of a_i is low + a_i
+    if low + a[0] < 0:
         return Fraction(0)
-    num = factorial(k)
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            num *= a[j] - a[i]
-    den = 1
-    for s in shifts:
-        den *= factorial(s)
-    return Fraction(num, den)
+    num = factorial(k) * prod([aj - ai for i, ai in enumerate(a) for aj in a[i + 1:]])
+    return Fraction(num, prod([factorial(low + ai) for ai in a]))
 
 
 def pieri_multiply(combo: SchubertCombo, floor: int = 0) -> SchubertCombo:
@@ -219,30 +216,38 @@ def pieri_multiply(combo: SchubertCombo, floor: int = 0) -> SchubertCombo:
     subtraction, and the result is hashed as an int.  An entry of
     ``grown`` may pass the width and leave its field, but no result keeps
     it.  The entries of b, which give the staying rows and the first
-    entry, are read back once per term.  A result's first entry is b[0]
-    if row 0 stays and b[0] + 1 otherwise, so a term with
-    b[0] + 1 < floor is skipped and, when b[0] + 1 == floor, row 0 does
-    not stay: no result below the floor is built.  With floor 0 every
+    entry, are read back once per term, by one ``codec.unpack``.  A
+    result's first entry is b[0] if row 0 stays and b[0] + 1 otherwise,
+    so a term with b[0] + 1 < floor is skipped and, when
+    b[0] + 1 == floor, row 0 does not stay: no result below the floor is
+    built.  A term with b[-1] == width is decided before the row loop:
+    only its last row may stay, and only where that row starts its run
+    (for r = 0, where the floor lets row 0 stay).  With floor 0 every
     result is kept.  Coefficients that cancel are dropped.  For r = 0 the
     product is the identity.  The result shares the combination's
     ``IndexCode``.
     """
     code = combo.code
-    nbytes, order, fmt = code.nbytes, code.order, code.format
+    unpack, nbytes, order = code.codec.unpack, code.nbytes, code.order
     shifts, ones, width = code.shifts, code.ones, code.width
-    last = shifts[-1]
+    tall, last_row = len(shifts) > 1, ((shifts[-1], width),)
     terms: dict[int, int] = {}
     for key, c in combo.terms.items():
-        b = memoryview(key.to_bytes(nbytes, order)).cast(fmt)  # code.entries(key), inlined
+        b = unpack(key.to_bytes(nbytes, order))  # code.entries(key), inlined
         first = b[0] + 1
         if first < floor:
             continue
+        if b[-1] != width:
+            rows = zip(shifts, b)
+        elif not tall or b[-2] < width:
+            rows = last_row  # only the last row may stay, and it starts its run
+        else:
+            continue
         grown = key + ones
-        full = b[-1] == width
         # A run taken to start at b[0] keeps row 0 from staying.
         prev = -1 if first > floor else b[0]
-        for s, x in zip(shifts, b):
-            if x != prev and (not full or s == last):
+        for s, x in rows:
+            if x != prev:
                 out = grown - (1 << s)
                 v = terms.get(out, 0) + c
                 if v:

@@ -25,7 +25,7 @@ from .value import Value
 # m_max shares its bound, slope.M_FAMILY_LIMIT, with `slope --sweep`.  At
 # g_max 60 and m_max 1000 the battery takes 0.95 s as a process (best of 15),
 # 1.14 s with ``golden_payload``, and its largest row, count-vs-degree,
-# 0.13-0.14 s in-process (Python 3.11, 2 vCPUs).
+# 0.115-0.12 s in-process (Python 3.11, 2 vCPUs).
 DEFAULT_G_MAX = 12
 DEFAULT_M_MAX = 15
 G_MAX_LIMIT = 60

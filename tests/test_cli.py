@@ -230,6 +230,45 @@ def test_long_count_below_the_digit_limit_prints(capsys):
     assert len(payload["N"]) > 4000
 
 
+DIGIT_LIMIT_ERROR = ("grdcalc: precondition violated: result exceeds the 4300-digit limit "
+                     "on printing an integer\n")
+
+
+def _fail_if_called(*args):
+    raise AssertionError("no class may be built")
+
+
+@pytest.mark.parametrize("method", ["closed", "both"])
+def test_an_unprintable_push_forward_is_refused_before_any_class_is_built(monkeypatch, capsys,
+                                                                          method):
+    # The pencil count at g = 20000 has about 6000 digits: N alone shows that
+    # the psi coefficient, N * psi / den, cannot be printed.
+    monkeypatch.setattr(pushforward, "closed_form", _fail_if_called)
+    monkeypatch.setattr(pushforward, "solve_from_families", _fail_if_called)
+    code, out, err = run_cli(capsys, "pushforward", "--g", "20000", "--r", "1", "--d", "10001",
+                             "--class", "gamma", "--method", method)
+    assert (code, out, err) == (1, "", DIGIT_LIMIT_ERROR)
+
+
+@pytest.mark.parametrize("g", [14348, 14350])
+def test_the_early_refusal_prints_what_the_full_path_prints(monkeypatch, capsys, g):
+    # Gamma pencils on either side of the early refusal: from g = 14350 the
+    # count passes den * 10^4300, and at g = 14348 it is past 10^4300 only,
+    # so that class is built and refused as it is printed.  Either way the
+    # output is the full path's.
+    argv = ["pushforward", "--g", str(g), "--r", "1", "--d", str(g // 2 + 1), "--class",
+            "gamma", "--method", "closed"]
+    built = []
+    true_closed_form = pushforward.closed_form
+    monkeypatch.setattr(pushforward, "closed_form", lambda *args: built.append(args)
+                        or true_closed_form(*args))
+    early = run_cli(capsys, *argv)
+    assert early == (1, "", DIGIT_LIMIT_ERROR)
+    assert len(built) == (g < 14350)
+    monkeypatch.setattr(pushforward, "refuse_unprintable", lambda *args: None)
+    assert run_cli(capsys, *argv) == early
+
+
 def test_golden_path_that_is_a_file_is_usage_error(tmp_path, capsys):
     blocker = tmp_path / "golden"
     blocker.write_text("not a directory\n")

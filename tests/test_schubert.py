@@ -177,13 +177,14 @@ def test_packed_indices_round_trip_at_the_box_corners(width):
     for r in range(4):
         shape = GrassShape(r, r + width)
         code = IndexCode(shape)
+        size = code.nbytes // shape.rows
+        assert code.codec.size == code.nbytes
+        assert width < 256 ** size
+        assert size == 1 or width >= 256 ** (size // 2)
         for b in _box_corners(shape):
             key = code.pack(b)
             assert key == sum(x << s for x, s in zip(b, code.shifts))
-            entries = code.entries(key)
-            assert tuple(entries) == b
-            assert width < 256 ** entries.itemsize
-            assert entries.itemsize == 1 or width >= 256 ** (entries.itemsize // 2)
+            assert code.entries(key) == b
             assert SchubertCombo(shape, {b: 3}).by_index() == {b: 3}
             assert pieri_multiply(SchubertCombo(shape, {b: 1})).by_index() \
                 == _zeta_brute_force(shape, b), (shape, b)
@@ -206,7 +207,7 @@ def test_a_box_wider_than_every_entry_is_refused():
 
 @pytest.mark.parametrize("order", ["little", "big"])
 def test_packed_fields_sit_in_row_order_on_either_byte_order(monkeypatch, order):
-    # A host of either byte order reads entry i natively from the bytes
+    # A host of either byte order reads entry i from the bytes
     # [i * size, (i + 1) * size) of the int written in its order; the bit
     # offsets that products subtract at must name that same field.
     monkeypatch.setattr(sys, "byteorder", order)
@@ -219,10 +220,23 @@ def test_packed_fields_sit_in_row_order_on_either_byte_order(monkeypatch, order)
             raw = sum(x << s for x, s in zip(b, code.shifts)).to_bytes(code.nbytes, order)
             assert tuple(int.from_bytes(raw[i * size:(i + 1) * size], order)
                          for i in range(shape.rows)) == b
-    # With one-byte entries the native reading is the same on both orders,
-    # so the whole route runs as it would on a host of this order.
+            assert code.entries(code.pack(b)) == b
+    # The codec reads in the code's byte order, not the host's, so the whole
+    # route runs as it would on a host of this order: one-byte entries, ...
     for shape, k, b in _oracle_cases(max_dim=12, max_weight=4):
         assert zeta_power_integral_pieri(shape, k, b) == special_power_integral(shape, k, b)
+    # ... entries of 2, 4 and 8 bytes near the point class, ...
+    for width in WIDE_BOXES[2:]:
+        shape = GrassShape(2, 2 + width)
+        for b in [(width - 3, width - 2, width - 1), (width - 2, width - 2, width)]:
+            k = (shape.dim - sum(b)) // 2
+            assert zeta_power_integral_pieri(shape, k, b) \
+                == special_power_integral(shape, k, b) > 0, (width, b)
+    # ... and the paired halves on the widest pencil box the CLI admits.
+    shape = GrassShape(1, 300)
+    for b in [(0, 0), (0, 3)]:
+        k = shape.dim - sum(b)
+        assert zeta_power_integral_pieri(shape, k, b) == special_power_integral(shape, k, b) > 0
 
 
 def _check_dual_map(shape, indices):
@@ -231,7 +245,7 @@ def _check_dual_map(shape, indices):
     for b in indices:
         key = code.pack(b)
         dual = code.dual(key)
-        assert tuple(code.entries(dual)) == tuple(width - b[r - i] for i in range(r + 1)), b
+        assert code.entries(dual) == tuple(width - b[r - i] for i in range(r + 1)), b
         assert code.dual(dual) == key
     assert code.dual(0) == code.point == code.pack((width,) * shape.rows)
 

@@ -5,11 +5,15 @@ import pytest
 
 from grdcalc.errors import PreconditionError
 from grdcalc.exact import RatFunc, ratfunc_equal
-from grdcalc.invariants import SLOPE, GrdParams
+from grdcalc.invariants import (SLOPE, GrdParams, alpha_per_n, beta_per_n, castelnuovo_count,
+                                gamma_per_n)
+from grdcalc.picard import LAMBDA, DivisorClass, PicSpace
+from grdcalc.pushforward import combination
 from grdcalc.slope import (M_FAMILY_LIMIT, family_gap_function, family_gap_symbolic,
                            m_family_gap_identity, m_family_report, m_family_reports,
                            m_family_triple, quadric_lambda_delta0, quadric_numerators,
-                           ratio_bound_gap, slope_report, symbolic_gap_identity)
+                           quadric_per_n, ratio_bound_gap, slope_report,
+                           symbolic_gap_identity)
 from grdcalc.verify import check_slope_vs_assembly, quadric_from_families
 
 
@@ -172,6 +176,58 @@ def test_generic_coefficients_match_full_pushforward():
     assert passed, detail
     assert "(21,6,24) 2459/377" in detail
     assert detail.endswith("4 pencils agree")
+
+
+def _quadric_class_per_n(g, r, d):
+    # Every coefficient of the quadric class per N, by symbol: quadric_per_n of
+    # the closed forms, each coefficient but lambda's read through the delta_0
+    # slot, which takes any coefficient as it is.
+    classes = alpha_per_n(g, r, d), beta_per_n(g, r, d), gamma_per_n(g, r, d)
+
+    def per_n(read):
+        return quadric_per_n(r, *((c.lam, read(c), c.den) for c in classes))
+
+    lam, d0, den = per_n(lambda c: c.delta0)
+    out = {"lambda": Fraction(lam, den), "delta_0": Fraction(d0, den),
+           "psi": Fraction(per_n(lambda c: c.psi)[1], den)}
+    for i in range(1, g):
+        out[f"delta_{i}"] = Fraction(per_n(lambda c: c.delta_i(i))[1], den)
+    return out
+
+
+def test_the_quadric_class_per_n_is_the_pushed_forward_combination():
+    # The helper above against 2 alpha - beta - (r+2) gamma + lambda, pushed
+    # forward whole and divided by N.
+    for g, r, d in [(3, 2, 4), (6, 1, 4), m_family_triple(2), (12, 3, 12)]:
+        space = PicSpace.mg1(g)
+        pushed = combination(g, r, d, 2, -1, -(r + 2), DivisorClass(space, {LAMBDA: 1}))
+        n = castelnuovo_count(g, r, d)
+        assert {sym: pushed.get(sym) / n for sym in space.basis()} \
+            == _quadric_class_per_n(g, r, d), (g, r, d)
+
+
+def test_the_m_family_quadric_class_has_boundary_shape_c_i_g_minus_i():
+    # For m = 2..40: psi = 0 and delta_i = c * i * (g - i) for every i >= 1.
+    # These pin the push-forward in the code's normalisation, not the class
+    # of the closure of the quadric locus.
+    for m in range(2, 41):
+        g, r, d = m_family_triple(m)
+        per_n = _quadric_class_per_n(g, r, d)
+        assert per_n["psi"] == 0, m
+        c = per_n["delta_1"] / (g - 1)
+        assert all(per_n[f"delta_{i}"] == c * i * (g - i) for i in range(1, g)), m
+        if m == 2:
+            assert (c, per_n["delta_0"]) == (Fraction(-2, 3), -1)
+
+
+def test_the_elliptic_pencil_degree_of_the_quadric_class_is_one_per_n():
+    # The pencil of plane cubics attached to a fixed curve meets lambda,
+    # delta_0 and delta_1 with degrees 1, 12 and -1: the quadric class gives
+    # 1 per N on the m-family, m = 1 being (3,2,4), the pulled-back lambda.
+    for m in range(1, 41):
+        g, r, d = m_family_triple(m)
+        per_n = _quadric_class_per_n(g, r, d)
+        assert per_n["lambda"] + 12 * per_n["delta_0"] - per_n["delta_1"] == 1, m
 
 
 def test_generic_coefficients_work_symbolically():
