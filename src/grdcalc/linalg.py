@@ -88,8 +88,17 @@ def solve_unique(rows: Sequence[Mapping[int, int]], rhs: Sequence, columns: int)
     Every integer row is a nonzero multiple of the rational row it stands
     for, and keeps that multiple as its scale, so a contradiction reports
     the value (integer residue over scale) that equation i reduces to:
-    b_i - a_i x for any x solving equations 0..i-1.  Back substitution runs
-    over one common integer denominator.
+    b_i - a_i x for any x solving equations 0..i-1.
+
+    The elimination stops once every column has a pivot row.  Back
+    substitution then runs over one common integer denominator, x = num /
+    den, and each later equation, with right-hand side p/q, is checked by
+    substitution, p * den == q * (a_i . num), reading only its own nonzero
+    entries.  Equations 0..i-1 then have the one solution x, so the first
+    equation i that fails is the first that contradicts those before it,
+    and its residue is b_i - a_i x, as above.  A system that lists
+    independent equations first is eliminated only that far.  With den = 1
+    each entry becomes a Fraction with no gcd.
     """
     if len(rows) != len(rhs):
         raise ValueError("row/rhs length mismatch")
@@ -105,7 +114,11 @@ def solve_unique(rows: Sequence[Mapping[int, int]], rhs: Sequence, columns: int)
                              "expected an int or a Fraction")
     # pivots[c]: (row, rhs) of the pivot row whose first column is c.
     pivots: list[tuple[Mapping[int, int], int] | None] = [None] * n
-    for i, (row, bv) in enumerate(zip(rows, rhs)):
+    free = n
+    # Elimination stops at full rank; the later equations are then taken
+    # from the same iterator and checked by substitution.
+    equations = enumerate(zip(rows, rhs))
+    for i, (row, bv) in equations:
         # The row with right-hand side b is num / den times equation i.
         b, num = bv.as_integer_ratio()
         den = 1
@@ -122,6 +135,7 @@ def solve_unique(rows: Sequence[Mapping[int, int]], rhs: Sequence, columns: int)
                     row = {j: v // content for j, v in row.items()}
                     b //= content
                 pivots[col] = row, b
+                free -= 1
                 break
             prow, pb = pivot
             lead = prow[col]
@@ -157,7 +171,9 @@ def solve_unique(rows: Sequence[Mapping[int, int]], rhs: Sequence, columns: int)
         else:
             if b:
                 raise InconsistentSystemError(i, Fraction(b * den, num))
-    if None in pivots:
+        if not free:
+            break
+    else:
         raise RankDeficientError([c for c, pivot in enumerate(pivots) if pivot is None])
     # Pivot row i has its first entry in column i.  Substitute back with
     # x[j] = num[j] / den for every j already solved; num[i] is still 0, so
@@ -179,4 +195,14 @@ def solve_unique(rows: Sequence[Mapping[int, int]], rhs: Sequence, columns: int)
             num[i + 1:] = [v * f for v in num[i + 1:]]
             den *= f
         num[i] = value // g
+    # x is unique now: substitute it into every later equation.
+    for i, (row, bv) in equations:
+        p, q = bv.as_integer_ratio()
+        s = 0
+        for j, v in row.items():
+            s += v * num[j]
+        if p * den != q * s:
+            raise InconsistentSystemError(i, Fraction(p * den - q * s, q * den))
+    if den == 1:
+        return [Fraction(v) for v in num]
     return [Fraction(v, den) for v in num]

@@ -126,18 +126,27 @@ def family_equations(g: int, r: int, d: int,
     """The special-family data on the push-forward, one (family, row, value) per equation.
 
     The push-forward of ``label`` evaluates to ``value`` on each restriction
-    ``row``, whose mg1(g) sources are the columns of ``mg1_columns``.  In order:
+    ``row``, whose mg1(g) sources are the columns of ``mg1_columns``.  The
+    families:
 
-    * ``marked-point``, one per h in 1..g-1: the degree on the moving-point
-      family is N times ``marked_per_n`` (for even g the h = g/2 row is
-      (g-1)*psi alone, kept since it still pins psi);
-    * ``elliptic-tail``, one per epsilon_i, i in 2..g-2: the restriction vanishes,
-      so its integer rows (times (g-1)(g-2), ``elliptic_tail_rows``) serve as they are;
     * ``genus-2``: the restriction to the genus-2-tail family matches
       ``push_m21``, compared in the reduced basis (lambda, delta_1, psi)
       because raw delta_0 coefficients are only defined modulo the genus-2
       relation.  ``push_m21`` is a combination of two classes with no
       delta_0 term, so ``m21_coefficient`` reads it as it is: reducing it would return it.
+    * ``marked-point``, one per h in 1..g-1: the degree on the moving-point
+      family is N times ``marked_per_n`` (for even g the h = g/2 row is
+      (g-1)*psi alone, kept since it still pins psi);
+    * ``elliptic-tail``, one per epsilon_i, i in 2..g-2: the restriction vanishes,
+      so its integer rows (times (g-1)(g-2), ``elliptic_tail_rows``) serve as they are.
+
+    The order puts a basis first: the three genus-2 rows (the only ones on
+    lambda and delta_0), the marked-point rows for h <= g/2, the
+    elliptic-tail rows, and last the marked-point rows for h > g/2, each of
+    which restates row g - h up to psi (the two add up to (2g-2)*psi).  The
+    first g + 2 equations are then independent (tested for g = 5..120), so
+    ``linalg.solve_unique`` stops eliminating after them and checks the
+    other g - 3 by substitution.
 
     N is computed once: as in ``push_marked`` and ``push_m21``, the per-N
     values (``marked_per_n``, ``m21_per_n``) are multiplied by it here.  The
@@ -146,14 +155,15 @@ def family_equations(g: int, r: int, d: int,
     """
     TEST_FAMILIES.check(g, r, d)
     n = castelnuovo_count(g, r, d)
-    equations = [("marked-point", marked_point_row(g, h), marked_per_n(g, r, d, h, label) * n)
-                 for h in range(1, g)]
-    equations += [("elliptic-tail", row, 0) for row in elliptic_tail_rows(g)]
     (pa, qa), (pb, qb) = (c.as_integer_ratio() for c in m21_per_n(g, r, d, label))
     an, bn, den = pa * qb * n, pb * qa * n, qa * qb
-    equations += [("genus-2", row, Fraction(m21_coefficient(an, bn, sym), den))
-                  for sym, row in compose(GENUS2_REDUCTION, genus2_tail_rows(g)).items()]
-    return equations
+    equations = [("genus-2", row, Fraction(m21_coefficient(an, bn, sym), den))
+                 for sym, row in compose(GENUS2_REDUCTION, genus2_tail_rows(g)).items()]
+    marked = [("marked-point", marked_point_row(g, h), marked_per_n(g, r, d, h, label) * n)
+              for h in range(1, g)]
+    equations += marked[:g // 2]
+    equations += [("elliptic-tail", row, 0) for row in elliptic_tail_rows(g)]
+    return equations + marked[g // 2:]
 
 
 def solve_from_families(g: int, r: int, d: int, label: ClassLabel) -> PushforwardSolution:

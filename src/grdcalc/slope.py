@@ -11,6 +11,11 @@ The one-parameter family (g, r, d) = (m(2m+1), 2m, 2m(m+1)) keeps rho = 0
 and the quadric condition divisorial in expectation; its slope gap below
 the bound is a fixed rational function of m, verified here both pointwise
 and as a symbolic rational-function identity.
+
+The slope reads lambda and delta_0 alone.  The delta_i, i >= 1, that
+``pushforward`` prints for alpha, beta and gamma, and so those of the
+quadric class built from them, are the push-forward in the code's
+normalisation, not a claimed class of the closure of the quadric locus.
 """
 
 from __future__ import annotations

@@ -99,13 +99,19 @@ def test_a_right_hand_side_that_is_not_a_number_is_refused(value, kind):
 
 
 def test_every_row_is_read_before_any_is_eliminated():
-    # Equation 1 contradicts equation 0, but the faulty row 2 is named.
+    # Row 0 fixes the one unknown, so rows 1 and 2 would only be checked by
+    # substitution.  Equation 1 contradicts equation 0, but the faulty row 2
+    # is named.
     with pytest.raises(ValueError, match=r"^row 2 has column 1, outside range\(1\)$"):
         solve_unique([{0: 1}, {0: 1}, {0: 1, 1: 2}], [1, 2, 3], 1)
     with pytest.raises(ValueError, match="^row 2 has a zero weight in column 0$"):
         solve_unique([{0: 1}, {0: 1}, {0: 0}], [1, 2, 3], 1)
     with pytest.raises(ValueError, match="^row 2 has a float right-hand side"):
         solve_unique([{0: 1}, {0: 1}, {0: 1}], [1, 2, 3.0], 1)
+    # The same past a 2-row basis: rows 0 and 1 fix both unknowns, and
+    # equation 2 contradicts them.
+    with pytest.raises(ValueError, match=r"^row 3 has column 2, outside range\(2\)$"):
+        solve_unique([{0: 1}, {1: 1}, {0: 1, 1: 1}, {0: 1, 2: 1}], [1, 2, 4, 1], 2)
 
 
 def test_the_rows_are_not_changed():
@@ -147,16 +153,31 @@ def _outcome(rows, rhs, n):
         return exc.witness, exc.residue
 
 
+def _substituted_system(bump):
+    # Rows 0 and 1 fix both unknowns, so rows 2..4 are only substituted
+    # into; their Fraction right-hand sides would scale them if they were
+    # eliminated.
+    rows = [{0: 2, 1: 1}, {1: 3}, {0: 1, 1: 1}, {0: 4, 1: -2}, {0: 6}]
+    rhs = _planted(rows, [Fraction(1, 2), Fraction(-2, 3)])
+    rhs[3] += bump
+    return rows, rhs, 2
+
+
 @pytest.mark.parametrize("system", [
     lambda: _family_system(9, 2, 8, ClassLabel.BETA),
     _bumped_genus2_system,
     lambda: _content_system(0),
     lambda: _content_system(Fraction(5, 7)),
-], ids=["family", "family-bumped-genus2", "content", "content-contradiction"])
+    lambda: _substituted_system(0),
+    lambda: _substituted_system(Fraction(1, 5)),
+], ids=["family", "family-bumped-genus2", "content", "content-contradiction",
+        "substituted", "substituted-contradiction"])
 def test_the_caller_rows_are_read_and_never_written(system):
     # solve_unique reads a caller's row until it first changes it and keeps
-    # an unchanged pivot row as it is: the caller's rows and right-hand
-    # sides keep their values, and a second solve gives the same outcome.
+    # an unchanged pivot row as it is, and it only reads the rows it checks
+    # by substitution once every unknown is fixed: the caller's rows and
+    # right-hand sides keep their values, and a second solve gives the same
+    # outcome.
     rows, rhs, n = system()
     assert any(type(v) is Fraction for v in rhs)
     before = copy.deepcopy((rows, rhs))
@@ -344,6 +365,43 @@ def test_witness_is_the_first_equation_that_contradicts_those_before():
     with pytest.raises(InconsistentSystemError) as info:
         solve_unique(rows, rhs, 2)
     assert (info.value.witness, info.value.residue) == (1, Fraction(3, 2))
+
+
+def square_basis_system(rng, bump):
+    """An over-determined system whose first n rows are square and
+    nonsingular, so the elimination stops after them and checks the later
+    rows by substitution; ``bump(rng)`` is added to the right-hand side of
+    one later row, or of none when it is 0.  Returns the system and the
+    bumped row."""
+    n = rng.randint(1, 6)
+    while True:
+        rows = [{j: w for j in range(n) if rng.random() < 0.6 and (w := rng.randint(-9, 9))}
+                for _ in range(n)]
+        if len(dense_echelon(dense(rows, n), [[0] * n])[0]) == n:
+            break
+    rows += [{j: w for j in range(n) if rng.random() < 0.5 and (w := rng.randint(-9, 9))}
+             for _ in range(rng.randint(1, n + 3))]
+    rhs = _planted(rows, [rand_fraction(rng) for _ in range(n)])
+    i = rng.randrange(n, len(rows))
+    rhs[i] += bump(rng)
+    return (rows, rhs, n), i
+
+
+@pytest.mark.parametrize("bump", [
+    lambda rng: rng.choice([-1, 1]) * rng.randint(1, 9),
+    lambda rng: rng.choice([-1, 1]) * Fraction(rng.randint(1, 9), rng.randint(2, 9)),
+], ids=["int", "fraction"])
+def test_a_later_row_is_checked_by_substitution_against_the_prefix_oracle(rng, bump):
+    # Every row after the square basis is substituted into, so the bumped
+    # row is the witness, with the residue the prefix oracle computes; a
+    # later row bumped by 0 leaves the planted solution.
+    for _ in range(300):
+        system, i = square_basis_system(rng, bump)
+        assert assert_matches_dense(*system) is InconsistentSystemError
+        with pytest.raises(InconsistentSystemError) as info:
+            solve_unique(*system)
+        assert info.value.witness == i
+        assert assert_matches_dense(*square_basis_system(rng, lambda rng: 0)[0]) is list
 
 
 def test_sparse_elimination_matches_dense_reference(rng):

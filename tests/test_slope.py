@@ -230,6 +230,23 @@ def test_the_elliptic_pencil_degree_of_the_quadric_class_is_one_per_n():
         assert per_n["lambda"] + 12 * per_n["delta_0"] - per_n["delta_1"] == 1, m
 
 
+@pytest.mark.parametrize("triple, expected", [
+    # 9 lambda - delta_0 - 4 delta_1 - 4 delta_2 on mg1(3).  For comparison,
+    # Mumford's formulas on M_3 give c_1(pi_* omega^2) - c_1(Sym^2 pi_* omega)
+    # = (lambda + kappa_1) - 4 lambda = 9 lambda - delta_0 - delta_1, with
+    # kappa_1 = 12 lambda - delta; its pull-back to mg1(3) has delta_1 and
+    # delta_2 coefficients -1, so lambda and delta_0 agree and the code's
+    # class has 3 more copies of minus the pulled-back delta_1.
+    ((3, 2, 4), {"lambda": 9, "delta_0": -1, "psi": 0, "delta_1": -4, "delta_2": -4}),
+    # The pencil (4,1,3): -17 lambda + 2 delta_0 + 3 delta_1 + 7 delta_2 + 6 delta_3.
+    ((4, 1, 3), {"lambda": -17, "delta_0": 2, "psi": 0, "delta_1": 3, "delta_2": 7,
+                 "delta_3": 6}),
+], ids=["3-2-4", "4-1-3"])
+def test_the_quadric_class_per_n_in_low_genus(triple, expected):
+    # The code's class per N, every coefficient, in its normalisation.
+    assert _quadric_class_per_n(*triple) == expected
+
+
 def test_generic_coefficients_work_symbolically():
     m = RatFunc.variable()
     lam, d0 = quadric_lambda_delta0(2 * m * m + m, 2 * m, 2 * m * m + 2 * m)
