@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import families, invariants, linalg, picard, pushforward, schubert, slope
-from .errors import PreconditionError
+from .errors import ConsistencyError, PreconditionError
 from .exact import format_rational, quotient
 from .families import (ClassLabel, genus2_dualizing_class,
                        genus2_line_bundle_class, m21_push_product, marked_per_n,
@@ -23,9 +23,9 @@ from .value import Value
 
 # The sizes of the verify sweeps: their defaults, and the largest accepted;
 # m_max shares its bound, slope.M_FAMILY_LIMIT, with `slope --sweep`.  At
-# g_max 60 and m_max 1000 the battery takes 0.95 s as a process (best of 15),
-# 1.14 s with ``golden_payload``, and its largest row, count-vs-degree,
-# 0.115-0.12 s in-process (Python 3.11, 2 vCPUs).
+# g_max 60 and m_max 1000 the battery takes 0.54-0.55 s as a process (best of
+# 7), 0.68 s with ``golden_payload``, and its largest row,
+# assembly-vs-closed-form, 0.19-0.20 s in-process (Python 3.11, 2 vCPUs).
 DEFAULT_G_MAX = 12
 DEFAULT_M_MAX = 15
 G_MAX_LIMIT = 60
@@ -161,45 +161,39 @@ def check_genus2_reconstruction(g_max: int):
     return True, f"{done} class/triple pairs agree"
 
 
-def check_assembly(g_max: int):
-    """Family assembly reproduces every closed form, coefficient for coefficient."""
-    done = 0
-    for t in _sweep_triples(g_max, invariants.TEST_FAMILIES):
-        for label in ClassLabel:
-            assembled = pushforward.solve_from_families(t.g, t.r, t.d, label)
-            closed = pushforward.closed_form(t.g, t.r, t.d, label)
-            if assembled.as_divisor_class(t.g) != closed:
-                return False, (f"({t.g},{t.r},{t.d}) {label.value}: "
-                               f"assembled {assembled.as_divisor_class(t.g)} != closed {closed}")
-            done += 1
-    return True, f"{done} solutions agree"
-
-
 # What a failed equation of each family says, in the order they are reported.
 _FAMILY_MISMATCH = {"elliptic-tail": "elliptic-tail restriction nonzero",
                     "marked-point": "marked-point degree mismatch",
                     "genus-2": "genus-2 restriction mismatch"}
 
 
-def check_family_restrictions(g_max: int):
-    """Closed forms satisfy every equation of ``pushforward.family_equations``.
-
-    Implied by ``assembly-vs-closed-form``, since ``solve_unique`` requires every
-    redundant equation to hold; this row names the family that a slip breaks."""
+def check_assembly(g_max: int):
+    """The closed forms are the family system's unique solution, coefficient for
+    coefficient.  A failure also names the first family, in ``_FAMILY_MISMATCH``
+    order, whose equations the closed form breaks; a solver slip breaks none."""
     done = 0
     for t in _sweep_triples(g_max, invariants.TEST_FAMILIES):
         for label in ClassLabel:
             closed = pushforward.closed_form(t.g, t.r, t.d, label)
+            try:
+                solved = pushforward.solve_from_families(t.g, t.r, t.d, label)
+            except ConsistencyError as exc:
+                failure = f"ConsistencyError: {exc}"
+            else:
+                assembled = solved.as_divisor_class(t.g)
+                if assembled == closed:
+                    done += 1
+                    continue
+                failure = (f"({t.g},{t.r},{t.d}) {label.value}: "
+                           f"assembled {assembled} != closed {closed}")
             equations = pushforward.family_equations(t.g, t.r, t.d, label)
             # One restriction reads the class once for every equation.
             got = picard.restrict(dict(enumerate(row for _, row, _ in equations)), closed)
-            failed = {family for i, (family, _, value) in enumerate(equations)
-                      if got[i] != value}
-            for family, mismatch in _FAMILY_MISMATCH.items():
-                if family in failed:
-                    return False, f"({t.g},{t.r},{t.d}) {label.value}: {mismatch}"
-            done += 1
-    return True, f"{done} class/triple pairs agree"
+            failed = {family for i, (family, _, value) in enumerate(equations) if got[i] != value}
+            broken = next((mismatch for family, mismatch in _FAMILY_MISMATCH.items()
+                           if family in failed), "no family equation fails")
+            return False, f"{failure}; {broken}"
+    return True, f"{done} solutions agree"
 
 
 def check_epsilon_matrix():
@@ -302,7 +296,6 @@ ROWS = (
     ("genus2-engine", check_genus2_engine, None),
     ("genus2-reconstruction", check_genus2_reconstruction, "g_max"),
     ("assembly-vs-closed-form", check_assembly, "g_max"),
-    ("family-restrictions", check_family_restrictions, "g_max"),
     ("epsilon-nonsingular", check_epsilon_matrix, None),
     ("delta-pullback-identity", check_delta_pullback_identity, None),
     ("marked-gamma-identity", check_marked_gamma_identity, "g_max"),

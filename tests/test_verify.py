@@ -14,7 +14,7 @@ def test_a_raising_check_fails_alone(monkeypatch):
 
     monkeypatch.setattr(families, "weierstrass_alpha", broken)
     results = verify.run_checks(5, 3)
-    assert len(results) == 15
+    assert len(results) == len(verify.ROWS)
     failed = {rs.name: rs.detail for rs in results if not rs.passed}
     # The genus-2 reconstruction reads the Weierstrass totals too.
     assert set(failed) == {"weierstrass-dual", "genus2-reconstruction"}
@@ -54,23 +54,6 @@ def test_slope_vs_assembly_catches_a_closed_form_slip(monkeypatch):
     assert not results["slope-vs-assembly"].passed
     assert results["slope-vs-assembly"].detail.startswith("(10,4,12): (lambda, delta_0) assembled")
     assert results["assembly-vs-closed-form"].passed
-
-
-@pytest.mark.parametrize("symbol, detail", [
-    ("delta_2", "elliptic-tail restriction nonzero"),
-    ("psi", "marked-point degree mismatch"),
-    ("delta_0", "genus-2 restriction mismatch"),
-])
-def test_family_restrictions_name_the_family_a_slip_breaks(monkeypatch, symbol, detail):
-    # delta_2 enters the first elliptic-tail row (and a marked-point row),
-    # psi only the marked-point rows, delta_0 only the genus-2 rows.
-    true_gamma = pushforward.gamma
-
-    def slipped(g, r, d):
-        return true_gamma(g, r, d) + DivisorClass(PicSpace.mg1(g), {symbol: 1})
-
-    monkeypatch.setitem(pushforward._CLOSED_FORMS, ClassLabel.GAMMA, slipped)
-    assert verify.check_family_restrictions(5) == (False, f"(5,4,8) gamma: {detail}")
 
 
 def test_a_singular_boundary_matrix_fails_epsilon_nonsingular(monkeypatch):
@@ -223,8 +206,9 @@ SLIPS = {
                                       "zeta^36 integral 177295473274921"}),
     # The two exact kernels: the elimination and one Pieri product.
     "solve-x0": ([(linalg, "solve_unique", _x0_slip)], {
-        "assembly-vs-closed-form": "(5,4,8) alpha: assembled DivisorClass(mg1(5), "
-                                   "12000001/1000000*lambda",
+        "assembly-vs-closed-form": (
+            "(5,4,8) alpha: assembled DivisorClass(mg1(5), 12000001/1000000*lambda",
+            "no family equation fails"),
         "slope-vs-assembly": "(10,4,12): (lambda, delta_0) assembled (58799999/8400000, -1)"}),
     "pieri-doubled": ([(schubert, "pieri_multiply", _doubled_terms)], {
         "schubert-oracle": "shape (r=1, d=2), k=2, b=[0, 0]: closed 1 != pieri 4",
@@ -258,16 +242,15 @@ SLIPS = {
                                  "-7999997/1000000*psi + 2*delta_1) != DivisorClass(m21"}),
     "closed-gamma-psi": ([(pushforward._CLOSED_FORMS, ClassLabel.GAMMA, _plus(
         lambda g, r, d: DivisorClass(PicSpace.mg1(g), {"psi": 1})))], {
-        "assembly-vs-closed-form": "(5,4,8) gamma: assembled DivisorClass(mg1(5), 1*lambda + -5*psi",
-        "family-restrictions": "(5,4,8) gamma: marked-point degree mismatch"}),
+        "assembly-vs-closed-form": (
+            "(5,4,8) gamma: assembled DivisorClass(mg1(5), 1*lambda + -5*psi",
+            "marked-point degree mismatch")}),
     "pullback-i": ([(picard, "pullback_i", _plus(
         lambda g, D: DivisorClass(PicSpace.m0g(g), {picard.epsilon(2): 1})))],
                    {"delta-pullback-identity": "g=5: DivisorClass(m0g(5), 1/2*epsilon_2"}),
     "marked-gamma": ([(verify, "marked_per_n", _plus(lambda *args: 1))],
                      {"marked-gamma-identity": "(2,1,2), h=1: degrees disagree"}),
     # The shared primitives below are patched in every module that binds them.
-    # In each of these rows family-restrictions fails exactly when
-    # assembly-vs-closed-form does.
     "special-power-integral": ([(module, "special_power_integral",
                                  lambda true: lambda *args: true(*args) * (1 + _TINY))
                                 for module in (schubert, families)], {
@@ -282,8 +265,9 @@ SLIPS = {
         "count-m-family": "(21,6,24): count 1385671, zeta^21 integral 1385670"}),
     "marked-per-n-h1": ([(module, "marked_per_n", _plus(lambda g, r, d, h, label: h == 1))
                          for module in (families, pushforward, verify)], {
-        "assembly-vs-closed-form": "ConsistencyError: family data contradicts for (5,4,8) alpha",
-        "family-restrictions": "(5,4,8) alpha: marked-point degree mismatch",
+        "assembly-vs-closed-form": (
+            "ConsistencyError: family data contradicts for (5,4,8) alpha",
+            "marked-point degree mismatch"),
         "marked-gamma-identity": "(2,1,2), h=1: degrees disagree",
         "slope-vs-assembly": "ConsistencyError: family data contradicts for (10,4,12) alpha"}),
     "sheet-counts": ([(families, "sheet_counts", _sheets_slip)], {
@@ -292,8 +276,9 @@ SLIPS = {
                       {"marked-gamma-identity": "(2,1,2), h=1: degrees disagree"}),
     "gamma-lambda": ([(module, "gamma_per_n", _per_n_slip("lam"))
                       for module in (invariants, pushforward, slope)], {
-        "assembly-vs-closed-form": "(5,4,8) gamma: assembled DivisorClass(mg1(5), 1*lambda",
-        "family-restrictions": "(5,4,8) gamma: genus-2 restriction mismatch",
+        "assembly-vs-closed-form": (
+            "(5,4,8) gamma: assembled DivisorClass(mg1(5), 1*lambda",
+            "genus-2 restriction mismatch"),
         "m-family-gap": "pointwise mismatch within m <= 3",
         "genus21-slope": "ratio 61474981/9425000 vs bound 72/11",
         "genus10-slope": "ratio 3499997/500000",
@@ -301,8 +286,9 @@ SLIPS = {
                              "closed (3499997/500000, -1)"}),
     "alpha-delta0": ([(module, "alpha_per_n", _per_n_slip("delta0"))
                       for module in (invariants, pushforward, slope)], {
-        "assembly-vs-closed-form": "(5,4,8) alpha: assembled DivisorClass(mg1(5), 12*lambda",
-        "family-restrictions": "(5,4,8) alpha: genus-2 restriction mismatch",
+        "assembly-vs-closed-form": (
+            "(5,4,8) alpha: assembled DivisorClass(mg1(5), 12*lambda",
+            "genus-2 restriction mismatch"),
         "m-family-gap": "pointwise mismatch within m <= 3",
         "genus21-slope": "ratio 245900000/37699981 vs bound 72/11",
         "genus10-slope": "ratio 3500000/499999",
@@ -310,9 +296,9 @@ SLIPS = {
                              "closed (7, -499999/500000)"}),
     "elliptic-tail-delta1": ([(picard, "elliptic_tail_rows", _elliptic_delta1_slip),
                               (pushforward, "elliptic_tail_rows", _elliptic_delta1_int_slip)], {
-        "assembly-vs-closed-form": "(5,4,8) alpha: assembled DivisorClass(mg1(5), "
-                                   "17999748/1499999*lambda",
-        "family-restrictions": "(5,4,8) alpha: elliptic-tail restriction nonzero",
+        "assembly-vs-closed-form": (
+            "(5,4,8) alpha: assembled DivisorClass(mg1(5), 17999748/1499999*lambda",
+            "elliptic-tail restriction nonzero"),
         "delta-pullback-identity": "g=5: DivisorClass(m0g(5), -1499999/1000000*epsilon_2",
         "slope-vs-assembly": "(10,4,12): (lambda, delta_0) assembled "
                              "(112000207/15999991, -16000018/15999991)"}),
@@ -323,44 +309,78 @@ SLIPS = {
     # system too.
     "marked-point-row": ([(module, "marked_point_row", _marked_psi_slip)
                           for module in (picard, pushforward)], {
-        "assembly-vs-closed-form": "(5,4,8) alpha: assembled DivisorClass(mg1(5), "
-                                   "20/3*lambda + -64/5*psi",
-        "family-restrictions": "(5,4,8) alpha: marked-point degree mismatch"}),
+        "assembly-vs-closed-form": (
+            "(5,4,8) alpha: assembled DivisorClass(mg1(5), 20/3*lambda + -64/5*psi",
+            "marked-point degree mismatch")}),
     "genus2-reduction": ([(picard.GENUS2_REDUCTION, picard.LAMBDA,
                            lambda row: {**row, picard.delta(0): 11})], {
         "genus2-reconstruction": "(4,3,6) alpha: DivisorClass(m21, 1*lambda + -8*psi",
-        "assembly-vs-closed-form": "(5,4,8) alpha: assembled DivisorClass(mg1(5), 13*lambda",
-        "family-restrictions": "(5,4,8) alpha: genus-2 restriction mismatch",
+        "assembly-vs-closed-form": (
+            "(5,4,8) alpha: assembled DivisorClass(mg1(5), 13*lambda",
+            "genus-2 restriction mismatch"),
         "slope-vs-assembly": "(10,4,12): (lambda, delta_0) assembled (8, -1), closed (7, -1)"}),
     # Both sides of weierstrass-dual and of genus2-reconstruction read W, so
     # neither row sees a slip of it; only the assembly does.
     "weierstrass-class-psi": ([(families._W, picard.PSI, lambda w: w + _TINY)], {
-        "assembly-vs-closed-form": "(5,4,8) gamma: assembled DivisorClass(mg1(5), "
-                                   "299999/300000*lambda",
-        "family-restrictions": "(5,4,8) gamma: genus-2 restriction mismatch",
+        "assembly-vs-closed-form": (
+            "(5,4,8) gamma: assembled DivisorClass(mg1(5), 299999/300000*lambda",
+            "genus-2 restriction mismatch"),
         "slope-vs-assembly": "(10,4,12): (lambda, delta_0) assembled "
                              "(1400003/200000, -2000003/2000000)"}),
     "m21-per-n-a": ([(module, "m21_per_n", _m21_a_slip) for module in (families, pushforward)], {
         "weierstrass-dual": "(4,3,6) alpha: schubert 0 != closed 1/1000000",
         "genus2-reconstruction": "(4,3,6) alpha: DivisorClass(m21, 2*lambda + -8*psi",
-        "assembly-vs-closed-form": "(5,4,8) alpha: assembled DivisorClass(mg1(5), "
-                                   "3000001/250000*lambda",
-        "family-restrictions": "(5,4,8) alpha: genus-2 restriction mismatch",
+        "assembly-vs-closed-form": (
+            "(5,4,8) alpha: assembled DivisorClass(mg1(5), 3000001/250000*lambda",
+            "genus-2 restriction mismatch"),
         "slope-vs-assembly": "(10,4,12): (lambda, delta_0) assembled "
                              "(22399961/3200000, -6399989/6400000)"}),
 }
 
 
-@pytest.mark.parametrize("patches, failed", SLIPS.values(), ids=SLIPS.keys())
-def test_a_slip_fails_only_the_rows_that_read_it(monkeypatch, patches, failed):
+def _apply(monkeypatch, patches):
     for target, name, wrap in patches:
         if isinstance(target, dict):
             monkeypatch.setitem(target, name, wrap(target[name]))
         else:
             monkeypatch.setattr(target, name, wrap(getattr(target, name)))
+
+
+@pytest.mark.parametrize("patches, failed", SLIPS.values(), ids=SLIPS.keys())
+def test_a_slip_fails_only_the_rows_that_read_it(monkeypatch, patches, failed):
+    # A failed assembly-vs-closed-form row is given as (prefix, the words that
+    # end its detail: the family the closed form breaks, or that none does).
+    _apply(monkeypatch, patches)
     results = verify.run_checks(5, 3)
-    assert len(results) == 15
+    assert len(results) == len(verify.ROWS)
     got = {rs.name: rs.detail for rs in results if not rs.passed}
     assert set(got) == set(failed)
-    for name, prefix in failed.items():
-        assert got[name].startswith(prefix), got[name]
+    for name, expected in failed.items():
+        prefix, words = (expected, "") if isinstance(expected, str) else expected
+        assert got[name].startswith(prefix) and got[name].endswith(words), got[name]
+
+
+def _closed_gamma_plus(symbol):
+    return [(pushforward._CLOSED_FORMS, ClassLabel.GAMMA,
+             _plus(lambda g, r, d: DivisorClass(PicSpace.mg1(g), {symbol: 1})))]
+
+
+@pytest.mark.parametrize("patches, prefix, words", [
+    # delta_2 enters the first elliptic-tail row (and a marked-point row),
+    # psi only the marked-point rows, delta_0 only the genus-2 rows.
+    (_closed_gamma_plus("delta_2"), "(5,4,8) gamma: assembled ",
+     "elliptic-tail restriction nonzero"),
+    (_closed_gamma_plus("psi"), "(5,4,8) gamma: assembled ", "marked-point degree mismatch"),
+    (_closed_gamma_plus("delta_0"), "(5,4,8) gamma: assembled ", "genus-2 restriction mismatch"),
+    # The closed form solves every family equation, so the solver slipped.
+    ([(linalg, "solve_unique", _x0_slip)], "(5,4,8) alpha: assembled ",
+     "no family equation fails"),
+    (SLIPS["marked-per-n-h1"][0], "ConsistencyError: family data contradicts for (5,4,8) alpha: ",
+     "marked-point degree mismatch"),
+], ids=["delta_2", "psi", "delta_0", "solver", "contradiction"])
+def test_a_failed_assembly_names_the_family_the_closed_form_breaks(monkeypatch, patches,
+                                                                    prefix, words):
+    _apply(monkeypatch, patches)
+    passed, detail = verify.check_assembly(5)
+    assert not passed
+    assert detail.startswith(prefix) and detail.endswith(f"; {words}"), detail
