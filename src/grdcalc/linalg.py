@@ -53,7 +53,8 @@ def _entry_fault(i: int, j, w, n: int) -> str:
     return f"row {i} has a zero weight in column {j}"
 
 
-def solve_unique(rows: Sequence[Mapping[int, int]], rhs: Sequence, columns: int) -> list[Fraction]:
+def solve_unique(rows: Sequence[Mapping[int, int]], rhs: Sequence,
+                 columns: int) -> list[int] | list[Fraction]:
     """Solve A x = b in ``columns`` unknowns, requiring a unique solution
     satisfying every equation.
 
@@ -97,8 +98,11 @@ def solve_unique(rows: Sequence[Mapping[int, int]], rhs: Sequence, columns: int)
     entries.  Equations 0..i-1 then have the one solution x, so the first
     equation i that fails is the first that contradicts those before it,
     and its residue is b_i - a_i x, as above.  A system that lists
-    independent equations first is eliminated only that far.  With den = 1
-    each entry becomes a Fraction with no gcd.
+    independent equations first is eliminated only that far.
+
+    Back substitution widens den only by what each new entry needs, so den
+    is the least common denominator of x.  An integral solution (den = 1)
+    is returned as the int numerators, any other as reduced Fractions.
     """
     if len(rows) != len(rhs):
         raise ValueError("row/rhs length mismatch")
@@ -204,5 +208,5 @@ def solve_unique(rows: Sequence[Mapping[int, int]], rhs: Sequence, columns: int)
         if p * den != q * s:
             raise InconsistentSystemError(i, Fraction(p * den - q * s, q * den))
     if den == 1:
-        return [Fraction(v) for v in num]
+        return num
     return [Fraction(v, den) for v in num]

@@ -176,12 +176,19 @@ def _require_space(D: DivisorClass, space: PicSpace, what: str) -> None:
 
 
 def mg1_columns(g: int) -> tuple[str, ...]:
-    """The assembly column order of mg1(g): lambda, delta_0, ..., delta_{g-1}, psi.
+    """The assembly column order of mg1(g), the order in which the family
+    system eliminates: lambda, delta_0, delta_2, ..., delta_{g-2}, delta_1,
+    delta_{g-1}, psi.
 
-    Column 0 is lambda, column i + 1 is delta_i and column g + 1 is psi.
-    The restriction rows below write their mg1(g) sources as these columns.
+    Column 0 is lambda, column 1 is delta_0, column i is delta_i for
+    2 <= i <= g - 2, column g - 1 is delta_1, column g is delta_{g-1} and
+    column g + 1 is psi (for g = 2, delta_1 is delta_{g-1}, column 2).  The
+    restriction rows below write their mg1(g) sources as these columns; each
+    elliptic-tail row then leads in its own delta_i, and its other two
+    entries sit in the columns of delta_1 and delta_{g-1}.
     """
-    return (LAMBDA, *(delta(i) for i in range(g)), PSI)
+    ends = (delta(1), delta(g - 1)) if g > 2 else (delta(1),)
+    return (LAMBDA, delta(0), *(delta(i) for i in range(2, g - 1)), *ends, PSI)
 
 
 # Each test family's restriction is written once below, as sparse rows:
@@ -191,7 +198,10 @@ def mg1_columns(g: int) -> tuple[str, ...]:
 # pull-backs evaluate these rows on a class; the push-forward assembly
 # hands the same rows to the elimination as the coefficients of its
 # unknowns, and the elimination takes int weights only: every weight is
-# a nonzero int.
+# a nonzero int.  The elimination reduces a row in its lowest column, so
+# with delta_1 and delta_{g-1} in the last columns but psi the family
+# system is nearly triangular: each elliptic-tail row leads in its own
+# delta_i, and a basis of it takes 6 reduction steps at every g = 5..120.
 Row = dict[int | str, int]
 
 
@@ -227,11 +237,11 @@ def elliptic_tail_rows(g: int) -> list[Row]:
     rows as equations, and only ``pullback_i`` names them.  epsilon_i reads
     delta_i minus the weights (g-i)(g-i-1)/((g-1)(g-2)) of delta_1 and
     (g-i)(i-1)/(g-2) of delta_{g-1}; each row holds their integer
-    numerators over the one denominator (g-1)(g-2), on the columns i + 1, 2
-    and g.
+    numerators over the one denominator (g-1)(g-2), on the columns i, g - 1
+    and g, so it leads in its own column i.
     """
     den = (g - 1) * (g - 2)
-    return [{i + 1: den, 2: -(g - i) * (g - i - 1), g: -(g - i) * (i - 1) * (g - 1)}
+    return [{i: den, g - 1: -(g - i) * (g - i - 1), g: -(g - i) * (i - 1) * (g - 1)}
             for i in range(2, g - 1)]
 
 
@@ -239,21 +249,26 @@ def genus2_tail_rows(g: int) -> dict[str, Row]:
     """Restriction of mg1(g) to the genus-2-tail family, onto the m21 basis.
 
     lambda and delta_0 (columns 0 and 1) keep their names, delta_{g-2}
-    (column g - 1) becomes -psi and delta_{g-1} (column g) becomes delta_1.
+    (column g - 2) becomes -psi and delta_{g-1} (column g) becomes delta_1.
     """
-    return {LAMBDA: {0: 1}, delta(0): {1: 1}, PSI: {g - 1: -1}, delta(1): {g: 1}}
+    return {LAMBDA: {0: 1}, delta(0): {1: 1}, PSI: {g - 2: -1}, delta(1): {g: 1}}
 
 
 def marked_point_row(g: int, h: int) -> Row:
     """Degree on the moving-marked-point family with a genus-h component.
 
-    psi (column g + 1) has degree 2h - 1, delta_h (column h + 1) degree -1
-    and delta_{g-h} (column g - h + 1) degree +1; for 2h = g the two delta
-    weights land on the same column and cancel.
+    psi (column g + 1) has degree 2h - 1, delta_h degree -1 and delta_{g-h}
+    degree +1, in the columns h and g - h, except that delta_1 is column
+    g - 1 and delta_{g-1} column g; for 2h = g the two delta weights land
+    on the same column and cancel.
     """
     if 2 * h == g:
         return {g + 1: 2 * h - 1}
-    return {g + 1: 2 * h - 1, h + 1: -1, g - h + 1: 1}
+    if h == 1:
+        return {g + 1: 1, g - 1: -1, g: 1}
+    if h == g - 1:
+        return {g + 1: 2 * h - 1, g: -1, g - 1: 1}
+    return {g + 1: 2 * h - 1, h: -1, g - h: 1}
 
 
 def pullback_i(g: int, D: DivisorClass) -> DivisorClass:

@@ -23,9 +23,9 @@ from .value import Value
 
 # The sizes of the verify sweeps: their defaults, and the largest accepted;
 # m_max shares its bound, slope.M_FAMILY_LIMIT, with `slope --sweep`.  At
-# g_max 60 and m_max 1000 the battery takes 0.54-0.55 s as a process (best of
-# 7), 0.68 s with ``golden_payload``, and its largest row,
-# assembly-vs-closed-form, 0.19-0.20 s in-process (Python 3.11, 2 vCPUs).
+# g_max 60 and m_max 1000 the battery takes 0.51 s as a process (best of 7),
+# 0.64 s with ``golden_payload``, and its largest row,
+# assembly-vs-closed-form, 0.15-0.16 s in-process (Python 3.11, 2 vCPUs).
 DEFAULT_G_MAX = 12
 DEFAULT_M_MAX = 15
 G_MAX_LIMIT = 60

@@ -134,7 +134,7 @@ def _bumped_genus2_system():
     # One genus-2 right-hand side off by 1/3: its row is scaled by 3, and
     # the solution moves (no other equation restates a genus-2 one).
     rows, rhs, n = _family_system(9, 2, 8, ClassLabel.BETA)
-    rhs[-1] += Fraction(1, 3)
+    rhs[2] += Fraction(1, 3)
     return rows, rhs, n
 
 
@@ -188,6 +188,35 @@ def test_the_caller_rows_are_read_and_never_written(system):
     # of them, as to a pivot row stored without change, would raise.
     assert _outcome([MappingProxyType(row) for row in rows], tuple(rhs), n) == first
     assert (rows, rhs) == before
+
+
+def _planted_system(x):
+    rows = [{0: 2, 1: 1}, {1: 3}, {0: 1, 1: 1}, {0: 4, 1: -2}]
+    return rows, _planted(rows, x), 2
+
+
+@pytest.mark.parametrize("system, integral", [
+    (lambda: _family_system(9, 2, 8, ClassLabel.BETA), True),
+    (lambda: _planted_system([2, -3]), True),
+    (lambda: _planted_system([Fraction(6), 0]), True),
+    (lambda: _planted_system([Fraction(1, 2), Fraction(-2, 3)]), False),
+    (lambda: _planted_system([Fraction(1, 2), 3]), False),
+    (_bumped_genus2_system, False),
+], ids=["family", "ints", "integral-fractions", "fractions", "one-fraction", "family-bumped"])
+def test_an_integral_solution_comes_back_as_ints(system, integral):
+    # The common denominator of back substitution is the least one, so an
+    # integral solution is the int numerators and any other is reduced
+    # Fractions.  Either way each entry reads through Fraction(x), as the
+    # benchmark's tracer reads it.
+    rows, rhs, n = system()
+    got = solve_unique(rows, rhs, n)
+    assert got == dense_reference(dense(rows, n), rhs)
+    if integral:
+        assert all(type(v) is int for v in got), got
+    else:
+        assert all(type(v) is Fraction for v in got), got
+        assert any(v.denominator > 1 for v in got)
+    assert [Fraction(v) for v in got] == got
 
 
 def dense(rows, n):
@@ -486,6 +515,8 @@ def test_family_systems_match_dense_reference(monkeypatch):
     assert len(by_genus) == 36 + 3
     for g, (matrix, rhss, solutions) in by_genus.items():
         assert dense_outcomes(dense(matrix, g + 2), rhss) == solutions
+        # Every family system has an integral solution, returned as ints.
+        assert all(type(v) is int for x in solutions for v in x), g
 
 
 def test_bumped_family_systems_name_the_first_contradiction(monkeypatch, rng):

@@ -33,8 +33,8 @@ def test_rows_key_their_mg1_sources_by_column(g):
     # mg1_columns orders the basis of mg1(g), and through it each family's
     # rows read as the restriction their docstrings state by symbol.
     order = mg1_columns(g)
-    assert order == (LAMBDA, *(delta(i) for i in range(g)), PSI)
-    assert sorted(order) == sorted(PicSpace.mg1(g).basis())
+    assert order == (LAMBDA, delta(0), *(delta(i) for i in range(2, g - 1)), delta(1),
+                     delta(g - 1), PSI)
     for h in range(1, g):
         expected = {PSI: 2 * h - 1, delta(h): -1, delta(g - h): 1} if 2 * h != g else {PSI: g - 1}
         assert _by_symbol(g, marked_point_row(g, h)) == expected
@@ -47,6 +47,27 @@ def test_rows_key_their_mg1_sources_by_column(g):
     assert {t: _by_symbol(g, row) for t, row in genus2_tail_rows(g).items()} == {
         LAMBDA: {LAMBDA: 1}, delta(0): {delta(0): 1}, PSI: {delta(g - 2): -1},
         delta(1): {delta(g - 1): 1}}
+
+
+@pytest.mark.parametrize("g", range(2, 13))
+def test_mg1_columns_order_the_basis_with_lambda_first_and_psi_last(g):
+    order = mg1_columns(g)
+    assert sorted(order) == sorted(PicSpace.mg1(g).basis())
+    assert (order[0], order[g + 1]) == (LAMBDA, PSI)
+
+
+def test_each_elliptic_tail_row_leads_in_its_own_delta_column():
+    # The elimination reduces a row in its lowest column: the elliptic-tail
+    # rows lead in distinct columns, and their other entries sit in the
+    # columns of delta_1 and delta_{g-1}, which come after every delta_i.
+    for g in range(5, 121):
+        order = mg1_columns(g)
+        ends = {order.index(delta(1)), order.index(delta(g - 1))}
+        assert ends == {g - 1, g}
+        for i, row in zip(range(2, g - 1), elliptic_tail_rows(g)):
+            lead = min(row)
+            assert order[lead] == delta(i), (g, i)
+            assert set(row) - {lead} == ends, (g, i)
 
 
 def test_space_validation():

@@ -98,13 +98,12 @@ def test_corrupted_family_datum_names_the_contradiction(monkeypatch):
     monkeypatch.setattr(pushforward, "marked_per_n", corrupted)
     with pytest.raises(ConsistencyError) as info:
         solve_from_families(8, 3, 9, ClassLabel.GAMMA)
-    # Equations 0..9 are the three genus-2 rows, the marked-point rows for
-    # h = 1..4 (the slipped h = 3 row is equation 5) and the elliptic-tail
-    # rows of epsilon_2..epsilon_4: they fix every unknown, so the slip
-    # moves the solution instead of contradicting them.  Equation 10, the
-    # epsilon_5 row in its scale (g-1)(g-2) = 42, is the first that the
-    # moved solution fails: it reads 42 where 0 is due.
-    assert str(info.value) == "family data contradicts for (8,3,9) gamma: equation 10 reduces to 0 = -42"
+    # Equations 0..9 are the three genus-2 rows, the five elliptic-tail rows
+    # and the marked-point rows for h = 1, 2: they fix every unknown, and
+    # the true solution solves them.  Equation 10, the slipped h = 3 row, is
+    # the first one substituted into, and it misses by the slip: its
+    # degree is one more than the true solution gives.
+    assert str(info.value) == "family data contradicts for (8,3,9) gamma: equation 10 reduces to 0 = 1"
     assert isinstance(info.value.__cause__, linalg.InconsistentSystemError)
     assert info.value.__cause__.witness == 10
 
@@ -182,11 +181,11 @@ def test_family_equations_read_the_pullbacks(rng, g):
 
 def test_the_first_g_plus_2_family_equations_fix_every_unknown():
     # family_equations lists the genus-2 rows (the only ones on lambda and
-    # delta_0), the marked-point rows with h <= g/2, the elliptic-tail rows,
-    # and last the marked-point rows with h > g/2, each of which restates
-    # row g - h up to psi.  The first g + 2 of them are independent, so
-    # solve_unique eliminates only those and checks the other g - 3 by
-    # substitution.  One rho = 0 triple per genus, all three classes.
+    # delta_0), the elliptic-tail rows, then the marked-point rows for
+    # h = 1..g-1.  The first g + 2 of them, which end with h = 1 and h = 2,
+    # are independent, so solve_unique eliminates only those and checks the
+    # other g - 3 by substitution.  One rho = 0 triple per genus, all three
+    # classes.
     firsts = {}
     for t in rho_zero_triples(120):
         if t.g >= 5:
@@ -196,8 +195,7 @@ def test_the_first_g_plus_2_family_equations_fix_every_unknown():
         for label in ClassLabel:
             equations = family_equations(g, t.r, t.d, label)
             assert [family for family, _, _ in equations] \
-                == ["genus-2"] * 3 + ["marked-point"] * (g // 2) + ["elliptic-tail"] * (g - 3) \
-                + ["marked-point"] * (g - 1 - g // 2)
+                == ["genus-2"] * 3 + ["elliptic-tail"] * (g - 3) + ["marked-point"] * (g - 1)
             rows = [row for _, row, _ in equations]
             rhs = [value for _, _, value in equations]
             assert linalg.solve_unique(rows[:g + 2], rhs[:g + 2], g + 2) \
